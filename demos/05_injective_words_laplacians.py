@@ -8,12 +8,22 @@ spectrum.
 """
 
 from shuffle_spectra import (
+    WordVector,
     injective_words,
     laplacian,
     laplacian_spectrum,
+    r2r,
+    signed_r2r,
     spectrum_for_evaluation,
 )
-from shuffle_spectra.injective import sign_conjugated_r2r_matrix, signed_r2r_matrix
+from shuffle_spectra.combinatorics import sign_of_word
+from shuffle_spectra.words import operator_matrix
+
+
+def sign_twist(v):
+    """The sign-of-sorting involution: each word scaled by its sign."""
+    return WordVector({w: sign_of_word(w) * c for w, c in v.items()})
+
 
 n = 4
 for r in range(n + 1):
@@ -22,9 +32,11 @@ for r in range(n + 1):
     print(f"Lambda_{r} on {dim:>2} words: spectrum {dict(sorted(spec.items(), reverse=True))}")
 
 # full length: the Laplacian equals the signed shuffle operator...
-assert laplacian(n, n) == signed_r2r_matrix(n, n)
+words = injective_words(n, n)
+signed = operator_matrix(signed_r2r, words)
+assert laplacian(n, n) == signed
 # ...which is an explicit conjugate of the plain one
-assert sign_conjugated_r2r_matrix(n, n) == signed_r2r_matrix(n, n)
+assert operator_matrix(lambda v: sign_twist(r2r(sign_twist(v))), words) == signed
 
 # hence the top spectrum is the permutation shuffle spectrum
 top = laplacian_spectrum(n, n)

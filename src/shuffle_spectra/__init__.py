@@ -70,7 +70,6 @@ from .words import (
     apply_theta,
     enumerate_words,
     r2r,
-    r2r_via_group_algebra,
     r2t,
     shuffle_product,
     t2r,

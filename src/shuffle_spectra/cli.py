@@ -22,14 +22,14 @@ from fractions import Fraction
 from .combinatorics import partitions_of, standard_tableaux
 from .frobenius import frobenius_of_eigenspace
 from .injective import laplacian, laplacian_spectrum
-from .lifting import eigenbasis, eigenbasis_for_evaluation, kernel_basis
-from .spectrum import SpectrumReport, eig_word_trace, spectrum_for_evaluation
-from .words import (
-    r2r,
-    transition_matrix,
-    word_from_text,
-    word_to_text,
+from .lifting import (
+    _verify_eigenvector,
+    eigenbasis,
+    eigenbasis_for_evaluation,
+    kernel_basis,
 )
+from .spectrum import SpectrumReport, eig_word_trace, spectrum_for_evaluation
+from .words import transition_matrix, word_from_text, word_to_text
 
 SCHEMA_PREFIX = "shuffle-spectra"
 
@@ -175,6 +175,8 @@ def _emit_spectrum(report: SpectrumReport, fmt: str, probability: bool, out) -> 
 def cmd_eigenvalues(args, parser) -> int:
     if args.evaluation is None and args.n is None:
         parser.error("eigenvalues: provide --n or --evaluation")
+    if args.n is not None and args.n < 0:
+        parser.error(f"eigenvalues: --n must be non-negative, got {args.n}")
     out = sys.stdout
     if args.evaluation is not None:
         evaluation = _parse_evaluation(args.evaluation, parser, "--evaluation")
@@ -262,15 +264,6 @@ def cmd_eigenbasis(args, parser) -> int:
     if args.partition is not None:
         shape = _parse_partition(args.partition, parser, "--partition")
         entries = eigenbasis(shape)
-        if args.verify:
-            for entry in entries:
-                for v in entry.vectors:
-                    if r2r(v) != entry.eigenvalue * v:
-                        print(
-                            f"verification failed for {_strip_text(entry.outer, entry.inner)}",
-                            file=sys.stderr,
-                        )
-                        return 1
         payload = {
             "schema": f"{SCHEMA_PREFIX}/eigenbasis/1",
             "partition": list(shape),
@@ -280,12 +273,7 @@ def cmd_eigenbasis(args, parser) -> int:
     else:
         evaluation = _parse_evaluation(args.evaluation, parser, "--evaluation")
         pairs = eigenbasis_for_evaluation(evaluation)
-        if args.verify:
-            for _, entry in pairs:
-                for v in entry.vectors:
-                    if r2r(v) != entry.eigenvalue * v:
-                        print("verification failed", file=sys.stderr)
-                        return 1
+        entries = [entry for _, entry in pairs]
         payload = {
             "schema": f"{SCHEMA_PREFIX}/eigenbasis-evaluation/1",
             "evaluation": list(evaluation),
@@ -294,6 +282,15 @@ def cmd_eigenbasis(args, parser) -> int:
                 for tab, entry in pairs
             ],
         }
+    if args.verify:
+        for entry in entries:
+            for index, v in enumerate(entry.vectors):
+                context = f"{_strip_text(entry.outer, entry.inner)} vector {index}"
+                try:
+                    _verify_eigenvector(v, entry.eigenvalue, context)
+                except AssertionError as exc:
+                    print(f"verification failed: {exc}", file=sys.stderr)
+                    return 1
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
@@ -378,8 +375,7 @@ def _verify_size(n: int, failures: list[str]) -> None:
                 f"charpoly mismatch on evaluation {nu}: predicted roots {report.totals}"
             )
     for shape in partitions_of(n):
-        kernel = kernel_basis(shape)  # raises on dimension mismatch
-        del kernel
+        kernel_basis(shape)  # raises on dimension mismatch
         entries = eigenbasis(shape)  # verifies each eigen-equation internally
         got = {}
         for e in entries:

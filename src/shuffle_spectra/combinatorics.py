@@ -317,3 +317,16 @@ def even_ascent_suffix(word: Word) -> Word:
         if first_ascent(word[start:]) % 2 == 0:
             return word[start:]
     return ()
+
+
+def sign_of_word(word: Word) -> int:
+    """Sign of the permutation that sorts the word increasingly."""
+    if len(set(word)) != len(word):
+        raise ValueError(f"{word} has repeated letters")
+    inversions = sum(
+        1
+        for i in range(len(word))
+        for j in range(i + 1, len(word))
+        if word[i] > word[j]
+    )
+    return -1 if inversions % 2 else 1

@@ -7,6 +7,11 @@ a signed variant of the random-to-random operator, conjugate to the plain
 one by the sign-of-sorting involution, which is how the integrality of the
 Laplacian spectra follows from the shuffle spectrum.
 
+Boundary and coboundary act directly on word vectors, and every matrix here
+is words.operator_matrix of an operator: the Laplacian is the matrix of
+v -> coboundary(boundary(v)) + boundary(coboundary(v)), assembled one basis
+word at a time with no dense matrix products.
+
 Convention at the bottom of the complex: the empty word is the unique basis
 element in degree zero, deleting the only letter of a word picks up the sign
 of position one, and the out-of-range maps are zero, so the extreme
@@ -15,12 +20,12 @@ Laplacians use their single surviving term.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import permutations
 
+from .combinatorics import sign_of_word  # noqa: F401  (re-exported)
 from .linalg import ExactMatrix
-from .words import Word, WordVector
+from .words import Word, WordVector, operator_matrix
 
 
 @cache
@@ -53,29 +58,29 @@ def boundary(n: int, r: int, v: WordVector) -> WordVector:
 @cache
 def boundary_matrix(n: int, r: int) -> ExactMatrix:
     """Matrix of the boundary map in column convention (targets x sources)."""
-    sources = injective_words(n, r)
-    targets = injective_words(n, r - 1)
-    index = {w: i for i, w in enumerate(targets)}
-    columns = []
-    for w in sources:
-        col = [Fraction(0)] * len(targets)
-        for u, c in boundary(n, r, WordVector.unit(w)).items():
-            col[index[u]] += c
-        columns.append(col)
-    return ExactMatrix.from_columns(columns)
+    return operator_matrix(
+        partial(boundary, n, r), injective_words(n, r), injective_words(n, r - 1)
+    )
 
 
 def coboundary(n: int, r: int, v: WordVector) -> WordVector:
-    """Adjoint of the boundary one degree up, in the orthonormal word basis."""
+    """Adjoint of the boundary one degree up, in the orthonormal word basis.
+
+    Inserting a missing letter at position j is undone only by deleting
+    position j, so it carries that deletion's sign.
+    """
     if not 0 <= r < n:
         raise ValueError(f"coboundary needs 0 <= r < n, got r={r}, n={n}")
     _check_injective(v, r)
-    matrix = boundary_matrix(n, r + 1).transpose()
-    sources = injective_words(n, r)
-    targets = injective_words(n, r + 1)
-    coords = [v.coefficient(w) for w in sources]
-    image = matrix.multiply_vector(coords)
-    return WordVector({w: c for w, c in zip(targets, image)})
+    terms = []
+    for word, coeff in v.items():
+        for letter in range(1, n + 1):
+            if letter in word:
+                continue
+            for j in range(r + 1):
+                sign = -1 if (j + 1) % 2 else 1
+                terms.append((word[:j] + (letter,) + word[j:], sign * coeff))
+    return WordVector(terms)
 
 
 @cache
@@ -83,28 +88,16 @@ def laplacian(n: int, r: int) -> ExactMatrix:
     """Laplacian on injective words of length r, a symmetric integer matrix."""
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-    size = len(injective_words(n, r))
-    total = ExactMatrix.zeros(size, size)
-    if r >= 1:
-        down = boundary_matrix(n, r)
-        total = total + down.transpose() @ down
-    if r < n:
-        up = boundary_matrix(n, r + 1)
-        total = total + up @ up.transpose()
-    return total
 
+    def apply(v: WordVector) -> WordVector:
+        out = WordVector()
+        if r >= 1:
+            out = out + coboundary(n, r - 1, boundary(n, r, v))
+        if r < n:
+            out = out + boundary(n, r + 1, coboundary(n, r, v))
+        return out
 
-def sign_of_word(word: Word) -> int:
-    """Sign of the permutation that sorts the word increasingly."""
-    if len(set(word)) != len(word):
-        raise ValueError(f"{word} has repeated letters")
-    inversions = sum(
-        1
-        for i in range(len(word))
-        for j in range(i + 1, len(word))
-        if word[i] > word[j]
-    )
-    return -1 if inversions % 2 else 1
+    return operator_matrix(apply, injective_words(n, r))
 
 
 def signed_r2r(v: WordVector) -> WordVector:
@@ -128,35 +121,6 @@ def signed_r2r(v: WordVector) -> WordVector:
                 sign = -1 if (k - u) % 2 else 1
                 terms.append((rest[:k] + (letter,) + rest[k:], sign * coeff))
     return WordVector(terms)
-
-
-def signed_r2r_matrix(n: int, r: int) -> ExactMatrix:
-    """Matrix of the signed operator on the length-r injective words."""
-    words = injective_words(n, r)
-    index = {w: i for i, w in enumerate(words)}
-    columns = []
-    for w in words:
-        col = [Fraction(0)] * len(words)
-        for u, c in signed_r2r(WordVector.unit(w)).items():
-            col[index[u]] += c
-        columns.append(col)
-    return ExactMatrix.from_columns(columns)
-
-
-def sign_conjugated_r2r_matrix(n: int, r: int) -> ExactMatrix:
-    """Matrix of the plain operator conjugated by the sign involution."""
-    from .words import r2r
-
-    words = injective_words(n, r)
-    signs = [sign_of_word(w) for w in words]
-    index = {w: i for i, w in enumerate(words)}
-    columns = []
-    for j, w in enumerate(words):
-        col = [Fraction(0)] * len(words)
-        for u, c in r2r(WordVector.unit(w)).items():
-            col[index[u]] += c * signs[index[u]] * signs[j]
-        columns.append(col)
-    return ExactMatrix.from_columns(columns)
 
 
 def laplacian_spectrum(n: int, r: int) -> dict[int, int]:

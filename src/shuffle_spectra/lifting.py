@@ -90,14 +90,14 @@ def lift(shape: Partition, row: int, v: WordVector) -> WordVector:
     insertion of the row's letter.  The input must lie in the source Specht
     module for the output to land in the target one.
     """
-    target = _check_lift_target(shape, row)
-    del target
+    _check_lift_target(shape, row)
     if not v:
         return WordVector()
 
     def gamma(b: int) -> int:
         value = (part(shape, row) - row) - (part(shape, b) - b)
-        assert value != 0, "gap coefficients are nonzero below the target row"
+        if value == 0:
+            raise AssertionError(f"zero gap coefficient for rows {b} and {row} of {shape}")
         return value
 
     out = WordVector()

@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 
@@ -118,20 +117,8 @@ class IntPolynomial:
             return True
 
         for r in range(-bound, bound + 1):
-            if len(poly) == 1:
-                break
-            value = 0
-            for c in reversed(poly):
-                value = value * r + c
-            while value == 0 and len(poly) > 1:
-                if not divide_out(r):
-                    break
+            while len(poly) > 1 and divide_out(r):
                 roots[r] = roots.get(r, 0) + 1
-                value = 0
-                for c in reversed(poly):
-                    value = value * r + c
-                if value != 0:
-                    break
         return roots, IntPolynomial(poly)
 
     def __repr__(self) -> str:
@@ -287,7 +274,6 @@ class ExactMatrix:
 
     def _rref(self, augment: Sequence[Vector] = ()) -> tuple[list[list[Fraction]], list[int]]:
         """Reduced row echelon form, optionally carrying extra columns."""
-        width = self.cols + len(augment)
         m = [
             list(self.data[i]) + [aug[i] for aug in augment]
             for i in range(self.rows)
@@ -309,7 +295,6 @@ class ExactMatrix:
             row += 1
             if row == len(m):
                 break
-        del width
         return m, pivots
 
     def nullspace(self) -> tuple[Vector, ...]:

@@ -25,6 +25,7 @@ from .combinatorics import (
     Tableau,
     check_partition,
     multiset_arrangements,
+    sign_of_word,
     standard_tableaux,
     tableau_shape,
 )
@@ -40,16 +41,6 @@ def word_of_tableau(t: Tableau) -> Word:
         raise ValueError("tableau entries must be exactly 1..n")
     rows = {x: i + 1 for i, row in enumerate(t) for x in row}
     return tuple(rows[i] for i in range(1, n + 1))
-
-
-def _parity(indices: tuple[int, ...]) -> int:
-    inversions = sum(
-        1
-        for i in range(len(indices))
-        for j in range(i + 1, len(indices))
-        if indices[i] > indices[j]
-    )
-    return -1 if inversions % 2 else 1
 
 
 def polytabloid(t: Tableau) -> WordVector:
@@ -68,7 +59,7 @@ def polytabloid(t: Tableau) -> WordVector:
         choices = []
         for idx in permutations(range(k)):
             assignment = {col[idx[i]]: i + 1 for i in range(k)}  # entry -> row
-            choices.append((_parity(idx), assignment))
+            choices.append((sign_of_word(idx), assignment))
         column_choices.append(choices)
     terms: list[tuple[Word, Fraction]] = []
     for combo in product(*column_choices):
@@ -128,7 +119,8 @@ def specht_coordinates(shape: Partition, v: WordVector) -> tuple[Fraction, ...] 
     _check_evaluation(shape, v)
     rhs = [w.inner(v) for w in basis.vectors]
     coords = gram_matrix(shape).solve(rhs)
-    assert coords is not None  # Gram matrices of independent vectors are invertible
+    if coords is None:
+        raise AssertionError(f"singular Gram matrix for {shape}")
     candidate = WordVector()
     for c, w in zip(coords, basis.vectors):
         candidate = candidate + c * w
@@ -144,7 +136,8 @@ def project_onto_specht(shape: Partition, v: WordVector) -> WordVector:
     basis = specht_basis(shape)
     rhs = [w.inner(v) for w in basis.vectors]
     coords = gram_matrix(shape).solve(rhs)
-    assert coords is not None
+    if coords is None:
+        raise AssertionError(f"singular Gram matrix for {shape}")
     out = WordVector()
     for c, w in zip(coords, basis.vectors):
         out = out + c * w

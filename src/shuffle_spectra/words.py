@@ -288,32 +288,6 @@ def r2r(v) -> WordVector:
     return WordVector(terms)
 
 
-def _cycle(n: int, first: int, last: int) -> Permutation:
-    """One-line form of the cycle sending first -> first+step -> ... -> last -> first."""
-    step = 1 if first <= last else -1
-    image = list(range(1, n + 1))
-    lo, hi = min(first, last), max(first, last)
-    for x in range(lo, hi + 1):
-        image[x - 1] = first if x == last else x + step
-    return tuple(image)
-
-
-def r2r_via_group_algebra(word) -> WordVector:
-    """Random-to-random evaluated by its group-algebra element.
-
-    Expands the sum of cycle permutations explicitly; exists solely as an
-    independent cross-check of r2r.
-    """
-    word = check_word(word)
-    n = len(word)
-    terms: list[tuple[Word, Fraction]] = [(word, Fraction(n))]
-    for u in range(1, n + 1):
-        for v in range(1, n + 1):
-            if u != v:
-                terms.append((apply_permutation(word, _cycle(n, u, v)), Fraction(1)))
-    return WordVector(terms)
-
-
 # -- word enumeration and transition matrices ---------------------------------
 
 
@@ -387,31 +361,26 @@ def transition_matrix(shuffle: str, evaluation) -> TransitionMatrix:
     op, power = SHUFFLES[shuffle]
     words = enumerate_words(evaluation)
     n = sum(evaluation)
-    index = {w: i for i, w in enumerate(words)}
-    rows = []
-    for w in words:
-        image = op(WordVector.unit(w))
-        row = [0] * len(words)
-        for u, c in image.items():
-            row[index[u]] = int(c)
-        rows.append(row)
+    counts = operator_matrix(op, words).transpose()
     scale = Fraction(1, n**power) if n else Fraction(1)
-    return TransitionMatrix(shuffle, tuple(evaluation), words, scale, ExactMatrix(rows))
+    return TransitionMatrix(shuffle, tuple(evaluation), words, scale, counts)
 
 
-def operator_matrix(op, words) -> ExactMatrix:
+def operator_matrix(op, sources, targets=None) -> ExactMatrix:
     """Matrix of a word-vector operator in column convention.
 
-    Column j holds the coordinates of op(words[j]), so matrix-kernel
-    computations agree with operator kernels without any transposition.
+    Column j holds the coordinates of op(sources[j]) over targets, which
+    default to sources, so matrix-kernel computations agree with operator
+    kernels without any transposition.  Every operator in the package is
+    turned into a matrix here and nowhere else.
     """
-    words = tuple(words)
-    index = {w: i for i, w in enumerate(words)}
+    sources = tuple(sources)
+    targets = sources if targets is None else tuple(targets)
+    index = {w: i for i, w in enumerate(targets)}
     columns = []
-    for w in words:
-        image = op(WordVector.unit(w))
-        col = [Fraction(0)] * len(words)
-        for u, c in image.items():
+    for w in sources:
+        col = [Fraction(0)] * len(targets)
+        for u, c in op(WordVector.unit(w)).items():
             col[index[u]] = c
         columns.append(col)
     return ExactMatrix.from_columns(columns)

@@ -19,14 +19,14 @@ from shuffle_spectra.combinatorics import (
     horizontal_strip_inners,
     is_horizontal_strip,
     partitions_of,
+    sign_of_word,
     standard_tableaux,
 )
 from shuffle_spectra.frobenius import SchurExpansion, frobenius_of_eigenspace
 from shuffle_spectra.injective import (
     injective_words,
     laplacian,
-    sign_conjugated_r2r_matrix,
-    signed_r2r_matrix,
+    signed_r2r,
 )
 from shuffle_spectra.lifting import (
     _check_lift_target,
@@ -52,6 +52,7 @@ from shuffle_spectra.words import (
     apply_sh,
     apply_theta,
     enumerate_words,
+    operator_matrix,
     r2r,
     transition_matrix,
     word_from_text,
@@ -359,6 +360,10 @@ def test_criterion_08_second_eigenvalue_and_hook_spectra():
     _report(8, started, 120.0, "second eigenvalues and hook-shape spectra verified")
 
 
+def _sign_twist(v):
+    return WordVector({w: sign_of_word(w) * c for w, c in v.items()})
+
+
 def test_criterion_09_injective_words_integrality():
     started = time.perf_counter()
     for n in range(1, 6):
@@ -368,7 +373,9 @@ def test_criterion_09_injective_words_integrality():
             roots, rest = poly.integer_roots(bound=matrix.eigenvalue_bound())
             assert rest.degree == 0, f"non-integral Laplacian spectrum at n={n}, r={r}"
             assert sum(roots.values()) == len(injective_words(n, r))
-        assert sign_conjugated_r2r_matrix(n, n) == signed_r2r_matrix(n, n), n
+        words = injective_words(n, n)
+        signed = operator_matrix(signed_r2r, words)
+        assert operator_matrix(lambda v: _sign_twist(r2r(_sign_twist(v))), words) == signed, n
     _report(9, started, 60.0, "Laplacian spectra split over the integers up to n=5")
 
 

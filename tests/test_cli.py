@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from shuffle_spectra import cli
 from shuffle_spectra.cli import main
+from shuffle_spectra.lifting import eigenbasis, eigenbasis_for_evaluation
 
 from golden_tables import R2R_COUNTS_22, R2T_COUNTS_22, WORDS_22
 
@@ -107,6 +110,24 @@ def test_eigenbasis_for_evaluation_command(capsys):
     assert total == 6
 
 
+def test_eigenbasis_verify_failure_exits_one(capsys, monkeypatch):
+    entry = eigenbasis((2, 1))[0]
+    wrong = dataclasses.replace(entry, eigenvalue=entry.eigenvalue + 1)
+    monkeypatch.setattr(cli, "eigenbasis", lambda shape: (wrong,))
+    code = main(["eigenbasis", "--partition", "2,1", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "verification failed" in captured.err
+    tab = eigenbasis_for_evaluation((2, 1))[0][0]
+    monkeypatch.setattr(cli, "eigenbasis_for_evaluation", lambda nu: ((tab, wrong),))
+    code = main(["eigenbasis", "--evaluation", "2,1", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "verification failed" in captured.err
+
+
 def test_kernel_command(capsys):
     code, out = run_cli(capsys, "kernel", "--partition", "2,1")
     assert code == 0
@@ -157,7 +178,7 @@ def test_rearranged_evaluations_are_sorted(capsys):
     assert payload["partition"] == [2, 1]
 
 
-def test_usage_errors_exit_code_two():
+def test_usage_errors_exit_code_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eigenvalues", "--evaluation", "2,x"])
     assert exc.value.code == 2
@@ -167,6 +188,10 @@ def test_usage_errors_exit_code_two():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["eigenvalues", "--n", "-1"])
+    assert exc.value.code == 2
+    assert "--n must be non-negative" in capsys.readouterr().err
 
 
 def test_console_script_entry_point():

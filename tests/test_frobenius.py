@@ -7,7 +7,7 @@ from shuffle_spectra.combinatorics import desarrangement_count, partitions_of
 from shuffle_spectra.frobenius import SchurExpansion, frobenius_of_eigenspace, r2t_frobenius
 from shuffle_spectra.linalg import ExactMatrix
 from shuffle_spectra.spectrum import r2t_spectrum, spectrum_for_evaluation
-from shuffle_spectra.words import enumerate_words, r2r
+from shuffle_spectra.words import WordVector, enumerate_words, operator_matrix, r2r
 
 # character tables for sizes 3 and 4: shape -> values on conjugacy classes,
 # classes listed with their sizes
@@ -86,19 +86,13 @@ def test_dimensions_match_spectrum_multiplicities():
 
 
 def _relabel_matrix(sigma, words):
-    index = {w: i for i, w in enumerate(words)}
-    columns = []
-    for w in words:
-        out = tuple(sigma[x - 1] for x in w)
-        col = [Fraction(0)] * len(words)
-        col[index[out]] = Fraction(1)
-        columns.append(col)
-    return ExactMatrix.from_columns(columns)
+    def relabel(v):
+        return WordVector({tuple(sigma[x - 1] for x in w): c for w, c in v.items()})
+
+    return operator_matrix(relabel, words)
 
 
 def _eigenspace_basis(n, eig):
-    from shuffle_spectra.words import operator_matrix
-
     words = enumerate_words((1,) * n)
     matrix = operator_matrix(r2r, words) - ExactMatrix.identity(len(words)).scale(eig)
     return words, matrix.nullspace()

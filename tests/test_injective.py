@@ -9,13 +9,24 @@ from shuffle_spectra.injective import (
     injective_words,
     laplacian,
     laplacian_spectrum,
-    sign_conjugated_r2r_matrix,
     sign_of_word,
     signed_r2r,
-    signed_r2r_matrix,
 )
+from shuffle_spectra.linalg import ExactMatrix
 from shuffle_spectra.spectrum import spectrum_for_evaluation
-from shuffle_spectra.words import WordVector, apply_permutation
+from shuffle_spectra.words import WordVector, apply_permutation, operator_matrix, r2r
+
+
+def signed_r2r_matrix(n, r):
+    return operator_matrix(signed_r2r, injective_words(n, r))
+
+
+def sign_twist(v):
+    return WordVector({w: sign_of_word(w) * c for w, c in v.items()})
+
+
+def sign_conjugated_r2r_matrix(n, r):
+    return operator_matrix(lambda v: sign_twist(r2r(sign_twist(v))), injective_words(n, r))
 
 
 def test_injective_word_enumeration():
@@ -76,6 +87,20 @@ def test_laplacian_symmetric_and_psd():
             spectrum = laplacian_spectrum(n, r)
             assert all(e >= 0 for e in spectrum)
             assert sum(spectrum.values()) == len(injective_words(n, r))
+
+
+def test_laplacian_matches_dense_definition():
+    for n in range(1, 5):
+        for r in range(0, n + 1):
+            size = len(injective_words(n, r))
+            dense = ExactMatrix.zeros(size, size)
+            if r >= 1:
+                down = boundary_matrix(n, r)
+                dense = dense + down.transpose() @ down
+            if r < n:
+                up = boundary_matrix(n, r + 1)
+                dense = dense + up @ up.transpose()
+            assert laplacian(n, r) == dense, (n, r)
 
 
 def test_laplacian_commutes_with_boundary():

@@ -14,7 +14,6 @@ from shuffle_spectra.words import (
     enumerate_words,
     operator_matrix,
     r2r,
-    r2r_via_group_algebra,
     r2t,
     shuffle_product,
     t2r,
@@ -113,6 +112,31 @@ def test_shuffle_operator_examples():
     assert r2r(WordVector()) == WordVector()
     with pytest.raises(ValueError):
         r2r(WordVector({(1,): 1, (1, 2): 1}))
+
+
+def _cycle(n, first, last):
+    """One-line form of the cycle sending first -> first+step -> ... -> last -> first."""
+    step = 1 if first <= last else -1
+    image = list(range(1, n + 1))
+    lo, hi = min(first, last), max(first, last)
+    for x in range(lo, hi + 1):
+        image[x - 1] = first if x == last else x + step
+    return tuple(image)
+
+
+def r2r_via_group_algebra(word):
+    """Random-to-random evaluated by its group-algebra element.
+
+    Expands the sum of cycle permutations explicitly, as an independent
+    cross-check of r2r.
+    """
+    n = len(word)
+    terms = [(word, Fraction(n))]
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            if u != v:
+                terms.append((apply_permutation(word, _cycle(n, u, v)), Fraction(1)))
+    return WordVector(terms)
 
 
 def test_r2r_expansions_agree():
