@@ -40,7 +40,6 @@ from .lifting import (
     kernel_basis,
     lift,
     lift_chain,
-    lift_via_projection,
     normalize_vector,
 )
 from .linalg import ExactMatrix, IntPolynomial

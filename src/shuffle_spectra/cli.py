@@ -389,7 +389,13 @@ def _verify_size(n: int, failures: list[str]) -> None:
 
 
 def cmd_verify(args, parser) -> int:
-    cap = int(os.environ.get("R2R_MAX_N", "6"))
+    text = os.environ.get("R2R_MAX_N", "6")
+    try:
+        cap = int(text)
+    except ValueError:
+        parser.error(f"verify: R2R_MAX_N must be an integer, got {text!r}")
+    if args.n < 0:
+        parser.error(f"verify: --n must be non-negative, got {args.n}")
     if args.n > cap:
         parser.error(
             f"verify: n={args.n} exceeds the brute-force cap {cap}; raise R2R_MAX_N to override"

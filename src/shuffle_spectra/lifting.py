@@ -2,17 +2,18 @@
 
 A lift maps the Specht module of a shape into the Specht module of the shape
 with one extra cell in a chosen row, sending eigenvectors of the
-random-to-random operator to eigenvectors one size up.  Two implementations
-exist: a closed form built from insertions and letter replacements (the
-production path, no linear solves), and insertion followed by orthogonal
-projection (kept for cross-validation).
+random-to-random operator to eigenvectors one size up.  It is a closed form
+built from insertions and letter replacements, with no linear solves; the
+tests check it against insertion followed by orthogonal projection.
 
-Composing lifts along the rows of a horizontal strip, smallest row first,
-and feeding in kernel bases of the smaller shapes produces a complete
-eigenbasis of every Specht module; pushing those through the module
-embeddings indexed by semistandard tableaux yields a full eigenbasis of any
-word space.  Every vector is verified by exact operator application before
-it is returned.
+Kernel bases are nullspaces taken in word coordinates: the matrix whose
+columns are the images of the Specht basis vectors under the operator, over
+the words of the shape.  Composing lifts along the rows of a horizontal
+strip, smallest row first, and feeding in those kernel bases of the smaller
+shapes produces a complete eigenbasis of every Specht module; pushing those
+through the module embeddings indexed by semistandard tableaux yields a full
+eigenbasis of any word space.  Every vector is verified by exact operator
+application before it is returned.
 """
 
 from __future__ import annotations
@@ -33,15 +34,16 @@ from .combinatorics import (
     semistandard_tableaux,
     standard_tableaux,
 )
-from .linalg import ExactMatrix
 from .spectrum import eig_strip, sort_evaluation
-from .specht import (
-    project_onto_specht,
-    specht_basis,
-    specht_coordinates,
-    theta_embedding,
+from .specht import specht_basis, theta_embedding
+from .words import (
+    WordVector,
+    apply_sh,
+    apply_theta,
+    enumerate_words,
+    operator_matrix,
+    r2r,
 )
-from .words import WordVector, apply_sh, apply_theta, enumerate_words, r2r
 
 
 def normalize_vector(v: WordVector) -> WordVector:
@@ -115,14 +117,6 @@ def lift(shape: Partition, row: int, v: WordVector) -> WordVector:
     return out
 
 
-def lift_via_projection(shape: Partition, row: int, v: WordVector) -> WordVector:
-    """Insertion followed by orthogonal projection; must agree with lift."""
-    target = _check_lift_target(shape, row)
-    if not v:
-        return WordVector()
-    return project_onto_specht(target, apply_sh(row, v))
-
-
 def lift_chain(outer: Partition, inner: Partition, v: WordVector) -> WordVector:
     """Composite lift along the rows of outer/inner, smallest rows first.
 
@@ -143,23 +137,16 @@ def kernel_basis(shape: Partition) -> tuple[WordVector, ...]:
     """Basis of the kernel of the random-to-random operator on the Specht
     module of the shape, in the deterministic nullspace normal form.
 
-    The dimension always equals the number of desarrangement tableaux of
-    the shape.
+    The nullspace is taken over the words of the shape, so every returned
+    combination is annihilated exactly.  The dimension always equals the
+    number of desarrangement tableaux of the shape.
     """
     shape = check_partition(shape)
-    basis = specht_basis(shape)
-    columns = []
-    for w in basis.vectors:
-        coords = specht_coordinates(shape, r2r(w))
-        if coords is None:
-            raise AssertionError(f"operator image left the Specht module of {shape}")
-        columns.append(coords)
-    matrix = ExactMatrix.from_columns(columns)
+    basis = specht_basis(shape).vectors
+    matrix = operator_matrix(r2r, basis, enumerate_words(shape))
     vectors = []
     for coeffs in matrix.nullspace():
-        v = WordVector()
-        for c, w in zip(coeffs, basis.vectors):
-            v = v + c * w
+        v = WordVector((w, c * x) for c, u in zip(coeffs, basis) for w, x in u.items())
         vectors.append(normalize_vector(v))
     if len(vectors) != desarrangement_count(shape):
         raise AssertionError(
@@ -232,16 +219,7 @@ def eigenbasis(shape: Partition) -> tuple[EigenbasisEntry, ...]:
 
 def _word_rank(vectors: list[WordVector]) -> int:
     words = sorted({w for v in vectors for w in v.words()})
-    index = {w: i for i, w in enumerate(words)}
-    rows = []
-    for v in vectors:
-        row = [Fraction(0)] * len(words)
-        for w, c in v.items():
-            row[index[w]] = c
-        rows.append(row)
-    if not rows:
-        return 0
-    return ExactMatrix(rows).rank()
+    return operator_matrix(lambda v: v, vectors, words).rank()
 
 
 def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
@@ -252,12 +230,10 @@ def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
     jointly form an eigenbasis of the whole word space.
     """
     evaluation = tuple(evaluation)
-    nu = sort_evaluation(evaluation)
-    n = sum(nu)
     results = []
     count = 0
-    for outer in _dominating_partitions(nu):
-        for tab in semistandard_tableaux(outer, nu):
+    for outer in _dominating_partitions(sort_evaluation(evaluation)):
+        for tab in semistandard_tableaux(outer, evaluation):
             for entry in eigenbasis(outer):
                 vectors = []
                 for index, v in enumerate(entry.vectors):
@@ -279,10 +255,12 @@ def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
                     )
                 )
                 count += len(vectors)
-    expected = len(enumerate_words(nu))
+    expected = len(enumerate_words(evaluation))
     all_vectors = [v for _, e in results for v in e.vectors]
     if count != expected or _word_rank(all_vectors) != expected:
-        raise AssertionError(f"embedded eigenbasis does not span the word space of {nu}")
+        raise AssertionError(
+            f"embedded eigenbasis does not span the word space of {evaluation}"
+        )
     return tuple(results)
 
 

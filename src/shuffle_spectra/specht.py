@@ -5,12 +5,14 @@ holding i.  Antisymmetrizing that word over the column stabilizer gives the
 basis vectors w_t; their span over the standard tableaux of a shape is the
 Specht submodule of the words with that evaluation.
 
-The orthogonal projection onto a Specht submodule is computed by an exact
-Gram solve in the inner product where words are orthonormal.  Because each
-word space contains exactly one copy of its own Specht module and the
-position action permutes the word basis, the orthogonal complement is again
-a submodule, so this projection agrees with the module-theoretic projection
-wherever this package uses it; no character theory is needed.
+The orthogonal projection onto a Specht submodule and the coordinates of a
+vector in the w_t basis share one exact Gram solve in the inner product
+where words are orthonormal.  Kernels and eigenbases need neither, so the
+solve runs only when these two are called.  Because each word space
+contains exactly one copy of its own Specht module and the position action
+permutes the word basis, the orthogonal complement is again a submodule, so
+this projection agrees with the module-theoretic projection wherever this
+package uses it; no character theory is needed.
 """
 
 from __future__ import annotations
@@ -110,21 +112,25 @@ def _check_evaluation(shape: Partition, v: WordVector) -> None:
             )
 
 
+def _gram_projection(shape: Partition, v: WordVector) -> tuple[tuple[Fraction, ...], WordVector]:
+    """Coordinates in the w_t basis of the orthogonal projection of v, and
+    the projection itself, by one Gram solve."""
+    _check_evaluation(shape, v)
+    basis = specht_basis(shape).vectors
+    coords = gram_matrix(shape).solve([w.inner(v) for w in basis])
+    if coords is None:
+        raise AssertionError(f"singular Gram matrix for {shape}")
+    projection = WordVector((w, c * x) for c, u in zip(coords, basis) for w, x in u.items())
+    return coords, projection
+
+
 def specht_coordinates(shape: Partition, v: WordVector) -> tuple[Fraction, ...] | None:
     """Coordinates of v in the w_t basis, or None when v is outside the span."""
     shape = check_partition(shape)
-    basis = specht_basis(shape)
     if not v:
-        return tuple(Fraction(0) for _ in basis.vectors)
-    _check_evaluation(shape, v)
-    rhs = [w.inner(v) for w in basis.vectors]
-    coords = gram_matrix(shape).solve(rhs)
-    if coords is None:
-        raise AssertionError(f"singular Gram matrix for {shape}")
-    candidate = WordVector()
-    for c, w in zip(coords, basis.vectors):
-        candidate = candidate + c * w
-    return coords if candidate == v else None
+        return tuple(Fraction(0) for _ in specht_basis(shape).vectors)
+    coords, projection = _gram_projection(shape, v)
+    return coords if projection == v else None
 
 
 def project_onto_specht(shape: Partition, v: WordVector) -> WordVector:
@@ -132,16 +138,7 @@ def project_onto_specht(shape: Partition, v: WordVector) -> WordVector:
     shape = check_partition(shape)
     if not v:
         return WordVector()
-    _check_evaluation(shape, v)
-    basis = specht_basis(shape)
-    rhs = [w.inner(v) for w in basis.vectors]
-    coords = gram_matrix(shape).solve(rhs)
-    if coords is None:
-        raise AssertionError(f"singular Gram matrix for {shape}")
-    out = WordVector()
-    for c, w in zip(coords, basis.vectors):
-        out = out + c * w
-    return out
+    return _gram_projection(shape, v)[1]
 
 
 def theta_embedding(t: Tableau, v: WordVector) -> WordVector:

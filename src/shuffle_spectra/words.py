@@ -371,8 +371,10 @@ def operator_matrix(op, sources, targets=None) -> ExactMatrix:
 
     Column j holds the coordinates of op(sources[j]) over targets, which
     default to sources, so matrix-kernel computations agree with operator
-    kernels without any transposition.  Every operator in the package is
-    turned into a matrix here and nowhere else.
+    kernels without any transposition.  Sources may be words or word
+    vectors; targets are words, and must be given when the sources are
+    vectors.  Every operator, and every list of word vectors, is turned into
+    a matrix here and nowhere else.
     """
     sources = tuple(sources)
     targets = sources if targets is None else tuple(targets)
@@ -380,7 +382,7 @@ def operator_matrix(op, sources, targets=None) -> ExactMatrix:
     columns = []
     for w in sources:
         col = [Fraction(0)] * len(targets)
-        for u, c in op(WordVector.unit(w)).items():
+        for u, c in op(_as_vector(w)).items():
             col[index[u]] = c
         columns.append(col)
     return ExactMatrix.from_columns(columns)

@@ -35,7 +35,6 @@ from shuffle_spectra.lifting import (
     kernel_basis,
     lift,
     lift_chain,
-    lift_via_projection,
     normalize_vector,
 )
 from shuffle_spectra.linalg import IntPolynomial
@@ -270,7 +269,10 @@ def test_criterion_06_identity_suite():
                 except ValueError:
                     continue
                 for wt in specht_basis(shape).vectors:
-                    assert lift(shape, row, wt) == lift_via_projection(shape, row, wt)
+                    target = _check_lift_target(shape, row)
+                    assert lift(shape, row, wt) == project_onto_specht(
+                        target, apply_sh(row, wt)
+                    )
     # deferring every intermediate projection to the end changes nothing
     for n in range(1, 6):
         for outer in partitions_of(n):

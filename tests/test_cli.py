@@ -178,7 +178,7 @@ def test_rearranged_evaluations_are_sorted(capsys):
     assert payload["partition"] == [2, 1]
 
 
-def test_usage_errors_exit_code_two(capsys):
+def test_usage_errors_exit_code_two(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["eigenvalues", "--evaluation", "2,x"])
     assert exc.value.code == 2
@@ -192,6 +192,15 @@ def test_usage_errors_exit_code_two(capsys):
         main(["eigenvalues", "--n", "-1"])
     assert exc.value.code == 2
     assert "--n must be non-negative" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "-1"])
+    assert exc.value.code == 2
+    assert "--n must be non-negative" in capsys.readouterr().err
+    monkeypatch.setenv("R2R_MAX_N", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "3"])
+    assert exc.value.code == 2
+    assert "R2R_MAX_N must be an integer" in capsys.readouterr().err
 
 
 def test_console_script_entry_point():

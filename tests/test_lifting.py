@@ -18,15 +18,16 @@ from shuffle_spectra.lifting import (
     kernel_basis,
     lift,
     lift_chain,
-    lift_via_projection,
     normalize_vector,
 )
-from shuffle_spectra.specht import project_onto_specht, specht_basis
+from shuffle_spectra.linalg import ExactMatrix
+from shuffle_spectra.specht import project_onto_specht, specht_basis, specht_coordinates
 from shuffle_spectra.spectrum import eig_strip, spectrum_for_evaluation
 from shuffle_spectra.words import (
     WordVector,
     apply_sh,
     apply_theta,
+    evaluation_of,
     r2r,
     word_from_text,
 )
@@ -59,6 +60,27 @@ def test_kernel_bases_of_small_shapes():
     for n in range(1, 6):
         assert kernel_basis((n,)) == ()
     assert len(kernel_basis(())) == 1
+
+
+def test_kernel_basis_matches_specht_coordinate_nullspace():
+    # reference: the nullspace of r2r in Specht coordinates, which assumes
+    # r2r maps the Specht module into itself
+    for n in range(0, 7):
+        for shape in partitions_of(n):
+            basis = specht_basis(shape).vectors
+            columns = [specht_coordinates(shape, r2r(w)) for w in basis]
+            assert all(col is not None for col in columns), shape
+            expected = []
+            for coeffs in ExactMatrix.from_columns(columns).nullspace():
+                v = WordVector()
+                for c, w in zip(coeffs, basis):
+                    v = v + c * w
+                expected.append(normalize_vector(v))
+            kernel = kernel_basis(shape)
+            assert kernel == tuple(expected), shape
+            for v in kernel:
+                assert r2r(v) == WordVector()
+                assert specht_coordinates(shape, v) is not None
 
 
 def test_kernel_general_hook_pattern():
@@ -154,7 +176,10 @@ def test_lift_matches_projection_form():
         for shape in partitions_of(n):
             for row in valid_lift_rows(shape):
                 for wt in specht_basis(shape).vectors:
-                    assert lift(shape, row, wt) == lift_via_projection(shape, row, wt)
+                    target = _check_lift_target(shape, row)
+                    assert lift(shape, row, wt) == project_onto_specht(
+                        target, apply_sh(row, wt)
+                    )
 
 
 def test_deferred_projection_matches_stepwise_lifts():
@@ -240,11 +265,15 @@ def test_eigenbasis_spans_each_module():
 def test_eigenbasis_for_evaluation_counts():
     from collections import Counter
 
-    for nu in [(1, 1, 1), (2, 2), (2, 1), (3,), (2, 1, 1)]:
+    evaluations = [(1, 1, 1), (2, 2), (2, 1), (3,), (2, 1, 1)]
+    unsorted = [(1, 2), (0, 2), (1, 2, 1), (0, 1, 0, 2)]
+    for ev in evaluations + unsorted:
         counts = Counter()
-        for _, entry in eigenbasis_for_evaluation(nu):
+        for _, entry in eigenbasis_for_evaluation(ev):
             counts[entry.eigenvalue] += len(entry.vectors)
-        assert counts == Counter(spectrum_for_evaluation(nu).totals), nu
+            for v in entry.vectors:
+                assert all(evaluation_of(w) == ev for w in v.words()), ev
+        assert counts == Counter(spectrum_for_evaluation(ev).totals), ev
 
 
 def test_eigenbasis_for_evaluation_single_row():
