@@ -126,11 +126,6 @@ def dominates(a: Partition, b: Partition) -> bool:
     return True
 
 
-def conjugate(p: Partition) -> Partition:
-    p = check_partition(p)
-    return tuple(sum(1 for x in p if x > i) for i in range(p[0])) if p else ()
-
-
 # -- tableaux ---------------------------------------------------------------
 
 

@@ -12,14 +12,16 @@ the words of the shape.  Composing lifts along the rows of a horizontal
 strip, smallest row first, and feeding in those kernel bases of the smaller
 shapes produces a complete eigenbasis of every Specht module; pushing those
 through the module embeddings indexed by semistandard tableaux yields a full
-eigenbasis of any word space.  Every vector is verified by exact operator
-application before it is returned.
+eigenbasis of any word space.  Both eigenbases pass one checker,
+`_check_eigenbasis`, before they are returned: every vector satisfies its
+eigen-equation under exact operator application, and together the vectors
+span the space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -29,8 +31,10 @@ from .combinatorics import (
     check_partition,
     check_skew,
     desarrangement_count,
+    dominates,
     horizontal_strip_inners,
     part,
+    partitions_of,
     semistandard_tableaux,
     standard_tableaux,
 )
@@ -160,16 +164,15 @@ def kernel_basis(shape: Partition) -> tuple[WordVector, ...]:
 class EigenbasisEntry:
     """Eigenvectors contributed by one horizontal strip.
 
-    vectors are normalized lifts of the kernel basis of the inner shape;
-    provenance records which kernel basis element each vector came from.
-    Every vector satisfies r2r(v) = eigenvalue * v exactly.
+    vectors are normalized lifts of the kernel basis of the inner shape, in
+    the order of that basis.  Every vector satisfies r2r(v) = eigenvalue * v
+    exactly.
     """
 
     outer: Partition
     inner: Partition
     eigenvalue: int
     vectors: tuple[WordVector, ...]
-    provenance: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
@@ -179,11 +182,20 @@ class EigenbasisEntry:
         }
 
 
-def _verify_eigenvector(v: WordVector, eigenvalue: int, context: str) -> None:
-    if not v:
-        raise AssertionError(f"zero eigenvector in {context}")
-    if r2r(v) != eigenvalue * v:
-        raise AssertionError(f"eigen-equation failed in {context}")
+def _check_eigenbasis(entries: list[EigenbasisEntry], dimension: int, space: str) -> None:
+    """Raise AssertionError unless the vectors of the entries are nonzero
+    eigenvectors for their entries' eigenvalues and form a basis of a space of
+    the given dimension."""
+    for entry in entries:
+        for index, v in enumerate(entry.vectors):
+            where = f"vector {index} of strip {entry.outer}/{entry.inner} in {space}"
+            if not v:
+                raise AssertionError(f"zero {where}")
+            if r2r(v) != entry.eigenvalue * v:
+                raise AssertionError(f"eigen-equation failed for {where}")
+    vectors = [v for entry in entries for v in entry.vectors]
+    if len(vectors) != dimension or _word_rank(vectors) != dimension:
+        raise AssertionError(f"eigenvectors do not span {space}")
 
 
 @cache
@@ -201,19 +213,9 @@ def eigenbasis(shape: Partition) -> tuple[EigenbasisEntry, ...]:
         kernel = kernel_basis(inner)
         if not kernel:
             continue
-        eigenvalue = eig_strip(shape, inner)
-        vectors = []
-        for index, u in enumerate(kernel):
-            lifted = normalize_vector(lift_chain(shape, inner, u))
-            _verify_eigenvector(lifted, eigenvalue, f"{shape}/{inner} lift {index}")
-            vectors.append(lifted)
-        entries.append(
-            EigenbasisEntry(shape, inner, eigenvalue, tuple(vectors), tuple(range(len(kernel))))
-        )
-    total = [v for e in entries for v in e.vectors]
-    expected = len(standard_tableaux(shape))
-    if len(total) != expected or _word_rank(total) != expected:
-        raise AssertionError(f"lifted vectors do not span the Specht module of {shape}")
+        vectors = tuple(normalize_vector(lift_chain(shape, inner, u)) for u in kernel)
+        entries.append(EigenbasisEntry(shape, inner, eig_strip(shape, inner), vectors))
+    _check_eigenbasis(entries, len(standard_tableaux(shape)), f"the Specht module of {shape}")
     return tuple(entries)
 
 
@@ -231,40 +233,18 @@ def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
     """
     evaluation = tuple(evaluation)
     results = []
-    count = 0
     for outer in _dominating_partitions(sort_evaluation(evaluation)):
         for tab in semistandard_tableaux(outer, evaluation):
             for entry in eigenbasis(outer):
-                vectors = []
-                for index, v in enumerate(entry.vectors):
-                    pushed = normalize_vector(theta_embedding(tab, v))
-                    _verify_eigenvector(
-                        pushed, entry.eigenvalue, f"{outer}/{entry.inner} via {tab}"
-                    )
-                    vectors.append(pushed)
-                results.append(
-                    (
-                        tab,
-                        EigenbasisEntry(
-                            entry.outer,
-                            entry.inner,
-                            entry.eigenvalue,
-                            tuple(vectors),
-                            entry.provenance,
-                        ),
-                    )
-                )
-                count += len(vectors)
-    expected = len(enumerate_words(evaluation))
-    all_vectors = [v for _, e in results for v in e.vectors]
-    if count != expected or _word_rank(all_vectors) != expected:
-        raise AssertionError(
-            f"embedded eigenbasis does not span the word space of {evaluation}"
-        )
+                pushed = (normalize_vector(theta_embedding(tab, v)) for v in entry.vectors)
+                results.append((tab, replace(entry, vectors=tuple(pushed))))
+    _check_eigenbasis(
+        [entry for _, entry in results],
+        len(enumerate_words(evaluation)),
+        f"the word space of {evaluation}",
+    )
     return tuple(results)
 
 
 def _dominating_partitions(nu: Partition) -> list[Partition]:
-    from .combinatorics import dominates, partitions_of
-
     return [p for p in partitions_of(sum(nu)) if dominates(p, nu)]

@@ -51,9 +51,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def is_monic(self) -> bool:
-        return bool(self.coefficients) and self.coefficients[-1] == 1
-
     def __call__(self, x: int) -> int:
         value = 0
         for c in reversed(self.coefficients):

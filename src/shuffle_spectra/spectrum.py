@@ -131,16 +131,7 @@ def spectrum_for_evaluation(evaluation) -> SpectrumReport:
 
 def eig_word(word: Word) -> int:
     """Eigenvalue attached to a single word via its recording tableau."""
-    word = check_word(word)
-    suffix = even_ascent_suffix(word)
-    _, q_word = rsk(word)
-    _, q_suffix = rsk(suffix)
-    return (
-        math.comb(len(word) + 1, 2)
-        + diag(tableau_shape(q_word))
-        - math.comb(len(suffix) + 1, 2)
-        - diag(tableau_shape(q_suffix))
-    )
+    return eig_word_trace(word).eig
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,11 @@
-import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from shuffle_spectra import cli
+from shuffle_spectra import lifting
 from shuffle_spectra.cli import main
-from shuffle_spectra.lifting import eigenbasis, eigenbasis_for_evaluation
 
 from golden_tables import R2R_COUNTS_22, R2T_COUNTS_22, WORDS_22
 
@@ -111,21 +109,20 @@ def test_eigenbasis_for_evaluation_command(capsys):
 
 
 def test_eigenbasis_verify_failure_exits_one(capsys, monkeypatch):
-    entry = eigenbasis((2, 1))[0]
-    wrong = dataclasses.replace(entry, eigenvalue=entry.eigenvalue + 1)
-    monkeypatch.setattr(cli, "eigenbasis", lambda shape: (wrong,))
-    code = main(["eigenbasis", "--partition", "2,1", "--verify"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "verification failed" in captured.err
-    tab = eigenbasis_for_evaluation((2, 1))[0][0]
-    monkeypatch.setattr(cli, "eigenbasis_for_evaluation", lambda nu: ((tab, wrong),))
-    code = main(["eigenbasis", "--evaluation", "2,1", "--verify"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "verification failed" in captured.err
+    # A wrong strip eigenvalue inside the library must fail its own check,
+    # whether or not --verify is given.
+    monkeypatch.setattr(lifting, "eig_strip", lambda outer, inner: 1)
+    lifting.eigenbasis.cache_clear()
+    try:
+        for option, value in [("--partition", "2,1"), ("--evaluation", "2,1")]:
+            for extra in ([], ["--verify"]):
+                code = main(["eigenbasis", option, value, *extra])
+                captured = capsys.readouterr()
+                assert code == 1
+                assert captured.out == ""
+                assert "verification failed" in captured.err
+    finally:
+        lifting.eigenbasis.cache_clear()
 
 
 def test_kernel_command(capsys):
@@ -181,6 +178,13 @@ def test_rearranged_evaluations_are_sorted(capsys):
 def test_usage_errors_exit_code_two(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["eigenvalues", "--evaluation", "2,x"])
+    assert exc.value.code == 2
+    # superscript digits pass str.isdigit() but not int()
+    with pytest.raises(SystemExit) as exc:
+        main(["eigenvalues", "--evaluation", "²"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--partition", "³"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["eigenbasis", "--partition", "1,2"])

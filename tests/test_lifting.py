@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from shuffle_spectra import lifting
 from shuffle_spectra.combinatorics import (
     desarrangement_count,
     horizontal_strip_inners,
@@ -282,6 +283,22 @@ def test_eigenbasis_for_evaluation_single_row():
     _, entry = pairs[0]
     assert entry.eigenvalue == 16
     assert entry.vectors == (WordVector.unit((1, 1, 1, 1)),)
+
+
+def test_eigenbasis_for_evaluation_rejects_a_pushed_non_eigenvector(monkeypatch):
+    original = lifting.theta_embedding
+    calls = []
+
+    def corrupt_first(tab, v):
+        pushed = original(tab, v)
+        calls.append(tab)
+        if len(calls) == 1:
+            pushed = pushed + WordVector.unit(min(pushed.words()))
+        return pushed
+
+    monkeypatch.setattr(lifting, "theta_embedding", corrupt_first)
+    with pytest.raises(AssertionError, match="eigen-equation failed"):
+        eigenbasis_for_evaluation((2, 1))
 
 
 def test_eigenbasis_vectors_verify_by_operator_application():
