@@ -55,14 +55,13 @@ def normalize_vector(v: WordVector) -> WordVector:
     coefficient of the lexicographically first word positive."""
     if not v:
         return v
-    coeffs = [c for _, c in sorted(v.items())]
-    scale = Fraction(
-        math.lcm(*(c.denominator for c in coeffs)),
-        math.gcd(*(c.numerator for c in coeffs)),
+    divisor = math.gcd(*(c.numerator for _, c in v.items()))
+    multiple = math.lcm(*(c.denominator for _, c in v.items()))
+    if v.coefficient(min(v.words())) < 0:
+        divisor = -divisor
+    return WordVector(
+        (w, c.numerator * (multiple // c.denominator) // divisor) for w, c in v.items()
     )
-    if coeffs[0] < 0:
-        scale = -scale
-    return scale * v
 
 
 def _added_rows(outer: Partition, inner: Partition) -> list[int]:
@@ -106,19 +105,17 @@ def lift(shape: Partition, row: int, v: WordVector) -> WordVector:
             raise AssertionError(f"zero gap coefficient for rows {b} and {row} of {shape}")
         return value
 
-    out = WordVector()
+    terms = []
     for t in range(row):
         for chain in combinations(range(1, row), t):
-            coeff = Fraction(1)
-            for b in chain:
-                coeff /= gamma(b)
+            coeff = Fraction(1, math.prod(map(gamma, chain))) if chain else 1
             first = chain[0] if chain else row
             term = apply_sh(first, v)
             steps = list(chain) + [row]
             for b_from, b_to in zip(steps, steps[1:]):
                 term = apply_theta(b_from, b_to, term)
-            out = out + coeff * term
-    return out
+            terms.extend((w, coeff * c) for w, c in term.items())
+    return WordVector(terms)
 
 
 def lift_chain(outer: Partition, inner: Partition, v: WordVector) -> WordVector:

@@ -5,12 +5,17 @@ and integer characteristic polynomials.  This is the brute-force oracle that
 everything else in the package is checked against, so every operation is
 deterministic: equal inputs give bit-identical outputs.
 
-Ranks use fraction-free (Bareiss) elimination on an integerized copy of the
-matrix, which keeps intermediate entries polynomially sized.  Characteristic
-polynomials are computed modulo a batch of word-sized primes (Hessenberg
-reduction followed by the standard minor recurrence) and recombined by CRT
-under a rigorous coefficient bound, so the result is exact even for the
-factorial-sized matrices this package produces.
+Ranks first try a full-rank certificate: the integerized rows are reduced
+modulo one word-sized prime and eliminated in int64.  A nonzero minor modulo
+p is a nonzero integer minor, so a rank modulo p equal to the smaller
+dimension proves full rank over the rationals.  Any other outcome falls back
+to fraction-free (Bareiss) elimination on the integerized copy, which keeps
+intermediate entries polynomially sized.
+
+Characteristic polynomials are computed modulo a batch of word-sized primes
+(Hessenberg reduction followed by the standard minor recurrence) and
+recombined by CRT under a rigorous coefficient bound, so the result is exact
+even for the factorial-sized matrices this package produces.
 """
 
 from __future__ import annotations
@@ -243,13 +248,21 @@ class ExactMatrix:
         out = []
         for row in self.data:
             scale = math.lcm(*(x.denominator for x in row)) if row else 1
-            out.append([int(x * scale) for x in row])
+            out.append([x.numerator * (scale // x.denominator) for x in row])
         return out
 
     def rank(self) -> int:
-        """Exact rank over the rationals, by fraction-free elimination."""
+        """Exact rank over the rationals.
+
+        Returns min(rows, cols) at once when the rank modulo the first prime
+        of _prime_stream() reaches it, which proves full rank; otherwise runs
+        fraction-free elimination.
+        """
         m = self._integerized_rows()
         n_rows, n_cols = self.rows, self.cols
+        full = min(n_rows, n_cols)
+        if full and _rank_mod(m, next(_prime_stream())) == full:
+            return full
         rank = 0
         prev = 1
         for col in range(n_cols):
@@ -382,6 +395,30 @@ def _prime_stream():
         if _is_prime(p):
             yield p
         p -= 2
+
+
+def _rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank of an integer matrix modulo p, by Gaussian elimination in int64.
+
+    Residues stay below p < 2**26, so every product fits in int64.
+    """
+    a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    n_rows, n_cols = a.shape
+    rank = 0
+    for col in range(n_cols):
+        nz = np.flatnonzero(a[rank:, col])
+        if nz.size == 0:
+            continue
+        pivot_row = rank + int(nz[0])
+        if pivot_row != rank:
+            a[[rank, pivot_row]] = a[[pivot_row, rank]]
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
+        below = a[rank + 1 :, col]
+        a[rank + 1 :, col:] = (a[rank + 1 :, col:] - below[:, None] * a[rank, col:]) % p
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
 
 
 def _charpoly_int(a: list[list[int]]) -> tuple[int, ...]:

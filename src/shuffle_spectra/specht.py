@@ -32,7 +32,7 @@ from .combinatorics import (
     tableau_shape,
 )
 from .linalg import ExactMatrix
-from .words import Word, WordVector, evaluation_of
+from .words import Scalar, Word, WordVector, evaluation_of
 
 
 def word_of_tableau(t: Tableau) -> Word:
@@ -63,7 +63,7 @@ def polytabloid(t: Tableau) -> WordVector:
             assignment = {col[idx[i]]: i + 1 for i in range(k)}  # entry -> row
             choices.append((sign_of_word(idx), assignment))
         column_choices.append(choices)
-    terms: list[tuple[Word, Fraction]] = []
+    terms: list[tuple[Word, int]] = []
     for combo in product(*column_choices):
         sign = 1
         rows: dict[int, int] = {}
@@ -71,9 +71,9 @@ def polytabloid(t: Tableau) -> WordVector:
             sign *= s
             rows.update(assignment)
         word = tuple(rows[i] for i in range(1, n + 1))
-        terms.append((word, Fraction(sign)))
+        terms.append((word, sign))
     if not terms:  # empty tableau
-        terms = [((), Fraction(1))]
+        terms = [((), 1)]
     return WordVector(terms)
 
 
@@ -156,7 +156,7 @@ def theta_embedding(t: Tableau, v: WordVector) -> WordVector:
         return WordVector()
     _check_evaluation(shape, v)
     row_options = [multiset_arrangements(row) for row in t]
-    terms: list[tuple[Word, Fraction]] = []
+    terms: list[tuple[Word, Scalar]] = []
     for word, coeff in v.items():
         positions = [
             [k for k, x in enumerate(word) if x == r] for r in range(1, len(t) + 1)

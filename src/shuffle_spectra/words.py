@@ -1,9 +1,11 @@
 """Words, word vectors, and the shuffling operators that act on them.
 
 A word is a tuple of 1-based letter indices; a deck of cards is a word whose
-last position is the top card.  WordVector is a sparse rational linear
+last position is the top card.  WordVector is a sparse, integer-first linear
 combination of words: eigenvectors, operator images and kernel elements all
-live here.
+live here.  A coefficient is stored as a plain int whenever it is integral
+and as a Fraction only where a denominator really arises, so the normalized
+eigenvectors and every operator image of them stay in int arithmetic.
 
 The three shuffles act unnormalized (integer coefficients); probability
 normalization by 1/n or 1/n^2 happens only when building transition
@@ -15,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 from .linalg import ExactMatrix
 
 Word = tuple[int, ...]
 Permutation = tuple[int, ...]
+Scalar = int | Fraction
 
 
 def check_word(word) -> Word:
@@ -65,31 +69,41 @@ def word_from_text(text: str) -> Word:
 
 
 class WordVector:
-    """Sparse exact-rational linear combination of words.
+    """Sparse exact linear combination of words, integer-first.
 
-    Zero coefficients are never stored, so equality is structural equality of
-    the underlying term maps.
+    Zero coefficients are never stored, and an integral coefficient is always
+    a plain int (a Fraction with denominator 1 is turned back into one), so
+    equality is structural equality of the underlying term maps.  Since
+    str(2) == str(Fraction(2)) and 2 == Fraction(2), the int form changes no
+    printed output.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        data: dict[Word, Fraction] = {}
+        data: dict[Word, Scalar] = {}
         items = terms.items() if hasattr(terms, "items") else terms
+        fractional = False
         for word, coeff in items:
-            coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+                fractional = True
             if coeff:
                 word = tuple(word)
-                total = data.get(word, Fraction(0)) + coeff
+                total = data.get(word, 0) + coeff
                 if total:
                     data[word] = total
                 else:
                     data.pop(word, None)
+        if fractional:
+            for word, coeff in data.items():
+                if type(coeff) is not int and coeff.denominator == 1:
+                    data[word] = coeff.numerator
         self._terms = data
 
     @classmethod
     def unit(cls, word) -> "WordVector":
-        return cls({tuple(word): Fraction(1)})
+        return cls({tuple(word): 1})
 
     def items(self):
         return self._terms.items()
@@ -97,8 +111,8 @@ class WordVector:
     def words(self):
         return self._terms.keys()
 
-    def coefficient(self, word) -> Fraction:
-        return self._terms.get(tuple(word), Fraction(0))
+    def coefficient(self, word) -> Scalar:
+        return self._terms.get(tuple(word), 0)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -110,14 +124,7 @@ class WordVector:
         return isinstance(other, WordVector) and self._terms == other._terms
 
     def __add__(self, other: "WordVector") -> "WordVector":
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            total = out.get(word, Fraction(0)) + coeff
-            if total:
-                out[word] = total
-            else:
-                out.pop(word, None)
-        return WordVector(out)
+        return WordVector(chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "WordVector") -> "WordVector":
         return self + (-1) * other
@@ -126,7 +133,8 @@ class WordVector:
         return (-1) * self
 
     def __rmul__(self, scalar) -> "WordVector":
-        scalar = Fraction(scalar)
+        if type(scalar) is not int:
+            scalar = Fraction(scalar)
         if not scalar:
             return WordVector()
         return WordVector({w: c * scalar for w, c in self._terms.items()})
@@ -134,14 +142,14 @@ class WordVector:
     def __truediv__(self, scalar) -> "WordVector":
         return Fraction(1, 1) / Fraction(scalar) * self
 
-    def inner(self, other: "WordVector") -> Fraction:
+    def inner(self, other: "WordVector") -> Scalar:
         """Inner product in which the words form an orthonormal basis."""
         small, big = (
             (self._terms, other._terms)
             if len(self._terms) <= len(other._terms)
             else (other._terms, self._terms)
         )
-        return sum((c * big[w] for w, c in small.items() if w in big), Fraction(0))
+        return sum(c * big[w] for w, c in small.items() if w in big)
 
     def common_length(self) -> int:
         lengths = {len(w) for w in self._terms}
@@ -179,7 +187,7 @@ def _as_vector(v) -> WordVector:
 def apply_sh(letter: int, v) -> WordVector:
     """Insert the given letter into every position, summed over positions."""
     v = _as_vector(v)
-    terms: list[tuple[Word, Fraction]] = []
+    terms: list[tuple[Word, Scalar]] = []
     for word, coeff in v.items():
         for j in range(len(word) + 1):
             terms.append((word[:j] + (letter,) + word[j:], coeff))
@@ -189,7 +197,7 @@ def apply_sh(letter: int, v) -> WordVector:
 def apply_del(letter: int, v) -> WordVector:
     """Delete one occurrence of the letter, summed over occurrences."""
     v = _as_vector(v)
-    terms: list[tuple[Word, Fraction]] = []
+    terms: list[tuple[Word, Scalar]] = []
     for word, coeff in v.items():
         for j, x in enumerate(word):
             if x == letter:
@@ -204,7 +212,7 @@ def apply_theta(i: int, j: int, v) -> WordVector:
     by several operator identities.
     """
     v = _as_vector(v)
-    terms: list[tuple[Word, Fraction]] = []
+    terms: list[tuple[Word, Scalar]] = []
     for word, coeff in v.items():
         for k, x in enumerate(word):
             if x == i:
@@ -252,7 +260,7 @@ def compose_permutations(sigma: Permutation, tau: Permutation) -> Permutation:
 def r2t(v) -> WordVector:
     """Random-to-top, unnormalized: every letter moved to the end in turn."""
     v = _as_vector(v)
-    terms: list[tuple[Word, Fraction]] = []
+    terms: list[tuple[Word, Scalar]] = []
     for word, coeff in v.items():
         for j in range(len(word)):
             terms.append((word[:j] + word[j + 1 :] + (word[j],), coeff))
@@ -262,30 +270,35 @@ def r2t(v) -> WordVector:
 def t2r(v) -> WordVector:
     """Top-to-random, unnormalized: the last letter reinserted everywhere."""
     v = _as_vector(v)
-    out = WordVector()
+    terms: list[tuple[Word, Scalar]] = []
     for word, coeff in v.items():
         if word:
-            out = out + coeff * apply_sh(word[-1], WordVector.unit(word[:-1]))
-    return out
+            rest, letter = word[:-1], word[-1:]
+            for j in range(len(word)):
+                terms.append((rest[:j] + letter + rest[j:], coeff))
+    return WordVector(terms)
 
 
 def r2r(v) -> WordVector:
     """Random-to-random, unnormalized: delete a letter, reinsert it anywhere.
 
     Equals the letter-wise sum of insertions composed with deletions, and
-    also the composition of the other two shuffles.
+    also the composition of the other two shuffles.  The images are summed
+    straight into one dict, which with int coefficients stays in int
+    arithmetic throughout.
     """
     v = _as_vector(v)
     v.common_length()
-    terms: list[tuple[Word, Fraction]] = []
+    out: dict[Word, Scalar] = {}
     for word, coeff in v.items():
         n = len(word)
         for j in range(n):
-            letter = word[j]
+            letter = word[j : j + 1]
             rest = word[:j] + word[j + 1 :]
             for k in range(n):
-                terms.append((rest[:k] + (letter,) + rest[k:], coeff))
-    return WordVector(terms)
+                u = rest[:k] + letter + rest[k:]
+                out[u] = out.get(u, 0) + coeff
+    return WordVector(out)
 
 
 # -- word enumeration and transition matrices ---------------------------------

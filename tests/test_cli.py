@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +108,15 @@ def test_eigenbasis_for_evaluation_command(capsys):
     payload = json.loads(out)
     total = sum(len(e["vectors"]) for e in payload["entries"])
     assert total == 6
+
+
+def test_eigenbasis_for_evaluation_matches_reference_digest(capsys):
+    # the benchmark's reference digest pins the bytes of this output
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    expected = json.loads(reference.read_text())["eigenbasis --evaluation 2,2,1,1"]
+    code, out = run_cli(capsys, "eigenbasis", "--evaluation", "2,2,1,1")
+    assert code == expected["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 
 
 def test_eigenbasis_verify_failure_exits_one(capsys, monkeypatch):

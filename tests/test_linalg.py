@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shuffle_spectra.linalg import ExactMatrix, IntPolynomial
+from shuffle_spectra.linalg import ExactMatrix, IntPolynomial, _prime_stream, _rank_mod
 
 from golden_tables import R2R_COUNTS_22
 
@@ -113,6 +113,45 @@ def test_rank_plus_nullity_is_column_count(rows, cols, data):
     assert m.rank() + len(m.nullspace()) == m.cols
     for v in m.nullspace():
         assert all(x == 0 for x in m.multiply_vector(v))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
+    st.data(),
+)
+def test_rank_matches_sympy(rows, cols, dependent, data):
+    sympy = pytest.importorskip("sympy")
+    entries = data.draw(
+        st.lists(
+            st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    if dependent:
+        # append a combination of the drawn rows, so rank deficiency is common
+        a, b = data.draw(rationals), data.draw(rationals)
+        entries.append([a * x + b * y for x, y in zip(entries[0], entries[-1])])
+    theirs = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in entries]
+    ).rank()
+    assert ExactMatrix(entries).rank() == theirs
+
+
+def test_rank_falls_back_when_singular_modulo_the_certificate_prime():
+    p = next(_prime_stream())
+    for data, expected in [
+        ([[1, 0], [0, p]], 2),
+        ([[p, 0, 0], [0, 1, 1]], 2),
+        ([[1, 2, 3], [2, 4, 6 + p]], 2),
+        ([[p, p], [p, p]], 1),
+    ]:
+        m = ExactMatrix(data)
+        assert _rank_mod(m._integerized_rows(), p) < min(m.rows, m.cols)
+        assert m.rank() == expected
 
 
 def test_integer_roots_extraction():

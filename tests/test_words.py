@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
+from shuffle_spectra.lifting import eigenbasis, kernel_basis, normalize_vector
 from shuffle_spectra.linalg import ExactMatrix
 from shuffle_spectra.words import (
     WordVector,
@@ -51,6 +52,51 @@ def test_wordvector_algebra():
     assert v.inner(WordVector.unit((2, 1))) == -1
     json_form = v.to_json()
     assert WordVector.from_json(json_form) == v
+
+
+def _coefficient_types(v):
+    return {type(c) for _, c in v.items()}
+
+
+def test_integral_coefficients_are_stored_as_int():
+    half = Fraction(1, 2)
+    w = W("ab")
+    assert _coefficient_types(WordVector({w: Fraction(2), W("ba"): 3})) == {int}
+    assert _coefficient_types(WordVector([(w, half), (w, half)])) == {int}
+    assert _coefficient_types(WordVector({w: half}) + WordVector({w: half})) == {int}
+    assert _coefficient_types(2 * WordVector({w: half, W("ba"): 1})) == {int}
+    assert _coefficient_types(WordVector({w: 4}) / 2) == {int}
+    assert _coefficient_types(WordVector.from_json({"12": "6/3"})) == {int}
+    assert _coefficient_types(WordVector.unit(w)) == {int}
+    assert type(WordVector.unit(w).coefficient(W("ba"))) is int
+    assert type(WordVector.unit(w).inner(WordVector.unit(w))) is int
+    # a genuine denominator stays a Fraction
+    assert WordVector({w: half, W("ba"): 1}).coefficient(w) == half
+    assert _coefficient_types(WordVector({w: half, W("ba"): 1})) == {Fraction, int}
+    for v in [r2r(WordVector.unit(W("1122"))), r2t(W("123")), t2r(W("123"))]:
+        assert _coefficient_types(v) == {int}
+
+
+def test_normalize_vector_returns_int_coefficients():
+    v = WordVector({W("12"): Fraction(-2, 3), W("21"): Fraction(4, 9)})
+    assert normalize_vector(v) == WordVector({W("12"): 3, W("21"): -2})
+    assert _coefficient_types(normalize_vector(v)) == {int}
+    for shape in [(2, 1), (3, 2), (2, 2, 1)]:
+        for u in kernel_basis(shape):
+            assert _coefficient_types(u) == {int}
+        for entry in eigenbasis(shape):
+            for u in entry.vectors:
+                assert _coefficient_types(u) == {int}
+
+
+def test_int_and_fraction_coefficients_print_alike():
+    as_int = WordVector({W("12"): 2, W("21"): -1})
+    as_fraction = {W("12"): Fraction(2), W("21"): Fraction(-1)}
+    assert as_int.to_json() == {word_to_text(w): str(c) for w, c in as_fraction.items()}
+    assert repr(as_int) == "WordVector(2*12 + -1*21)"
+    assert repr(as_int) == repr(WordVector(as_fraction))
+    assert as_int.to_json() == WordVector(as_fraction).to_json()
+    assert as_int == WordVector(as_fraction)
 
 
 def test_enumerate_words_deck_order():
@@ -145,6 +191,15 @@ def test_r2r_expansions_agree():
     for w in permutations((1, 2, 3, 4, 5)):
         assert r2r_via_group_algebra(w) == r2r(WordVector.unit(w))
     assert r2r_via_group_algebra((1, 2)) == WordVector({(1, 2): 2, (2, 1): 2})
+
+
+def test_r2r_with_a_fractional_coefficient_matches_group_algebra():
+    v = WordVector({W("1122"): Fraction(1, 2), W("2112"): 1, W("1212"): Fraction(-3, 4)})
+    expected = WordVector(
+        (u, c * x) for w, c in v.items() for u, x in r2r_via_group_algebra(w).items()
+    )
+    assert r2r(v) == expected
+    assert Fraction in _coefficient_types(r2r(v))
 
 
 def test_shuffle_compositions():
