@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -26,6 +27,7 @@ from .combinatorics import partitions_of, standard_tableaux
 from .frobenius import frobenius_of_eigenspace
 from .injective import laplacian, laplacian_spectrum
 from .lifting import eigenbasis, eigenbasis_for_evaluation, kernel_basis
+from .linalg import _MAX_DIM
 from .spectrum import SpectrumReport, eig_word_trace, spectrum_for_evaluation
 from .words import transition_matrix, word_from_text, word_to_text
 
@@ -59,6 +61,17 @@ def _partition_text(p) -> str:
 
 def _strip_text(outer, inner) -> str:
     return f"{_partition_text(outer)}/{_partition_text(inner)}"
+
+
+def _write_json(payload, out) -> None:
+    """Indented JSON and a newline, written in blocks of encoder chunks."""
+    block = []
+    for chunk in json.JSONEncoder(indent=2).iterencode(payload):
+        block.append(chunk)
+        if len(block) == 1024:
+            out.write("".join(block))
+            block.clear()
+    out.write("".join(block) + "\n")
 
 
 def _render_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -142,8 +155,7 @@ def _spectrum_json(report: SpectrumReport, probability: bool) -> dict:
 
 def _emit_spectrum(report: SpectrumReport, fmt: str, probability: bool, out) -> None:
     if fmt == "json":
-        json.dump(_spectrum_json(report, probability), out, indent=2)
-        out.write("\n")
+        _write_json(_spectrum_json(report, probability), out)
         return
     rows = _spectrum_rows(report, probability)
     if fmt == "csv":
@@ -187,8 +199,7 @@ def cmd_eigenvalues(args, parser) -> int:
             "n": args.n,
             "tables": [_spectrum_json(r, args.probability) for r in reports],
         }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _write_json(payload, out)
         return 0
     for i, report in enumerate(reports):
         if i:
@@ -217,8 +228,7 @@ def cmd_eig_word(args, parser) -> int:
             "tail": trace.tail,
             "eig": trace.eig,
         }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(payload, sys.stdout)
         return 0
     n, s = len(trace.word), len(trace.suffix)
     head_binom = n * (n + 1) // 2
@@ -240,13 +250,12 @@ def cmd_transition_matrix(args, parser) -> int:
     evaluation = _parse_evaluation(args.evaluation, parser, "--evaluation")
     tm = transition_matrix(args.shuffle, evaluation)
     if args.format == "json":
-        json.dump(tm.to_json(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(tm.to_json(), sys.stdout)
         return 0
     labels = [word_to_text(w) for w in tm.order]
     headers = [f"{args.shuffle} x {tm.scale}"] + labels
     rows = [
-        [labels[i]] + [str(int(x)) for x in tm.counts.row(i)]
+        [labels[i]] + [str(x) for x in tm.counts.row(i)]
         for i in range(len(labels))
     ]
     print(_render_table(headers, rows))
@@ -278,8 +287,7 @@ def cmd_eigenbasis(args, parser) -> int:
                 for tab, entry in pairs
             ],
         }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json(payload, sys.stdout)
     return 0
 
 
@@ -292,8 +300,7 @@ def cmd_kernel(args, parser) -> int:
         "dimension": len(basis),
         "vectors": [v.to_json() for v in basis],
     }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json(payload, sys.stdout)
     return 0
 
 
@@ -312,8 +319,7 @@ def cmd_frobenius(args, parser) -> int:
             "dimension": expansion.dimension(),
             "terms": expansion.to_json(),
         }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(payload, sys.stdout)
         return 0
     print(expansion)
     return 0
@@ -325,6 +331,8 @@ def cmd_frobenius(args, parser) -> int:
 def cmd_laplacian(args, parser) -> int:
     if not 0 <= args.r <= args.n:
         parser.error(f"laplacian: need 0 <= r <= n, got r={args.r}, n={args.n}")
+    if args.spectrum and math.perm(args.n, args.r) > _MAX_DIM:
+        parser.error(f"laplacian: --spectrum needs at most {_MAX_DIM} injective words")
     if args.spectrum:
         spectrum = laplacian_spectrum(args.n, args.r)
         payload = {
@@ -339,10 +347,9 @@ def cmd_laplacian(args, parser) -> int:
             "schema": f"{SCHEMA_PREFIX}/laplacian/1",
             "n": args.n,
             "r": args.r,
-            "entries": [[int(x) for x in row] for row in matrix.data],
+            "entries": [list(row) for row in matrix.data],
         }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json(payload, sys.stdout)
     return 0
 
 

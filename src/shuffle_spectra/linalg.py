@@ -1,16 +1,18 @@
-"""Exact rational linear algebra.
+"""Exact linear algebra, integer-first.
 
-Dense matrices over the rationals with exact nullspaces, ranks, linear solves
-and integer characteristic polynomials.  This is the brute-force oracle that
-everything else in the package is checked against, so every operation is
-deterministic: equal inputs give bit-identical outputs.
+Dense matrices with exact nullspaces, ranks, linear solves and integer
+characteristic polynomials: the brute-force oracle that everything else in
+the package is checked against, deterministic down to the bit.  Integral
+entries are plain ints; a Fraction appears only where a denominator really
+arises (a probability matrix, a Gram solve, a rational input).
 
-Ranks first try a full-rank certificate: the integerized rows are reduced
-modulo one word-sized prime and eliminated in int64.  A nonzero minor modulo
-p is a nonzero integer minor, so a rank modulo p equal to the smaller
-dimension proves full rank over the rationals.  Any other outcome falls back
-to fraction-free (Bareiss) elimination on the integerized copy, which keeps
-intermediate entries polynomially sized.
+Rank, nullspace and solve share one fraction-free Gauss-Jordan (Bareiss)
+elimination of the rows scaled to integers: each pivot column is cleared
+above and below, every update divides exactly by the previous pivot, and all
+pivots end equal, so a row over its pivot is a row of the reduced echelon
+form.  Ranks first try a certificate: a rank modulo one word-sized prime equal
+to the smaller dimension proves full rank, since a nonzero minor mod p is a
+nonzero integer minor.
 
 Characteristic polynomials are computed modulo a batch of word-sized primes
 (Hessenberg reduction followed by the standard minor recurrence) and
@@ -26,15 +28,22 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-Vector = tuple[Fraction, ...]
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
 
 
-def _as_fraction(x) -> Fraction:
+def _entry(x) -> Scalar:
+    """x as an int when integral, else as a Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
+
+
+def _quotient(a: int, b: int) -> Scalar:
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 class IntPolynomial:
@@ -139,12 +148,13 @@ class IntPolynomial:
 
 
 class ExactMatrix:
-    """Dense, immutable matrix over exact rationals."""
+    """Dense, immutable matrix of exact rationals: data holds one tuple per
+    row, with every integral entry a plain int and any other a Fraction."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence]):
-        rows = tuple(tuple(_as_fraction(x) for x in row) for row in data)
+        rows = tuple(tuple(_entry(x) for x in row) for row in data)
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
         if any(len(row) != self.cols for row in rows):
@@ -166,7 +176,7 @@ class ExactMatrix:
             return cls.zeros(0, 0)
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+    def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
         return self.data[i][j]
 
@@ -189,7 +199,6 @@ class ExactMatrix:
         return ExactMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def scale(self, s) -> "ExactMatrix":
-        s = _as_fraction(s)
         return ExactMatrix([[x * s for x in row] for row in self.data])
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -213,8 +222,7 @@ class ExactMatrix:
     def multiply_vector(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        vec = [_as_fraction(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
+        return tuple(_entry(sum(a * b for a, b in zip(row, v))) for row in self.data)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -225,15 +233,10 @@ class ExactMatrix:
 
     def to_int_rows(self) -> list[list[int]]:
         """Entries as plain ints; raises if any entry is non-integral."""
-        out = []
-        for row in self.data:
-            ints = []
-            for x in row:
-                if x.denominator != 1:
-                    raise ValueError(f"non-integral entry {x}")
-                ints.append(x.numerator)
-            out.append(ints)
-        return out
+        bad = next((x for row in self.data for x in row if type(x) is not int), None)
+        if bad is not None:
+            raise ValueError(f"non-integral entry {bad}")
+        return [list(row) for row in self.data]
 
     def eigenvalue_bound(self) -> int:
         """Integer Gershgorin bound: every eigenvalue has |z| <= bound."""
@@ -251,61 +254,45 @@ class ExactMatrix:
             out.append([x.numerator * (scale // x.denominator) for x in row])
         return out
 
+    def _echelon(self) -> tuple[list[list[int]], list[int]]:
+        """Fraction-free Gauss-Jordan elimination of the integerized rows.
+
+        Returns the rows and the pivot columns; row r holds pivot r.  Every
+        pivot ends equal to the last one, so row r divided by its pivot is
+        row r of the reduced row echelon form.
+        """
+        m = self._integerized_rows()
+        pivots: list[int] = []
+        prev = 1
+        for col in range(self.cols):
+            top = len(pivots)
+            pivot_row = next((r for r in range(top, self.rows) if m[r][col]), None)
+            if pivot_row is None:
+                continue
+            m[top], m[pivot_row] = m[pivot_row], m[top]
+            pivot_line = m[top]
+            pivot = pivot_line[col]
+            for r in range(self.rows):
+                if r != top:
+                    factor = m[r][col]
+                    m[r] = [(pivot * x - factor * y) // prev for x, y in zip(m[r], pivot_line)]
+            prev = pivot
+            pivots.append(col)
+            if len(pivots) == self.rows:
+                break
+        return m, pivots
+
     def rank(self) -> int:
         """Exact rank over the rationals.
 
         Returns min(rows, cols) at once when the rank modulo the first prime
-        of _prime_stream() reaches it, which proves full rank; otherwise runs
-        fraction-free elimination.
+        of _prime_stream() reaches it, which proves full rank; otherwise
+        counts the pivots of the exact elimination.
         """
-        m = self._integerized_rows()
-        n_rows, n_cols = self.rows, self.cols
-        full = min(n_rows, n_cols)
-        if full and _rank_mod(m, next(_prime_stream())) == full:
+        full = min(self.rows, self.cols)
+        if full and _rank_mod(self._integerized_rows(), next(_prime_stream())) == full:
             return full
-        rank = 0
-        prev = 1
-        for col in range(n_cols):
-            pivot_row = next((r for r in range(rank, n_rows) if m[r][col]), None)
-            if pivot_row is None:
-                continue
-            if pivot_row != rank:
-                m[rank], m[pivot_row] = m[pivot_row], m[rank]
-            pivot = m[rank][col]
-            for r in range(rank + 1, n_rows):
-                factor = m[r][col]
-                for c in range(col, n_cols):
-                    m[r][c] = (m[r][c] * pivot - factor * m[rank][c]) // prev
-            prev = pivot
-            rank += 1
-            if rank == n_rows:
-                break
-        return rank
-
-    def _rref(self, augment: Sequence[Vector] = ()) -> tuple[list[list[Fraction]], list[int]]:
-        """Reduced row echelon form, optionally carrying extra columns."""
-        m = [
-            list(self.data[i]) + [aug[i] for aug in augment]
-            for i in range(self.rows)
-        ]
-        pivots: list[int] = []
-        row = 0
-        for col in range(self.cols):
-            pivot_row = next((r for r in range(row, len(m)) if m[r][col]), None)
-            if pivot_row is None:
-                continue
-            m[row], m[pivot_row] = m[pivot_row], m[row]
-            inv = 1 / m[row][col]
-            m[row] = [x * inv for x in m[row]]
-            for r in range(len(m)):
-                if r != row and m[r][col]:
-                    factor = m[r][col]
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-            pivots.append(col)
-            row += 1
-            if row == len(m):
-                break
-        return m, pivots
+        return len(self._echelon()[1])
 
     def nullspace(self) -> tuple[Vector, ...]:
         """Basis of the right kernel, in reduced normal form.
@@ -314,15 +301,15 @@ class ExactMatrix:
         and zeros in every other free column, so the output is unique for a
         given matrix and usable in golden-file comparisons.
         """
-        rref, pivots = self._rref()
+        m, pivots = self._echelon()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
         for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
+            v = [0] * self.cols
+            v[f] = 1
             for r, c in enumerate(pivots):
-                v[c] = -rref[r][f]
+                v[c] = _quotient(-m[r][f], m[r][c])
             basis.append(tuple(v))
         return tuple(basis)
 
@@ -333,15 +320,12 @@ class ExactMatrix:
         """
         if len(b) != self.rows:
             raise ValueError("right-hand side has the wrong length")
-        rhs = tuple(_as_fraction(x) for x in b)
-        rref, pivots = self._rref(augment=(rhs,))
-        rank = len(pivots)
-        for r in range(rank, self.rows):
-            if rref[r][self.cols] != 0:
-                return None
-        x = [Fraction(0)] * self.cols
+        m, pivots = ExactMatrix([row + (x,) for row, x in zip(self.data, b)])._echelon()
+        if pivots and pivots[-1] == self.cols:
+            return None
+        x = [0] * self.cols
         for r, c in enumerate(pivots):
-            x[c] = rref[r][self.cols]
+            x[c] = _quotient(m[r][self.cols], m[r][c])
         return tuple(x)
 
     # -- characteristic polynomial ----------------------------------------

@@ -18,7 +18,6 @@ package uses it; no character theory is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 
@@ -112,7 +111,7 @@ def _check_evaluation(shape: Partition, v: WordVector) -> None:
             )
 
 
-def _gram_projection(shape: Partition, v: WordVector) -> tuple[tuple[Fraction, ...], WordVector]:
+def _gram_projection(shape: Partition, v: WordVector) -> tuple[tuple[Scalar, ...], WordVector]:
     """Coordinates in the w_t basis of the orthogonal projection of v, and
     the projection itself, by one Gram solve."""
     _check_evaluation(shape, v)
@@ -124,11 +123,11 @@ def _gram_projection(shape: Partition, v: WordVector) -> tuple[tuple[Fraction, .
     return coords, projection
 
 
-def specht_coordinates(shape: Partition, v: WordVector) -> tuple[Fraction, ...] | None:
+def specht_coordinates(shape: Partition, v: WordVector) -> tuple[Scalar, ...] | None:
     """Coordinates of v in the w_t basis, or None when v is outside the span."""
     shape = check_partition(shape)
     if not v:
-        return tuple(Fraction(0) for _ in specht_basis(shape).vectors)
+        return (0,) * len(specht_basis(shape).vectors)
     coords, projection = _gram_projection(shape, v)
     return coords if projection == v else None
 

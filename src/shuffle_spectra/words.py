@@ -19,11 +19,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, Scalar
 
 Word = tuple[int, ...]
 Permutation = tuple[int, ...]
-Scalar = int | Fraction
 
 
 def check_word(word) -> Word:
@@ -363,7 +362,7 @@ class TransitionMatrix:
             "evaluation": list(self.evaluation),
             "order": [word_to_text(w) for w in self.order],
             "scale": str(self.scale),
-            "entries": [[int(x) for x in row] for row in self.counts.data],
+            "entries": [list(row) for row in self.counts.data],
         }
 
 
@@ -394,7 +393,7 @@ def operator_matrix(op, sources, targets=None) -> ExactMatrix:
     index = {w: i for i, w in enumerate(targets)}
     columns = []
     for w in sources:
-        col = [Fraction(0)] * len(targets)
+        col = [0] * len(targets)
         for u, c in op(_as_vector(w)).items():
             col[index[u]] = c
         columns.append(col)

@@ -110,11 +110,25 @@ def test_eigenbasis_for_evaluation_command(capsys):
     assert total == 6
 
 
-def test_eigenbasis_for_evaluation_matches_reference_digest(capsys):
-    # the benchmark's reference digest pins the bytes of this output
-    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-    expected = json.loads(reference.read_text())["eigenbasis --evaluation 2,2,1,1"]
-    code, out = run_cli(capsys, "eigenbasis", "--evaluation", "2,2,1,1")
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param("verify --n 5", id="verify-n5"),
+        pytest.param("eigenbasis --evaluation 2,2,1,1", id="eigenbasis-2211"),
+        pytest.param("kernel --partition 4,2,1", id="kernel-421"),
+        pytest.param("kernel --partition 3,2,1,1", id="kernel-3211"),
+        pytest.param("laplacian --n 5 --r 4 --spectrum", id="laplacian-5-4"),
+    ],
+)
+def test_cli_output_matches_reference_digest(capsys, command):
+    # the benchmark's reference digests pin the bytes of every benchmarked output
+    expected = REFERENCE[command]
+    code, out = run_cli(capsys, *command.split())
     assert code == expected["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 
@@ -203,6 +217,11 @@ def test_usage_errors_exit_code_two(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    # a factorially large Laplacian spectrum is refused before anything is built
+    with pytest.raises(SystemExit) as exc:
+        main(["laplacian", "--n", "7", "--r", "5", "--spectrum"])
+    assert exc.value.code == 2
+    assert "--spectrum needs at most" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["eigenvalues", "--n", "-1"])
     assert exc.value.code == 2

@@ -141,6 +141,49 @@ def test_rank_matches_sympy(rows, cols, dependent, data):
     assert ExactMatrix(entries).rank() == theirs
 
 
+def _sympy_matrix(sympy, rows):
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    )
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_nullspace_and_solve_match_sympy(rows, cols, dependent, consistent, data):
+    sympy = pytest.importorskip("sympy")
+    row = st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=cols, max_size=cols)
+    entries = data.draw(st.lists(row, min_size=rows, max_size=rows))
+    if dependent:
+        a, b = data.draw(rationals), data.draw(rationals)
+        entries[data.draw(st.integers(0, rows - 1))] = [
+            a * x + b * y for x, y in zip(entries[0], entries[-1])
+        ]
+    m = ExactMatrix(entries)
+    theirs = _sympy_matrix(sympy, entries)
+    # the same reduced normal form, entry for entry
+    expected = [tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in theirs.nullspace()]
+    assert list(m.nullspace()) == expected
+
+    if consistent:
+        y = data.draw(st.lists(rationals, min_size=cols, max_size=cols))
+        rhs = list(m.multiply_vector(y))
+    else:
+        rhs = data.draw(st.lists(rationals, min_size=rows, max_size=rows))
+    x = m.solve(rhs)
+    augmented = theirs.row_join(_sympy_matrix(sympy, [[v] for v in rhs]))
+    assert (x is None) == (augmented.rank() > theirs.rank())
+    if x is not None:
+        assert list(m.multiply_vector(x)) == rhs
+        pivots = set(theirs.rref()[1])
+        assert all(x[c] == 0 for c in range(cols) if c not in pivots)
+
+
 def test_rank_falls_back_when_singular_modulo_the_certificate_prime():
     p = next(_prime_stream())
     for data, expected in [

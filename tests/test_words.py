@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
+from shuffle_spectra.injective import laplacian
 from shuffle_spectra.lifting import eigenbasis, kernel_basis, normalize_vector
 from shuffle_spectra.linalg import ExactMatrix
 from shuffle_spectra.words import (
@@ -58,6 +59,10 @@ def _coefficient_types(v):
     return {type(c) for _, c in v.items()}
 
 
+def _entry_types(m):
+    return {type(x) for row in m.data for x in row}
+
+
 def test_integral_coefficients_are_stored_as_int():
     half = Fraction(1, 2)
     w = W("ab")
@@ -75,6 +80,13 @@ def test_integral_coefficients_are_stored_as_int():
     assert _coefficient_types(WordVector({w: half, W("ba"): 1})) == {Fraction, int}
     for v in [r2r(WordVector.unit(W("1122"))), r2t(W("123")), t2r(W("123"))]:
         assert _coefficient_types(v) == {int}
+    # matrices follow the same rule
+    assert ExactMatrix([[Fraction(4, 2), 3]]).data == ((2, 3),)
+    assert _entry_types(ExactMatrix([[Fraction(4, 2), 3]])) == {int}
+    tm = transition_matrix("r2r", (2, 1))
+    assert _entry_types(tm.counts) == {int}
+    assert _entry_types(laplacian(3, 2)) == {int}
+    assert Fraction in _entry_types(tm.matrix)
 
 
 def test_normalize_vector_returns_int_coefficients():
