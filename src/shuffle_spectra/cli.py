@@ -2,8 +2,10 @@
 
 Every computation in the package is reachable from here: spectrum tables,
 per-word eigenvalues, transition matrices, eigenbases, kernels, Schur
-expansions, Laplacians, and a self-contained verification run that checks
-the predicted spectra against brute-force characteristic polynomials.
+expansions, Laplacians, and a self-contained verification run.  That run
+proves, exactly, that every explicit random-to-random counts matrix of one
+size has the characteristic polynomial the horizontal strips predict (see
+words.certify_r2r_spectra), and checks every eigenbasis of that size.
 
 Exit codes: 0 on success, 1 when any exact check fails, 2 on usage errors.
 A failed library check (an eigen-equation, a span or a kernel dimension)
@@ -29,7 +31,7 @@ from .injective import laplacian, laplacian_spectrum
 from .lifting import eigenbasis, eigenbasis_for_evaluation, kernel_basis
 from .linalg import _MAX_DIM
 from .spectrum import SpectrumReport, eig_word_trace, spectrum_for_evaluation
-from .words import transition_matrix, word_from_text, word_to_text
+from .words import certify_r2r_spectra, transition_matrix, word_from_text, word_to_text
 
 SCHEMA_PREFIX = "shuffle-spectra"
 
@@ -53,6 +55,27 @@ def _parse_partition(text: str, parser: argparse.ArgumentParser, option: str):
     ):
         parser.error(f"{option}: parts must be weakly decreasing and positive in {text!r}")
     return parts
+
+
+def _refuse_many_words(command: str, evaluation, parser: argparse.ArgumentParser) -> None:
+    """Exit 2, before any work, when the evaluation has over _MAX_DIM words.
+
+    The count is the multinomial coefficient, built one binomial factor at a
+    time and abandoned as soon as it passes the limit, so a huge evaluation
+    costs nothing here either.
+    """
+    words, total = 1, 0
+    for k in evaluation:
+        total += k
+        binomial = 1
+        for j in range(1, min(k, total - k) + 1):
+            binomial = binomial * (total - j + 1) // j
+            if words * binomial > _MAX_DIM:
+                parser.error(
+                    f"{command}: evaluation {_partition_text(evaluation)}"
+                    f" has more than {_MAX_DIM} words"
+                )
+        words *= binomial
 
 
 def _partition_text(p) -> str:
@@ -248,6 +271,7 @@ def cmd_eig_word(args, parser) -> int:
 
 def cmd_transition_matrix(args, parser) -> int:
     evaluation = _parse_evaluation(args.evaluation, parser, "--evaluation")
+    _refuse_many_words("transition-matrix", evaluation, parser)
     tm = transition_matrix(args.shuffle, evaluation)
     if args.format == "json":
         _write_json(tm.to_json(), sys.stdout)
@@ -270,6 +294,7 @@ def cmd_eigenbasis(args, parser) -> int:
         parser.error("eigenbasis: provide exactly one of --partition / --evaluation")
     if args.partition is not None:
         shape = _parse_partition(args.partition, parser, "--partition")
+        _refuse_many_words("eigenbasis", shape, parser)
         payload = {
             "schema": f"{SCHEMA_PREFIX}/eigenbasis/1",
             "partition": list(shape),
@@ -278,6 +303,7 @@ def cmd_eigenbasis(args, parser) -> int:
         }
     else:
         evaluation = _parse_evaluation(args.evaluation, parser, "--evaluation")
+        _refuse_many_words("eigenbasis", evaluation, parser)
         pairs = eigenbasis_for_evaluation(evaluation)
         payload = {
             "schema": f"{SCHEMA_PREFIX}/eigenbasis-evaluation/1",
@@ -293,6 +319,7 @@ def cmd_eigenbasis(args, parser) -> int:
 
 def cmd_kernel(args, parser) -> int:
     shape = _parse_partition(args.partition, parser, "--partition")
+    _refuse_many_words("kernel", shape, parser)
     basis = kernel_basis(shape)
     payload = {
         "schema": f"{SCHEMA_PREFIX}/kernel/1",
@@ -357,17 +384,9 @@ def cmd_laplacian(args, parser) -> int:
 
 
 def _verify_size(n: int, failures: list[str]) -> None:
-    from .linalg import IntPolynomial
-
-    for nu in partitions_of(n):
-        report = spectrum_for_evaluation(nu)
-        tm = transition_matrix("r2r", nu)
-        actual = tm.counts.charpoly()
-        predicted = IntPolynomial.from_integer_roots(report.totals)
-        if actual != predicted:
-            failures.append(
-                f"charpoly mismatch on evaluation {nu}: predicted roots {report.totals}"
-            )
+    predicted = {nu: spectrum_for_evaluation(nu).totals for nu in partitions_of(n)}
+    for nu in certify_r2r_spectra(n, predicted):
+        failures.append(f"charpoly mismatch on evaluation {nu}: predicted roots {predicted[nu]}")
     for shape in partitions_of(n):
         # eigenbasis checks every kernel dimension, eigen-equation and span
         entries = eigenbasis(shape)

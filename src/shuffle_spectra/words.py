@@ -9,7 +9,8 @@ eigenvectors and every operator image of them stay in int arithmetic.
 
 The three shuffles act unnormalized (integer coefficients); probability
 normalization by 1/n or 1/n^2 happens only when building transition
-matrices.
+matrices.  certify_r2r_spectra proves, in exact integer arithmetic, that
+those random-to-random matrices have a predicted spectrum.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, permutations, product
+from operator import itemgetter
 
 from .linalg import ExactMatrix, Scalar
 
@@ -376,6 +378,129 @@ def transition_matrix(shuffle: str, evaluation) -> TransitionMatrix:
     counts = operator_matrix(op, words).transpose()
     scale = Fraction(1, n**power) if n else Fraction(1)
     return TransitionMatrix(shuffle, tuple(evaluation), words, scale, counts)
+
+
+def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
+    """Prove that each r2r counts matrix has exactly its predicted spectrum.
+
+    predicted maps evaluations of size n, the permutation deck (1,)*n among
+    them, to {eigenvalue: multiplicity}.  The claim for an evaluation nu is
+    that transition_matrix("r2r", nu).counts has characteristic polynomial
+    prod (x - lam)^m over its map.  Returns the evaluations whose claim is
+    not proved, in the order given; an empty list proves every claim.  A
+    failed check on the permutation deck proves nothing and returns only
+    (1,)*n.  Only the explicit counts matrices and the (lam, m) pairs are
+    used, in exact arithmetic.
+
+    Let M be the counts on the n! permutation words, S the eigenvalues with
+    a nonzero multiplicity predicted for M, d = |S|, and p = prod over S of
+    (x - lam).
+
+    1. Relabelling symmetry: M[s(w), s(u)] == M[w, u] entry by entry for each
+       adjacent letter swap s.  The swaps generate the relabellings, which
+       then all commute with M and act transitively on permutation words.
+    2. Annihilation: row e of p(M) is zero for the identity word e, from the
+       d sparse products e M^k.  Row tau(e) of p(M) is row e relabelled by
+       tau, so p(M) = 0: M is diagonalizable with its spectrum inside S.
+    3. Lumping: let pi merge the letters of (1,)*n into the blocks of nu and
+       Pi[w, pi(w)] = 1.  M Pi == Pi M_nu is checked row by row.  As pi is
+       onto, Pi has full column rank, so p(M_nu) = 0 follows from p(M) = 0;
+       nu's predicted eigenvalues must lie in S.
+    4. Power traces: tr(M_nu^k) == sum m lam^k for every k < d.  A diagonal
+       entry of M_nu^k is, through Pi and a relabelling taking e to a
+       preimage of x, the sum of (e M^k)[sigma] over the position
+       permutations sigma fixing x.  The Vandermonde matrix on S is
+       invertible, so these d traces fix every multiplicity, zeros included.
+    """
+    top = (1,) * n
+    if top not in predicted or any(sum(nu) != n for nu in predicted):
+        raise ValueError(f"predictions must cover {top} and have size {n}")
+    tm = transition_matrix("r2r", top)
+    perms, rows = tm.order, tm.counts.data
+    index = {w: i for i, w in enumerate(perms)}
+    spectrum = [lam for lam, m in predicted[top].items() if m]
+
+    for a in range(1, n):
+        swap = {a: a + 1, a + 1: a}
+        image = [index[tuple(swap.get(x, x) for x in w)] for w in perms]
+        relabel = itemgetter(*image)
+        if any(rows[i] != relabel(rows[image[i]]) for i in range(len(perms))):
+            return [top]
+
+    sparse = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
+    powers = [[0] * len(perms)]
+    powers[0][index[tuple(range(1, n + 1))]] = 1
+    for _ in spectrum:
+        v = [0] * len(perms)
+        for w, c in enumerate(powers[-1]):
+            if c:
+                for u, m in sparse[w]:
+                    v[u] += c * m
+        powers.append(v)
+    poly = [1]
+    for lam in spectrum:
+        poly = [hi - lam * lo for hi, lo in zip([0] + poly, poly + [0])]
+    if any(sum(c * v[u] for c, v in zip(poly, powers)) for u in range(len(perms))):
+        return [top]
+
+    failures = []
+    for nu, totals in predicted.items():
+        target = tm if nu == top else transition_matrix("r2r", nu)
+        if (
+            any(m and lam not in spectrum for lam, m in totals.items())
+            or (nu != top and not _lumps(sparse, perms, nu, target))
+            or not _traces_match(powers, _fixing_permutations(target.order, index), totals)
+        ):
+            failures.append(nu)
+    return failures
+
+
+def _traces_match(powers, weight, totals) -> bool:
+    """tr(M_nu^k) == sum m lam^k for every k < d, from powers[k] = e M^k."""
+    return all(
+        sum(power[s] * c for s, c in weight.items())
+        == sum(m * lam**k for lam, m in totals.items())
+        for k, power in enumerate(powers[:-1])
+    )
+
+
+def _lumps(sparse, perms, nu, target: TransitionMatrix) -> bool:
+    """M Pi == Pi M_nu row by row, pi merging letters into the blocks of nu.
+
+    sparse holds the nonzero (column, entry) pairs of each row of M over
+    perms; pi must map the permutation words onto target.order.
+    """
+    block = [b for b, k in enumerate(nu, 1) for _ in range(k)]
+    index = {x: i for i, x in enumerate(target.order)}
+    image = [index[tuple(block[a - 1] for a in w)] for w in perms]
+    if len(set(image)) != len(index):
+        return False
+    for w, entries in enumerate(sparse):
+        row = [0] * len(index)
+        for u, c in entries:
+            row[image[u]] += c
+        if tuple(row) != target.counts.data[image[w]]:
+            return False
+    return True
+
+
+def _fixing_permutations(order, index) -> dict[int, int]:
+    """Number of words x in order with x o sigma == x, keyed by index[sigma].
+
+    sigma runs over the position permutations, written as words, that only
+    exchange positions holding equal letters of x.
+    """
+    weight: dict[int, int] = {}
+    for x in order:
+        groups = [[i for i, y in enumerate(x) if y == b] for b in set(x)]
+        for images in product(*(permutations(g) for g in groups)):
+            sigma = [0] * len(x)
+            for g, img in zip(groups, images):
+                for i, j in zip(g, img):
+                    sigma[i] = j + 1
+            k = index[tuple(sigma)]
+            weight[k] = weight.get(k, 0) + 1
+    return weight
 
 
 def operator_matrix(op, sources, targets=None) -> ExactMatrix:

@@ -2,12 +2,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from shuffle_spectra import lifting
+from shuffle_spectra import cli, lifting
 from shuffle_spectra.cli import main
+from shuffle_spectra.linalg import _MAX_DIM
 
 from golden_tables import R2R_COUNTS_22, R2T_COUNTS_22, WORDS_22
 
@@ -179,13 +181,50 @@ def test_laplacian_command(capsys):
     assert payload["spectrum"] == {"9": 1, "4": 2, "1": 1, "0": 2}
 
 
-def test_verify_command(capsys):
-    code, out = run_cli(capsys, "verify", "--n", "3")
+def _assert_verify_ok(capsys, n, evaluations):
+    code, out = run_cli(capsys, "verify", "--n", str(n))
     assert code == 0
-    assert "OK" in out
+    assert out.splitlines() == [
+        f"verify n={n}: OK",
+        f"  charpoly factorizations match for all {evaluations} evaluations",
+        "  eigenbasis eigen-equations and kernel dimensions check out",
+    ]
+
+
+def test_verify_command(capsys):
+    _assert_verify_ok(capsys, 3, 3)
+
+
+def test_verify_command_at_the_default_cap(capsys):
+    # n = 6 is the largest size R2R_MAX_N admits by default
+    _assert_verify_ok(capsys, 6, 11)
+
+
+def test_verify_reports_a_wrong_prediction(capsys, monkeypatch):
+    # one unit of multiplicity moved in the prediction for (2, 2)
+    real = cli.spectrum_for_evaluation
+
+    def predict(nu):
+        report = real(nu)
+        if nu != (2, 2):
+            return report
+        return replace(report, totals={16: 1, 10: 1, 6: 1, 4: 2, 0: 1})
+
+    monkeypatch.setattr(cli, "spectrum_for_evaluation", predict)
+    code, out = run_cli(capsys, "verify", "--n", "4")
+    assert code == 1
+    assert out.splitlines() == [
+        "verify n=4: FAIL",
+        "  mismatch: charpoly mismatch on evaluation (2, 2):"
+        " predicted roots {16: 1, 10: 1, 6: 1, 4: 2, 0: 1}",
+    ]
 
 
 def test_verify_respects_size_cap(capsys, monkeypatch):
+    monkeypatch.delenv("R2R_MAX_N", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "7"])
+    assert exc.value.code == 2
     monkeypatch.setenv("R2R_MAX_N", "2")
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "3"])
@@ -235,6 +274,26 @@ def test_usage_errors_exit_code_two(capsys, monkeypatch):
         main(["verify", "--n", "3"])
     assert exc.value.code == 2
     assert "R2R_MAX_N must be an integer" in capsys.readouterr().err
+    # evaluations with more words than linalg._MAX_DIM are refused before any
+    # library call; a broken guard raises here instead of starting the work
+    for name in ("eigenbasis", "eigenbasis_for_evaluation", "kernel_basis", "transition_matrix"):
+        monkeypatch.setattr(cli, name, _never_called)
+    for argv in [
+        ["eigenbasis", "--partition", "9,9"],
+        ["eigenbasis", "--evaluation", "1,1,1,1,1,1,1"],
+        ["kernel", "--partition", "9,9"],
+        ["kernel", "--partition", "5000000,5000000"],
+        ["transition-matrix", "--shuffle", "r2r", "--evaluation", "1,1,1,1,1,1,1"],
+        ["transition-matrix", "--shuffle", "t2r", "--evaluation", "3,3,3,1"],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"has more than {_MAX_DIM} words" in capsys.readouterr().err
+
+
+def _never_called(*args):
+    raise AssertionError(f"size guard let {args} through")
 
 
 def test_console_script_entry_point():
