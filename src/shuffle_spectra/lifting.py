@@ -12,10 +12,16 @@ the words of the shape.  Composing lifts along the rows of a horizontal
 strip, smallest row first, and feeding in those kernel bases of the smaller
 shapes produces a complete eigenbasis of every Specht module; pushing those
 through the module embeddings indexed by semistandard tableaux yields a full
-eigenbasis of any word space.  Both eigenbases pass one checker,
-`_check_eigenbasis`, before they are returned: every vector satisfies its
-eigen-equation under exact operator application, and together the vectors
-span the space.
+eigenbasis of any word space.
+
+Both eigenbases pass one checker, `_check_eigenbasis`, before they are
+returned.  It tests the whole eigenbasis as one matrix identity: with V the
+matrix whose rows are the words of the space and whose columns are the
+vectors, and Lambda the diagonal matrix of their eigenvalues, it checks
+r2r V == V Lambda and rank V == dim of the space, in exact arithmetic.  r2r V
+needs no words-by-words matrix: each way of moving one letter is a
+permutation of positions, and `words.r2r_columns` sums one row gather of V
+per distinct move.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+
+import numpy as np
 
 from .combinatorics import (
     Partition,
@@ -47,6 +55,8 @@ from .words import (
     enumerate_words,
     operator_matrix,
     r2r,
+    r2r_columns,
+    word_to_text,
 )
 
 
@@ -179,19 +189,42 @@ class EigenbasisEntry:
         }
 
 
-def _check_eigenbasis(entries: list[EigenbasisEntry], dimension: int, space: str) -> None:
+def _check_eigenbasis(entries: list[EigenbasisEntry], words, dimension: int, space: str) -> None:
     """Raise AssertionError unless the vectors of the entries are nonzero
-    eigenvectors for their entries' eigenvalues and form a basis of a space of
-    the given dimension."""
-    for entry in entries:
-        for index, v in enumerate(entry.vectors):
-            where = f"vector {index} of strip {entry.outer}/{entry.inner} in {space}"
-            if not v:
-                raise AssertionError(f"zero {where}")
-            if r2r(v) != entry.eigenvalue * v:
-                raise AssertionError(f"eigen-equation failed for {where}")
+    eigenvectors for their entries' eigenvalues and form a basis of the span
+    of words, a space of the given dimension.
+
+    words must be all the words of one evaluation, and a vector with any
+    other word fails.  V holds the vectors as columns over words and Lambda
+    their eigenvalues, so column j of r2r V == V Lambda is the eigen-equation
+    of vector j.  r2r V is the sum over the distinct moves sigma of r2r,
+    with multiplicities m, of m times V with row w taken from row w o sigma;
+    `r2r_columns` evaluates it on an object array, so nothing rounds or
+    overflows.  The span check is `ExactMatrix.rank` of V.  Each message
+    names the first failing vector.
+    """
+    columns = [(entry, index) for entry in entries for index in range(len(entry.vectors))]
     vectors = [v for entry in entries for v in entry.vectors]
-    if len(vectors) != dimension or _word_rank(vectors) != dimension:
+
+    def label(j: int) -> str:
+        entry, index = columns[j]
+        return f"vector {index} of strip {entry.outer}/{entry.inner}"
+
+    known = set(words)
+    for j, v in enumerate(vectors):
+        outside = next((w for w in v.words() if w not in known), None)
+        if outside is not None:
+            raise AssertionError(f"{label(j)} has word {word_to_text(outside)}, not in {space}")
+    matrix = operator_matrix(lambda v: v, vectors, words)
+    coords = np.array(matrix.data, dtype=object).reshape(matrix.rows, matrix.cols)
+    eigenvalues = np.array([entry.eigenvalue for entry, _ in columns], dtype=object)
+    failed = (r2r_columns(words, coords) != coords * eigenvalues).any(axis=0)
+    for j, v in enumerate(vectors):
+        if not v:
+            raise AssertionError(f"zero {label(j)} in {space}")
+        if failed[j]:
+            raise AssertionError(f"eigen-equation failed for {label(j)} in {space}")
+    if len(vectors) != dimension or matrix.rank() != dimension:
         raise AssertionError(f"eigenvectors do not span {space}")
 
 
@@ -212,7 +245,12 @@ def eigenbasis(shape: Partition) -> tuple[EigenbasisEntry, ...]:
             continue
         vectors = tuple(normalize_vector(lift_chain(shape, inner, u)) for u in kernel)
         entries.append(EigenbasisEntry(shape, inner, eig_strip(shape, inner), vectors))
-    _check_eigenbasis(entries, len(standard_tableaux(shape)), f"the Specht module of {shape}")
+    _check_eigenbasis(
+        entries,
+        enumerate_words(shape),
+        len(standard_tableaux(shape)),
+        f"the Specht module of {shape}",
+    )
     return tuple(entries)
 
 
@@ -229,6 +267,7 @@ def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
     jointly form an eigenbasis of the whole word space.
     """
     evaluation = tuple(evaluation)
+    words = enumerate_words(evaluation)
     results = []
     for outer in _dominating_partitions(sort_evaluation(evaluation)):
         for tab in semistandard_tableaux(outer, evaluation):
@@ -236,9 +275,7 @@ def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
                 pushed = (normalize_vector(theta_embedding(tab, v)) for v in entry.vectors)
                 results.append((tab, replace(entry, vectors=tuple(pushed))))
     _check_eigenbasis(
-        [entry for _, entry in results],
-        len(enumerate_words(evaluation)),
-        f"the word space of {evaluation}",
+        [entry for _, entry in results], words, len(words), f"the word space of {evaluation}"
     )
     return tuple(results)
 

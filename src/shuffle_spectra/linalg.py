@@ -34,6 +34,8 @@ Vector = tuple[Scalar, ...]
 
 def _entry(x) -> Scalar:
     """x as an int when integral, else as a Fraction."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
@@ -154,7 +156,9 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence]):
-        rows = tuple(tuple(_entry(x) for x in row) for row in data)
+        self._set_rows(tuple(tuple(_entry(x) for x in row) for row in data))
+
+    def _set_rows(self, rows: tuple[tuple[Scalar, ...], ...]) -> None:
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
         if any(len(row) != self.cols for row in rows):
@@ -196,7 +200,10 @@ class ExactMatrix:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        # the entries are already normalized, so skip __init__
+        out = ExactMatrix.__new__(ExactMatrix)
+        out._set_rows(tuple(zip(*self.data)))
+        return out
 
     def scale(self, s) -> "ExactMatrix":
         return ExactMatrix([[x * s for x in row] for row in self.data])

@@ -9,7 +9,9 @@ eigenvectors and every operator image of them stay in int arithmetic.
 
 The three shuffles act unnormalized (integer coefficients); probability
 normalization by 1/n or 1/n^2 happens only when building transition
-matrices.  certify_r2r_spectra proves, in exact integer arithmetic, that
+matrices.  r2r_columns applies random-to-random to every column of a matrix
+over one word space at once, from a table of its position moves.
+certify_r2r_spectra proves, in exact integer arithmetic, that
 those random-to-random matrices have a predicted spectrum.
 """
 
@@ -20,6 +22,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, permutations, product
 from operator import itemgetter
+
+import numpy as np
 
 from .linalg import ExactMatrix, Scalar
 
@@ -43,6 +47,12 @@ def evaluation_of(word: Word) -> tuple[int, ...]:
 
 def word_to_text(word: Word) -> str:
     """Digit string when all letters fit in one digit, else a bracketed list."""
+    return _word_text(tuple(word))
+
+
+@cache
+def _word_text(word: Word) -> str:
+    # JSON output renders each word once per vector that holds it.
     if all(x <= 9 for x in word):
         return "".join(str(x) for x in word)
     return "[" + ",".join(str(x) for x in word) + "]"
@@ -300,6 +310,46 @@ def r2r(v) -> WordVector:
                 u = rest[:k] + letter + rest[k:]
                 out[u] = out.get(u, 0) + coeff
     return WordVector(out)
+
+
+@cache
+def _r2r_moves(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The distinct moves of r2r on words of length n, with multiplicities.
+
+    Deleting the letter at position j and reinserting it at k sends a word u
+    to u o sigma, where (u o sigma)[i] = u[sigma[i]] with 0-based positions.
+    The n moves with j == k are the identity and the two moves between
+    neighbouring positions coincide, which leaves 1 + (n - 1)**2 moves.
+    """
+    positions = tuple(range(n))
+    counts: dict[tuple[int, ...], int] = {}
+    for j in range(n):
+        rest = positions[:j] + positions[j + 1 :]
+        for k in range(n):
+            sigma = rest[:k] + (j,) + rest[k:]
+            counts[sigma] = counts.get(sigma, 0) + 1
+    return tuple(counts.items())
+
+
+def r2r_columns(words, columns: np.ndarray) -> np.ndarray:
+    """r2r applied to every column of a matrix over words, exactly.
+
+    Row i of columns holds the coefficients of words[i], and words must be
+    all the words of one evaluation, in any order.  Column j of the result
+    holds the coefficients of r2r of column j.  The moves are closed under
+    inverses (delete at j and insert at k undoes delete at k and insert at
+    j), so the coefficient of w in r2r(v) is the sum over the moves of
+    m * v[w o sigma]: one row gather per move, and no words-by-words matrix.
+    Pass columns with dtype object, so that every entry stays a Python int
+    or Fraction and nothing can overflow.
+    """
+    words = tuple(words)
+    index = {w: i for i, w in enumerate(words)}
+    out = np.zeros_like(columns)
+    for sigma, m in _r2r_moves(len(words[0])):
+        rows = [index[tuple(w[s] for s in sigma)] for w in words]
+        out += m * columns[rows]
+    return out
 
 
 # -- word enumeration and transition matrices ---------------------------------

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from shuffle_spectra.combinatorics import (
     standard_tableaux,
 )
 from shuffle_spectra.lifting import (
+    _check_eigenbasis,
     _check_lift_target,
     _word_rank,
     eigenbasis,
@@ -28,6 +30,7 @@ from shuffle_spectra.words import (
     WordVector,
     apply_sh,
     apply_theta,
+    enumerate_words,
     evaluation_of,
     r2r,
     word_from_text,
@@ -310,3 +313,79 @@ def test_eigenbasis_vectors_verify_by_operator_application():
                 for w in v.words():
                     words.add(w)
                 assert all(len(w) == sum(shape) for w in words)
+
+
+def check_specht_eigenbasis(shape, entries):
+    _check_eigenbasis(
+        entries,
+        enumerate_words(shape),
+        len(standard_tableaux(shape)),
+        f"the Specht module of {shape}",
+    )
+
+
+def test_check_eigenbasis_accepts_every_eigenbasis_up_to_size_five():
+    for n in range(0, 6):
+        for shape in partitions_of(n):
+            entries = list(eigenbasis(shape))
+            # the per-vector eigen-equation is the reference for the batched check
+            for entry in entries:
+                for v in entry.vectors:
+                    assert r2r(v) == entry.eigenvalue * v
+            check_specht_eigenbasis(shape, entries)
+            pairs = eigenbasis_for_evaluation(shape)
+            words = enumerate_words(shape)
+            _check_eigenbasis([e for _, e in pairs], words, len(words), "the word space")
+
+
+def _corrupt(entries, k, **changes):
+    entries = list(entries)
+    entries[k] = replace(entries[k], **changes)
+    return entries
+
+
+def test_check_eigenbasis_rejects_and_names_the_first_failing_vector():
+    shape = (3, 2)
+    entries = list(eigenbasis(shape))
+    assert [(e.inner, len(e.vectors)) for e in entries][-1] == ((3, 2), 2)
+    v0, v1 = entries[-1].vectors
+    first = min(v1.words())
+    cases = [
+        (
+            _corrupt(entries, 1, eigenvalue=entries[1].eigenvalue + 1),
+            r"eigen-equation failed for vector 0 of strip \(3, 2\)/\(2, 2\)",
+        ),
+        (
+            _corrupt(entries, 3, vectors=(v0, v1 + WordVector.unit(first))),
+            r"eigen-equation failed for vector 1 of strip \(3, 2\)/\(3, 2\)",
+        ),
+        (_corrupt(entries, 3, vectors=(v0, WordVector())), "zero vector 1 of strip"),
+        (_corrupt(entries, 3, vectors=(v0, v0)), "eigenvectors do not span"),
+        (_corrupt(entries, 3, vectors=(v0,)), "eigenvectors do not span"),
+    ]
+    for outside in [(1, 1, 1, 2, 3), (1, 1, 2, 2), (1, 1, 1, 2, 2, 1)]:
+        cases.append(
+            (
+                _corrupt(entries, 3, vectors=(v0, v1 + WordVector.unit(outside))),
+                "vector 1 of strip .* not in the Specht module of",
+            )
+        )
+    for corrupted, message in cases:
+        with pytest.raises(AssertionError, match=message):
+            check_specht_eigenbasis(shape, corrupted)
+
+
+def test_check_eigenbasis_is_exact_beyond_64_bits():
+    shape = (3, 1, 1)
+    big = 2**64 + 3
+    entries = [replace(e, vectors=tuple(big * v for v in e.vectors)) for e in eigenbasis(shape)]
+    assert max(abs(c) for e in entries for v in e.vectors for _, c in v.items()) > 2**64
+    check_specht_eigenbasis(shape, entries)
+    last = entries[-1]
+    v = last.vectors[0]
+    # +2**64 vanishes in wrapping 64-bit arithmetic
+    for bump in (1, 2**64):
+        bumped = v + bump * WordVector.unit(max(v.words()))
+        corrupted = _corrupt(entries, len(entries) - 1, vectors=(bumped,) + last.vectors[1:])
+        with pytest.raises(AssertionError, match="eigen-equation failed for vector 0"):
+            check_specht_eigenbasis(shape, corrupted)

@@ -184,6 +184,34 @@ def test_nullspace_and_solve_match_sympy(rows, cols, dependent, consistent, data
         assert all(x[c] == 0 for c in range(cols) if c not in pivots)
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
+    st.data(),
+)
+def test_int_and_fraction_entries_agree(rows, cols, dependent, data):
+    # integral entries given as int and as Fraction(x) build the same matrix
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**70), 2**70))
+    entries = data.draw(
+        st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    )
+    if dependent:
+        a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+        entries.append([a * x + b * y for x, y in zip(entries[0], entries[-1])])
+    rhs = data.draw(st.lists(st.integers(-9, 9), min_size=len(entries), max_size=len(entries)))
+    as_int = ExactMatrix(entries)
+    as_fraction = ExactMatrix([[Fraction(x) for x in row] for row in entries])
+    assert as_int.data == as_fraction.data
+    for m in (as_int, as_fraction, as_int.transpose().transpose()):
+        assert all(type(x) is int for row in m.data for x in row)
+    assert as_fraction.transpose().data == tuple(zip(*as_int.data))
+    assert as_int.rank() == as_fraction.rank()
+    assert as_int.nullspace() == as_fraction.nullspace()
+    assert as_int.solve(rhs) == as_fraction.solve([Fraction(x) for x in rhs])
+
+
 def test_rank_falls_back_when_singular_modulo_the_certificate_prime():
     p = next(_prime_stream())
     for data, expected in [

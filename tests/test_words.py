@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from shuffle_spectra.injective import laplacian
@@ -15,7 +17,9 @@ from shuffle_spectra.words import (
     compose_permutations,
     enumerate_words,
     operator_matrix,
+    _r2r_moves,
     r2r,
+    r2r_columns,
     r2t,
     shuffle_product,
     t2r,
@@ -212,6 +216,45 @@ def test_r2r_with_a_fractional_coefficient_matches_group_algebra():
     )
     assert r2r(v) == expected
     assert Fraction in _coefficient_types(r2r(v))
+
+
+def compositions(n: int):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def test_r2r_move_table_counts():
+    assert _r2r_moves(0) == ()
+    for n in range(1, 7):
+        moves = _r2r_moves(n)
+        assert len(moves) == 1 + (n - 1) ** 2
+        assert sum(m for _, m in moves) == n * n
+        assert dict(moves)[tuple(range(n))] == n
+
+
+def test_r2r_columns_matches_r2r_column_by_column():
+    # the per-vector r2r is the reference for the batched move-table form
+    rng = random.Random(8)
+    for n in range(0, 6):
+        for nu in compositions(n):
+            words = enumerate_words(nu)
+            columns = [WordVector.unit(w) for w in words]
+            columns.append(WordVector((w, rng.randint(-5, 5)) for w in words))
+            matrix = np.array(
+                [[v.coefficient(w) for v in columns] for w in words], dtype=object
+            )
+            images = r2r_columns(words, matrix)
+            for j, v in enumerate(columns):
+                assert WordVector(zip(words, images[:, j])) == r2r(v), (nu, j)
+            # any order of the words gives the same images
+            shuffled = list(range(len(words)))
+            rng.shuffle(shuffled)
+            again = r2r_columns([words[i] for i in shuffled], matrix[shuffled])
+            assert (again == images[shuffled]).all()
 
 
 def test_shuffle_compositions():
