@@ -3,8 +3,9 @@
 Every computation in the package is reachable from here: spectrum tables,
 per-word eigenvalues, transition matrices, eigenbases, kernels, Schur
 expansions, Laplacians, and a self-contained verification run.  That run
-proves, exactly, that every explicit random-to-random counts matrix of one
-size has the characteristic polynomial the horizontal strips predict (see
+checks every explicit random-to-random counts matrix of one size against
+the table of r2r position moves, proves, exactly, that each has the
+characteristic polynomial the horizontal strips predict (see
 words.certify_r2r_spectra), and checks every eigenbasis of that size.
 
 Exit codes: 0 on success, 1 when any exact check fails, 2 on usage errors.
@@ -12,7 +13,8 @@ A failed library check (an eigen-equation, a span or a kernel dimension)
 prints ``verification failed: ...`` to stderr and nothing to stdout; a
 ``verify`` run prints its mismatch report to stdout.  The environment
 variable R2R_MAX_N (default 6) caps the size of brute-force verification
-runs.
+runs.  Before any work, eigenbasis, kernel, transition-matrix and laplacian
+refuse (exit 2) more than linalg._MAX_DIM words or injective words.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -358,8 +359,12 @@ def cmd_frobenius(args, parser) -> int:
 def cmd_laplacian(args, parser) -> int:
     if not 0 <= args.r <= args.n:
         parser.error(f"laplacian: need 0 <= r <= n, got r={args.r}, n={args.n}")
-    if args.spectrum and math.perm(args.n, args.r) > _MAX_DIM:
-        parser.error(f"laplacian: --spectrum needs at most {_MAX_DIM} injective words")
+    words = 1  # n!/(n-r)!, abandoned once past the limit, so a huge n costs nothing
+    for k in range(args.n - args.r + 1, args.n + 1):
+        words *= k
+        if words > _MAX_DIM:
+            mode = "--spectrum" if args.spectrum else "the matrix"
+            parser.error(f"laplacian: {mode} needs at most {_MAX_DIM} injective words")
     if args.spectrum:
         spectrum = laplacian_spectrum(args.n, args.r)
         payload = {

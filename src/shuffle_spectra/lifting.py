@@ -254,11 +254,6 @@ def eigenbasis(shape: Partition) -> tuple[EigenbasisEntry, ...]:
     return tuple(entries)
 
 
-def _word_rank(vectors: list[WordVector]) -> int:
-    words = sorted({w for v in vectors for w in v.words()})
-    return operator_matrix(lambda v: v, vectors, words).rank()
-
-
 def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
     """Full eigenbasis of the word space of an evaluation.
 

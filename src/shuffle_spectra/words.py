@@ -9,10 +9,11 @@ eigenvectors and every operator image of them stay in int arithmetic.
 
 The three shuffles act unnormalized (integer coefficients); probability
 normalization by 1/n or 1/n^2 happens only when building transition
-matrices.  r2r_columns applies random-to-random to every column of a matrix
-over one word space at once, from a table of its position moves.
-certify_r2r_spectra proves, in exact integer arithmetic, that
-those random-to-random matrices have a predicted spectrum.
+matrices.  Random-to-random is also one table of position moves,
+_r2r_moves.  r2r_columns applies it to every column of a matrix over one
+word space at once.  certify_r2r_spectra checks every explicit
+random-to-random counts matrix against it, row by row, and then proves, in
+exact integer arithmetic, that those matrices have a predicted spectrum.
 """
 
 from __future__ import annotations
@@ -260,11 +261,6 @@ def apply_permutation(word: Word, sigma: Permutation) -> Word:
     return tuple(word[sigma[i] - 1] for i in range(len(word)))
 
 
-def compose_permutations(sigma: Permutation, tau: Permutation) -> Permutation:
-    """sigma after tau, so that acting by the product acts by tau last."""
-    return tuple(sigma[tau[i] - 1] for i in range(len(tau)))
-
-
 # -- the three shuffles -------------------------------------------------------
 
 
@@ -331,6 +327,21 @@ def _r2r_moves(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(counts.items())
 
 
+def _move_gathers(words) -> list[tuple[list[int], int]]:
+    """For each r2r move (sigma, m), the index in words of w o sigma for every w.
+
+    words must be all the words of one evaluation, in any order; this is the
+    one place where the move table is applied to a list of words.
+    """
+    index = {w: i for i, w in enumerate(words)}
+    gathers = []
+    for sigma, m in _r2r_moves(len(words[0])):
+        # one position has only the identity move; itemgetter(0) gives a letter
+        image = itemgetter(*sigma) if len(sigma) > 1 else tuple
+        gathers.append(([index[image(w)] for w in words], m))
+    return gathers
+
+
 def r2r_columns(words, columns: np.ndarray) -> np.ndarray:
     """r2r applied to every column of a matrix over words, exactly.
 
@@ -343,11 +354,8 @@ def r2r_columns(words, columns: np.ndarray) -> np.ndarray:
     Pass columns with dtype object, so that every entry stays a Python int
     or Fraction and nothing can overflow.
     """
-    words = tuple(words)
-    index = {w: i for i, w in enumerate(words)}
     out = np.zeros_like(columns)
-    for sigma, m in _r2r_moves(len(words[0])):
-        rows = [index[tuple(w[s] for s in sigma)] for w in words]
+    for rows, m in _move_gathers(tuple(words)):
         out += m * columns[rows]
     return out
 
@@ -439,54 +447,46 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
     prod (x - lam)^m over its map.  Returns the evaluations whose claim is
     not proved, in the order given; an empty list proves every claim.  A
     failed check on the permutation deck proves nothing and returns only
-    (1,)*n.  Only the explicit counts matrices and the (lam, m) pairs are
-    used, in exact arithmetic.
+    (1,)*n.  Only the explicit counts matrices, the move table and the
+    (lam, m) pairs are used, in exact arithmetic.
 
-    Let M be the counts on the n! permutation words, S the eigenvalues with
-    a nonzero multiplicity predicted for M, d = |S|, and p = prod over S of
-    (x - lam).
+    Random-to-random is x = sum m sigma in the group algebra of position
+    permutations, over the moves (sigma, m) of _r2r_moves(n).  Let M be the
+    counts on the n! permutation words, e the identity word, S the
+    eigenvalues with a nonzero multiplicity predicted for M, d = |S|, and
+    p = prod over S of (x - lam).
 
-    1. Relabelling symmetry: M[s(w), s(u)] == M[w, u] entry by entry for each
-       adjacent letter swap s.  The swaps generate the relabellings, which
-       then all commute with M and act transitively on permutation words.
-    2. Annihilation: row e of p(M) is zero for the identity word e, from the
-       d sparse products e M^k.  Row tau(e) of p(M) is row e relabelled by
-       tau, so p(M) = 0: M is diagonalizable with its spectrum inside S.
-    3. Lumping: let pi merge the letters of (1,)*n into the blocks of nu and
-       Pi[w, pi(w)] = 1.  M Pi == Pi M_nu is checked row by row.  As pi is
-       onto, Pi has full column rank, so p(M_nu) = 0 follows from p(M) = 0;
-       nu's predicted eigenvalues must lie in S.
-    4. Power traces: tr(M_nu^k) == sum m lam^k for every k < d.  A diagonal
-       entry of M_nu^k is, through Pi and a relabelling taking e to a
-       preimage of x, the sum of (e M^k)[sigma] over the position
-       permutations sigma fixing x.  The Vandermonde matrix on S is
-       invertible, so these d traces fix every multiplicity, zeros included.
+    1. Moves: for every nu, (1,)*n included, the matrix's order is
+       enumerate_words(nu) and row w of its counts M_nu is sum m e_{w o sigma}.
+       So M_nu is x acting on the words of nu, and M is x acting on the
+       regular representation.
+    2. Annihilation: e p(M) = 0, from the d sparse products e M^k with the
+       rows of M read from the move table.  By 1, e p(M) is p(x) written in
+       permutation words, so p(x) = 0 and p(M_nu) = 0 for every nu: each M_nu
+       is diagonalizable with its spectrum inside S, and nu's predicted
+       eigenvalues must lie in S.
+    3. Power traces: tr(M_nu^k) == sum m lam^k for every k < d.  By 1, the
+       diagonal entry of M_nu^k at a word w is the coefficient of w in
+       w x^k, the sum of (e M^k)[sigma] over the position permutations sigma
+       with w o sigma == w.  The Vandermonde matrix on S is invertible, so
+       these d traces fix every multiplicity, zeros included.
     """
     top = (1,) * n
     if top not in predicted or any(sum(nu) != n for nu in predicted):
         raise ValueError(f"predictions must cover {top} and have size {n}")
-    tm = transition_matrix("r2r", top)
-    perms, rows = tm.order, tm.counts.data
+    perms = enumerate_words(top)
     index = {w: i for i, w in enumerate(perms)}
     spectrum = [lam for lam, m in predicted[top].items() if m]
 
-    for a in range(1, n):
-        swap = {a: a + 1, a + 1: a}
-        image = [index[tuple(swap.get(x, x) for x in w)] for w in perms]
-        relabel = itemgetter(*image)
-        if any(rows[i] != relabel(rows[image[i]]) for i in range(len(perms))):
-            return [top]
-
-    sparse = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
+    moves = _move_gathers(perms)
     powers = [[0] * len(perms)]
     powers[0][index[tuple(range(1, n + 1))]] = 1
     for _ in spectrum:
-        v = [0] * len(perms)
-        for w, c in enumerate(powers[-1]):
-            if c:
-                for u, m in sparse[w]:
-                    v[u] += c * m
-        powers.append(v)
+        power = [0] * len(perms)
+        for targets, m in moves:
+            for u, c in zip(targets, powers[-1]):
+                power[u] += m * c
+        powers.append(power)
     poly = [1]
     for lam in spectrum:
         poly = [hi - lam * lo for hi, lo in zip([0] + poly, poly + [0])]
@@ -495,14 +495,29 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
 
     failures = []
     for nu, totals in predicted.items():
-        target = tm if nu == top else transition_matrix("r2r", nu)
-        if (
-            any(m and lam not in spectrum for lam, m in totals.items())
-            or (nu != top and not _lumps(sparse, perms, nu, target))
-            or not _traces_match(powers, _fixing_permutations(target.order, index), totals)
+        tm = transition_matrix("r2r", nu)
+        if not (
+            _follows_moves(nu, tm)
+            and all(lam in spectrum for lam, m in totals.items() if m)
+            and _traces_match(powers, _fixing_permutations(tm.order, index), totals)
         ):
             failures.append(nu)
-    return failures
+    return [top] if top in failures else failures
+
+
+def _follows_moves(nu, tm: TransitionMatrix) -> bool:
+    """tm.order is enumerate_words(nu) and row w of tm.counts is sum m e_{w o sigma}."""
+    rows = tm.counts.data
+    if tm.order != enumerate_words(nu) or len(rows) != len(tm.order):
+        return False
+    moves = _move_gathers(tm.order)
+    for w, row in enumerate(rows):
+        image = [0] * len(rows)
+        for targets, m in moves:
+            image[targets[w]] += m
+        if tuple(image) != row:
+            return False
+    return True
 
 
 def _traces_match(powers, weight, totals) -> bool:
@@ -512,26 +527,6 @@ def _traces_match(powers, weight, totals) -> bool:
         == sum(m * lam**k for lam, m in totals.items())
         for k, power in enumerate(powers[:-1])
     )
-
-
-def _lumps(sparse, perms, nu, target: TransitionMatrix) -> bool:
-    """M Pi == Pi M_nu row by row, pi merging letters into the blocks of nu.
-
-    sparse holds the nonzero (column, entry) pairs of each row of M over
-    perms; pi must map the permutation words onto target.order.
-    """
-    block = [b for b, k in enumerate(nu, 1) for _ in range(k)]
-    index = {x: i for i, x in enumerate(target.order)}
-    image = [index[tuple(block[a - 1] for a in w)] for w in perms]
-    if len(set(image)) != len(index):
-        return False
-    for w, entries in enumerate(sparse):
-        row = [0] * len(index)
-        for u, c in entries:
-            row[image[u]] += c
-        if tuple(row) != target.counts.data[image[w]]:
-            return False
-    return True
 
 
 def _fixing_permutations(order, index) -> dict[int, int]:

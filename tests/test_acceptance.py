@@ -32,7 +32,6 @@ from shuffle_spectra.injective import (
 )
 from shuffle_spectra.lifting import (
     _check_lift_target,
-    _word_rank,
     eigenbasis,
     kernel_basis,
     lift,
@@ -68,6 +67,7 @@ from golden_tables import (
     R2T_COUNTS_22,
     WORDS_22,
 )
+from reference import word_rank
 
 W = word_from_text
 LETTERS = (1, 2, 3)
@@ -185,7 +185,7 @@ def test_criterion_04_eigenbasis_soundness():
             entries = eigenbasis(shape)
             vectors = [v for e in entries for v in e.vectors]
             assert len(vectors) == len(standard_tableaux(shape)), shape
-            assert _word_rank(vectors) == len(vectors), shape
+            assert word_rank(vectors) == len(vectors), shape
             for e in entries:
                 assert len(e.vectors) == desarrangement_count(e.inner), (shape, e.inner)
                 assert e.eigenvalue == eig_strip(shape, e.inner)
@@ -203,7 +203,7 @@ def test_criterion_04_eigenbasis_soundness():
         else:
             # the kernel pair is normalized differently; compare spans exactly
             assert len(got) == len(expected) == 2
-            assert _word_rank(got + expected) == 2
+            assert word_rank(got + expected) == 2
     _report(4, started, 60.0, "eigenbases of all shapes up to size 6 verified exactly")
 
 

@@ -2,8 +2,8 @@
 
 Every check runs against the CRT characteristic polynomial or against a
 deliberately wrong claim: a shifted eigenvalue, one unit of multiplicity
-moved, an eigenvalue outside the permutation spectrum, or one perturbed entry
-of an explicit counts matrix.
+moved, an eigenvalue outside the permutation spectrum, one perturbed entry
+of an explicit counts matrix, or a word outside the evaluation.
 """
 
 import math
@@ -157,9 +157,10 @@ def test_certificate_rejects_random_perturbations(data):
 def test_relabelling_check_catches_a_change_invisible_from_the_identity_word(monkeypatch):
     # M' = M + c c^T + d d^T, where d is c with letters 1 and 2 swapped and
     # both are integral and orthogonal to every e M^k and every s(e) M^k.
-    # The powers of the identity word e, and so annihilation and the traces,
-    # cannot see the change, and M' still commutes with the swap s of 1 and
-    # 2; but its trace, and so its characteristic polynomial, is larger.
+    # The powers of the identity word e cannot see the change, and M' still
+    # commutes with the swap s of 1 and 2; but its trace, and so its
+    # characteristic polynomial, is larger.  The row test of the move check
+    # rejects it: the rows of M' are not the move images of their words.
     top = (1, 1, 1, 1)
     tm = _transition_matrix("r2r", top)
     index = {w: i for i, w in enumerate(tm.order)}
@@ -207,10 +208,29 @@ def test_spectrum_check_catches_an_eigenvalue_with_matching_traces():
 
 def test_lumping_check_catches_a_word_outside_the_evaluation(monkeypatch):
     # An extra word 111 with diagonal entry 8, claimed as eigenvalue 9 (which
-    # 111 has as a word of evaluation (3,)), would pass the traces.
+    # 111 has as a word of evaluation (3,)), would pass the traces.  Both
+    # halves of the move check reject it: 111 is not a word of (2, 1), and
+    # its row 8 e_111 is not its move image 9 e_111.
     nu = (2, 1)
     tm = _transition_matrix("r2r", nu)
     rows = [list(row) + [0] for row in tm.counts.data] + [[0] * len(tm.order) + [8]]
+    fake = replace(tm, order=tm.order + ((1, 1, 1),), counts=ExactMatrix(rows))
+    monkeypatch.setattr(
+        words, "transition_matrix", lambda s, e: fake if e == nu else _transition_matrix(s, e)
+    )
+    claim = _spectrum(nu)
+    claim[9] += 1
+    assert _certify(nu, claim) == [nu]
+
+
+def test_order_check_catches_a_word_outside_the_evaluation(monkeypatch):
+    # The extra word 111 now has its true move image 9 e_111 as its row, and
+    # the claim holds its eigenvalue 9, so the rows, the spectrum and every
+    # trace over the matrix's own words agree; only the order test of the
+    # move check sees that 111 is not a word of (2, 1).
+    nu = (2, 1)
+    tm = _transition_matrix("r2r", nu)
+    rows = [list(row) + [0] for row in tm.counts.data] + [[0] * len(tm.order) + [9]]
     fake = replace(tm, order=tm.order + ((1, 1, 1),), counts=ExactMatrix(rows))
     monkeypatch.setattr(
         words, "transition_matrix", lambda s, e: fake if e == nu else _transition_matrix(s, e)

@@ -290,6 +290,18 @@ def test_usage_errors_exit_code_two(capsys, monkeypatch):
             main(argv)
         assert exc.value.code == 2, argv
         assert f"has more than {_MAX_DIM} words" in capsys.readouterr().err
+    # so are Laplacians on more than linalg._MAX_DIM injective words, also
+    # where n!/(n-r)! itself would take long to compute
+    for name in ("laplacian", "laplacian_spectrum"):
+        monkeypatch.setattr(cli, name, _never_called)
+    for argv in [
+        ["laplacian", "--n", "7", "--r", "5"],
+        ["laplacian", "--n", "1000000000", "--r", "1000000000", "--spectrum"],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"needs at most {_MAX_DIM} injective words" in capsys.readouterr().err
 
 
 def _never_called(*args):

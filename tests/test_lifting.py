@@ -15,7 +15,6 @@ from shuffle_spectra.combinatorics import (
 from shuffle_spectra.lifting import (
     _check_eigenbasis,
     _check_lift_target,
-    _word_rank,
     eigenbasis,
     eigenbasis_for_evaluation,
     kernel_basis,
@@ -35,6 +34,8 @@ from shuffle_spectra.words import (
     r2r,
     word_from_text,
 )
+
+from reference import word_rank
 
 W = word_from_text
 
@@ -263,7 +264,7 @@ def test_eigenbasis_spans_each_module():
         for shape in partitions_of(n):
             vectors = [v for e in eigenbasis(shape) for v in e.vectors]
             assert len(vectors) == len(standard_tableaux(shape))
-            assert _word_rank(vectors) == len(vectors)
+            assert word_rank(vectors) == len(vectors)
 
 
 def test_eigenbasis_for_evaluation_counts():

@@ -1,7 +1,9 @@
 import ast
+import types
 from pathlib import Path
 
 import shuffle_spectra
+from shuffle_spectra.linalg import ExactMatrix
 
 
 def package_trees():
@@ -64,3 +66,23 @@ def test_the_exact_core_lint_sees_floating_point():
     )
     hits = [node for node in ast.walk(ast.parse(source)) if _floating(node)]
     assert {node.lineno for node in hits} == {2, 3, 4, 5, 6, 7}
+
+
+def test_the_benchmark_tracer_still_finds_every_layer():
+    # perfbench/traced.py wraps functions by name from outside the package;
+    # moving or renaming one of them would break `perfbench/run.py --trace 1`.
+    # The source is compiled here rather than imported, so no bytecode cache
+    # is written next to it.
+    path = Path(__file__).parents[1] / "perfbench" / "traced.py"
+    traced = types.ModuleType("traced")
+    exec(compile(path.read_text(), str(path), "exec"), traced.__dict__)
+    missing = [
+        f"{module.__name__}.{name}"
+        for module, name in traced.FUNCTIONS
+        if not callable(getattr(module, name, None))
+    ]
+    missing += [
+        f"ExactMatrix.{name}" for name in traced.METHODS if not hasattr(ExactMatrix, name)
+    ]
+    assert traced.FUNCTIONS and traced.METHODS
+    assert missing == []

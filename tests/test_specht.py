@@ -29,6 +29,8 @@ from shuffle_spectra.words import (
     word_from_text,
 )
 
+from reference import word_rank
+
 W = word_from_text
 
 
@@ -172,12 +174,10 @@ def test_theta_embedding_is_module_morphism():
 
 def test_embedded_copies_fill_the_word_space():
     # images of the Specht bases under all embeddings span each word space
-    from shuffle_spectra.lifting import _word_rank
-
     for nu in [(2, 1), (2, 2), (1, 1, 1)]:
         vectors = []
         for lam in partitions_of(sum(nu)):
             for t in semistandard_tableaux(lam, nu):
                 for w in specht_basis(lam).vectors:
                     vectors.append(theta_embedding(t, w))
-        assert _word_rank(vectors) == len(enumerate_words(nu))
+        assert word_rank(vectors) == len(enumerate_words(nu))

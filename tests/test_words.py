@@ -14,7 +14,6 @@ from shuffle_spectra.words import (
     apply_permutation,
     apply_sh,
     apply_theta,
-    compose_permutations,
     enumerate_words,
     operator_matrix,
     _r2r_moves,
@@ -30,6 +29,7 @@ from shuffle_spectra.words import (
 from shuffle_spectra.combinatorics import partitions_of
 
 from golden_tables import R2R_COUNTS_22, R2T_COUNTS_22, WORDS_22
+from reference import compose_permutations
 
 W = word_from_text
 
