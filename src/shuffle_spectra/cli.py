@@ -14,7 +14,8 @@ prints ``verification failed: ...`` to stderr and nothing to stdout; a
 ``verify`` run prints its mismatch report to stdout.  The environment
 variable R2R_MAX_N (default 6) caps the size of brute-force verification
 runs.  Before any work, eigenbasis, kernel, transition-matrix and laplacian
-refuse (exit 2) more than linalg._MAX_DIM words or injective words.
+refuse (exit 2) more than linalg._MAX_DIM words or injective words, and
+eigenvalues and frobenius refuse a size n over _MAX_STRIP_N.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from .spectrum import SpectrumReport, eig_word_trace, spectrum_for_evaluation
 from .words import certify_r2r_spectra, transition_matrix, word_from_text, word_to_text
 
 SCHEMA_PREFIX = "shuffle-spectra"
+
+# Largest n for eigenvalues and frobenius.  On a 2-core Xeon, eigenvalues --n
+# takes about 2 s at n = 10, 5 s at 11 and 25 s at 12; frobenius --n 14, 20 s.
+_MAX_STRIP_N = 10
 
 
 def _parse_evaluation(text: str, parser: argparse.ArgumentParser, option: str):
@@ -77,6 +82,11 @@ def _refuse_many_words(command: str, evaluation, parser: argparse.ArgumentParser
                     f" has more than {_MAX_DIM} words"
                 )
         words *= binomial
+
+
+def _refuse_large_n(command: str, n: int, parser: argparse.ArgumentParser) -> None:
+    if n > _MAX_STRIP_N:
+        parser.error(f"{command}: n={n} is over the limit {_MAX_STRIP_N}")
 
 
 def _partition_text(p) -> str:
@@ -214,8 +224,10 @@ def cmd_eigenvalues(args, parser) -> int:
     out = sys.stdout
     if args.evaluation is not None:
         evaluation = _parse_evaluation(args.evaluation, parser, "--evaluation")
+        _refuse_large_n("eigenvalues", sum(evaluation), parser)
         _emit_spectrum(spectrum_for_evaluation(evaluation), args.format, args.probability, out)
         return 0
+    _refuse_large_n("eigenvalues", args.n, parser)
     reports = [spectrum_for_evaluation(nu) for nu in partitions_of(args.n)]
     if args.format == "json":
         payload = {
@@ -338,6 +350,7 @@ def cmd_kernel(args, parser) -> int:
 def cmd_frobenius(args, parser) -> int:
     if args.n < 0 or args.eigenvalue < 0:
         parser.error("frobenius: --n and --eigenvalue must be non-negative")
+    _refuse_large_n("frobenius", args.n, parser)
     expansion = frobenius_of_eigenspace(args.n, args.eigenvalue)
     if args.format == "json":
         payload = {

@@ -2,9 +2,10 @@
 
 A lift maps the Specht module of a shape into the Specht module of the shape
 with one extra cell in a chosen row, sending eigenvectors of the
-random-to-random operator to eigenvectors one size up.  It is a closed form
-built from insertions and letter replacements, with no linear solves; the
-tests check it against insertion followed by orthogonal projection.
+random-to-random operator to eigenvectors one size up.  It is a closed form,
+a sum over chains of rows evaluated by one integer recursion over the rows;
+the tests check it against the chain sum itself and against insertion
+followed by orthogonal projection.
 
 Kernel bases are nullspaces taken in word coordinates: the matrix whose
 columns are the images of the Specht basis vectors under the operator, over
@@ -28,9 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cache
-from itertools import combinations
 
 import numpy as np
 
@@ -103,29 +102,22 @@ def lift(shape: Partition, row: int, v: WordVector) -> WordVector:
     followed by the replacements b_1 -> b_2 -> ... -> row, weighted by the
     inverse gaps of the adjusted part lengths; the empty chain is the plain
     insertion of the row's letter.  The input must lie in the source Specht
-    module for the output to land in the target one.
+    module for the output to land in the target one.  The sum is evaluated
+    row by row in integers, with one division at the end.
     """
     _check_lift_target(shape, row)
-    if not v:
-        return WordVector()
-
-    def gamma(b: int) -> int:
-        value = (part(shape, row) - row) - (part(shape, b) - b)
-        if value == 0:
-            raise AssertionError(f"zero gap coefficient for rows {b} and {row} of {shape}")
-        return value
-
-    terms = []
-    for t in range(row):
-        for chain in combinations(range(1, row), t):
-            coeff = Fraction(1, math.prod(map(gamma, chain))) if chain else 1
-            first = chain[0] if chain else row
-            term = apply_sh(first, v)
-            steps = list(chain) + [row]
-            for b_from, b_to in zip(steps, steps[1:]):
-                term = apply_theta(b_from, b_to, term)
-            terms.extend((w, coeff * c) for w, c in term.items())
-    return WordVector(terms)
+    # gap of each row b above row; at most b - row < 0, as part(shape, b) >= part(shape, row)
+    gaps = [(part(shape, row) - row) - (part(shape, b) - b) for b in range(1, row)]
+    # lifted[b - 1] is the sum over the chains ending in b, times the product of the gaps above b
+    lifted: list[WordVector] = []
+    for b in range(1, row + 1):
+        scale = math.prod(gaps[: b - 1])
+        terms = [(w, scale * c) for w, c in apply_sh(b, v).items()]
+        for a in range(1, b):
+            weight = math.prod(gaps[a : b - 1])
+            terms.extend((w, weight * c) for w, c in apply_theta(a, b, lifted[a - 1]).items())
+        lifted.append(WordVector(terms))
+    return lifted[-1] / math.prod(gaps)
 
 
 def lift_chain(outer: Partition, inner: Partition, v: WordVector) -> WordVector:

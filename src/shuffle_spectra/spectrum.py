@@ -193,16 +193,10 @@ def r2t_spectrum(evaluation) -> dict[int, int]:
     with repeated letters this weighting is a prediction, not a theorem; the
     test suite pins it against brute-force characteristic polynomials.
     """
-    nu = sort_evaluation(evaluation)
-    n = sum(nu)
+    report = spectrum_for_evaluation(evaluation)
     totals: dict[int, int] = {}
-    for outer in partitions_of(n):
-        if not dominates(outer, nu):
-            continue
-        k = kostka(outer, nu)
-        for inner in horizontal_strip_inners(outer):
-            weight = k * desarrangement_count(inner)
-            if weight:
-                j = n - sum(inner)
-                totals[j] = totals.get(j, 0) + weight
+    for entry in report.entries:
+        if entry.multiplicity:
+            j = report.size - sum(entry.inner)
+            totals[j] = totals.get(j, 0) + entry.multiplicity
     return totals

@@ -180,7 +180,7 @@ EXAMPLE_BASIS_32 = {
 
 def test_criterion_04_eigenbasis_soundness():
     started = time.perf_counter()
-    for n in range(0, 7):
+    for n in range(0, 8):
         for shape in partitions_of(n):
             entries = eigenbasis(shape)
             vectors = [v for e in entries for v in e.vectors]
@@ -204,7 +204,7 @@ def test_criterion_04_eigenbasis_soundness():
             # the kernel pair is normalized differently; compare spans exactly
             assert len(got) == len(expected) == 2
             assert word_rank(got + expected) == 2
-    _report(4, started, 60.0, "eigenbases of all shapes up to size 6 verified exactly")
+    _report(4, started, 60.0, "eigenbases of all shapes up to size 7 verified exactly")
 
 
 def test_criterion_05_kernel_dimensions():

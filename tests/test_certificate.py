@@ -154,7 +154,7 @@ def test_certificate_rejects_random_perturbations(data):
 # each proves that one check necessary.
 
 
-def test_relabelling_check_catches_a_change_invisible_from_the_identity_word(monkeypatch):
+def test_move_check_catches_a_change_invisible_from_the_identity_word(monkeypatch):
     # M' = M + c c^T + d d^T, where d is c with letters 1 and 2 swapped and
     # both are integral and orthogonal to every e M^k and every s(e) M^k.
     # The powers of the identity word e cannot see the change, and M' still
@@ -206,7 +206,7 @@ def test_spectrum_check_catches_an_eigenvalue_with_matching_traces():
     assert _certify(nu, claim) == [nu]
 
 
-def test_lumping_check_catches_a_word_outside_the_evaluation(monkeypatch):
+def test_move_check_catches_a_wrong_row_for_a_word_outside_the_evaluation(monkeypatch):
     # An extra word 111 with diagonal entry 8, claimed as eigenvalue 9 (which
     # 111 has as a word of evaluation (3,)), would pass the traces.  Both
     # halves of the move check reject it: 111 is not a word of (2, 1), and

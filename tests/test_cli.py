@@ -302,6 +302,22 @@ def test_usage_errors_exit_code_two(capsys, monkeypatch):
             main(argv)
         assert exc.value.code == 2, argv
         assert f"needs at most {_MAX_DIM} injective words" in capsys.readouterr().err
+    # eigenvalues and frobenius refuse a size over cli._MAX_STRIP_N before
+    # partitions_of runs, also where it would never return
+    for name in ("partitions_of", "spectrum_for_evaluation", "frobenius_of_eigenspace"):
+        monkeypatch.setattr(cli, name, _never_called)
+    for argv in [
+        ["eigenvalues", "--n", str(cli._MAX_STRIP_N + 1)],
+        ["eigenvalues", "--n", "1000000000"],
+        ["eigenvalues", "--evaluation", ",".join(["1"] * (cli._MAX_STRIP_N + 1))],
+        ["eigenvalues", "--evaluation", "1000000000", "--format", "json"],
+        ["frobenius", "--n", str(cli._MAX_STRIP_N + 1), "--eigenvalue", "0"],
+        ["frobenius", "--n", "1000000000", "--eigenvalue", "9"],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"is over the limit {cli._MAX_STRIP_N}" in capsys.readouterr().err
 
 
 def _never_called(*args):

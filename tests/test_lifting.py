@@ -35,7 +35,7 @@ from shuffle_spectra.words import (
     word_from_text,
 )
 
-from reference import word_rank
+from reference import chain_lift, word_rank
 
 W = word_from_text
 
@@ -185,6 +185,15 @@ def test_lift_matches_projection_form():
                     assert lift(shape, row, wt) == project_onto_specht(
                         target, apply_sh(row, wt)
                     )
+
+
+def test_lift_matches_chain_sum():
+    # the row recursion against the paper's sum over all chains
+    for n in range(0, 6):
+        for shape in partitions_of(n):
+            for row in valid_lift_rows(shape):
+                for wt in specht_basis(shape).vectors:
+                    assert lift(shape, row, wt) == chain_lift(shape, row, wt), (shape, row)
 
 
 def test_deferred_projection_matches_stepwise_lifts():
