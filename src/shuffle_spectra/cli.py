@@ -2,11 +2,11 @@
 
 Every computation in the package is reachable from here: spectrum tables,
 per-word eigenvalues, transition matrices, eigenbases, kernels, Schur
-expansions, Laplacians, and a self-contained verification run.  That run
-checks every explicit random-to-random counts matrix of one size against
-the table of r2r position moves, proves, exactly, that each has the
-characteristic polynomial the horizontal strips predict (see
-words.certify_r2r_spectra), and checks every eigenbasis of that size.
+expansions, Laplacians, and a self-contained verification run.  Without
+building a transition matrix, that run checks r2r word by word against the
+table of its position moves, proves exactly that each r2r counts matrix of
+one size has the characteristic polynomial the horizontal strips predict
+(see words.certify_r2r_spectra), and checks every eigenbasis of that size.
 
 Exit codes: 0 on success, 1 when any exact check fails, 2 on usage errors.
 A failed library check (an eigen-equation, a span or a kernel dimension)

@@ -105,6 +105,12 @@ def lift(shape: Partition, row: int, v: WordVector) -> WordVector:
     module for the output to land in the target one.  The sum is evaluated
     row by row in integers, with one division at the end.
     """
+    lifted, scale = _scaled_lift(shape, row, v)
+    return lifted / scale
+
+
+def _scaled_lift(shape: Partition, row: int, v: WordVector) -> tuple[WordVector, int]:
+    """(g * lift(shape, row, v), g), with g the product of the gaps above row."""
     _check_lift_target(shape, row)
     # gap of each row b above row; at most b - row < 0, as part(shape, b) >= part(shape, row)
     gaps = [(part(shape, row) - row) - (part(shape, b) - b) for b in range(1, row)]
@@ -117,7 +123,7 @@ def lift(shape: Partition, row: int, v: WordVector) -> WordVector:
             weight = math.prod(gaps[a : b - 1])
             terms.extend((w, weight * c) for w, c in apply_theta(a, b, lifted[a - 1]).items())
         lifted.append(WordVector(terms))
-    return lifted[-1] / math.prod(gaps)
+    return lifted[-1], math.prod(gaps)
 
 
 def lift_chain(outer: Partition, inner: Partition, v: WordVector) -> WordVector:
@@ -125,14 +131,15 @@ def lift_chain(outer: Partition, inner: Partition, v: WordVector) -> WordVector:
 
     The weakly increasing order is what makes deferring all projections to
     the closed form valid; the composite is identically zero whenever the
-    skew shape has two cells in one column.
+    skew shape has two cells in one column.  It divides once, at the end.
     """
     outer, inner = check_skew(outer, inner)
-    current = inner
+    current, scale = inner, 1
     for row in _added_rows(outer, inner):
-        v = lift(current, row, v)
+        v, gaps = _scaled_lift(current, row, v)
+        scale *= gaps
         current = _check_lift_target(current, row)
-    return v
+    return v / scale
 
 
 @cache

@@ -10,10 +10,10 @@ eigenvectors and every operator image of them stay in int arithmetic.
 The three shuffles act unnormalized (integer coefficients); probability
 normalization by 1/n or 1/n^2 happens only when building transition
 matrices.  Random-to-random is also one table of position moves,
-_r2r_moves.  r2r_columns applies it to every column of a matrix over one
-word space at once.  certify_r2r_spectra checks every explicit
-random-to-random counts matrix against it, row by row, and then proves, in
-exact integer arithmetic, that those matrices have a predicted spectrum.
+_r2r_moves, and r2r_columns, the only code that applies it to vectors, does
+so for every column of a matrix over one word space at once.  Without
+building any matrix, certify_r2r_spectra checks r2r against it word by word
+and proves, in exact integers, that the r2r counts have a predicted spectrum.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class WordVector:
         fractional = False
         for word, coeff in items:
             if type(coeff) is not int:
-                coeff = Fraction(coeff)
+                coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
                 fractional = True
             if coeff:
                 word = tuple(word)
@@ -152,7 +152,7 @@ class WordVector:
         return WordVector({w: c * scalar for w, c in self._terms.items()})
 
     def __truediv__(self, scalar) -> "WordVector":
-        return Fraction(1, 1) / Fraction(scalar) * self
+        return Fraction(1, scalar) * self
 
     def inner(self, other: "WordVector") -> Scalar:
         """Inner product in which the words form an orthonormal basis."""
@@ -447,8 +447,8 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
     prod (x - lam)^m over its map.  Returns the evaluations whose claim is
     not proved, in the order given; an empty list proves every claim.  A
     failed check on the permutation deck proves nothing and returns only
-    (1,)*n.  Only the explicit counts matrices, the move table and the
-    (lam, m) pairs are used, in exact arithmetic.
+    (1,)*n.  Only r2r, the move table and the (lam, m) pairs are used, in
+    exact arithmetic, and no matrix is built.
 
     Random-to-random is x = sum m sigma in the group algebra of position
     permutations, over the moves (sigma, m) of _r2r_moves(n).  Let M be the
@@ -456,12 +456,12 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
     eigenvalues with a nonzero multiplicity predicted for M, d = |S|, and
     p = prod over S of (x - lam).
 
-    1. Moves: for every nu, (1,)*n included, the matrix's order is
-       enumerate_words(nu) and row w of its counts M_nu is sum m e_{w o sigma}.
-       So M_nu is x acting on the words of nu, and M is x acting on the
-       regular representation.
-    2. Annihilation: e p(M) = 0, from the d sparse products e M^k with the
-       rows of M read from the move table.  By 1, e p(M) is p(x) written in
+    1. Moves: for every nu, (1,)*n included, and every word w of
+       enumerate_words(nu), r2r(w) == sum m e_{w o sigma}.  Row w of the
+       counts M_nu is r2r(w) over enumerate_words(nu), so M_nu is x acting
+       on the words of nu, and M is x acting on the regular representation.
+    2. Annihilation: e p(M) = 0, from the d products e M^k, each one
+       r2r_columns of the one before.  By 1, e p(M) is p(x) written in
        permutation words, so p(x) = 0 and p(M_nu) = 0 for every nu: each M_nu
        is diagonalizable with its spectrum inside S, and nu's predicted
        eigenvalues must lie in S.
@@ -478,52 +478,42 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
     index = {w: i for i, w in enumerate(perms)}
     spectrum = [lam for lam, m in predicted[top].items() if m]
 
-    moves = _move_gathers(perms)
-    powers = [[0] * len(perms)]
+    # row w of M is r2r(w), so powers[k] = e M^k holds the coefficients of r2r^k(e)
+    powers = [np.zeros((len(perms), 1), dtype=object)]
     powers[0][index[tuple(range(1, n + 1))]] = 1
     for _ in spectrum:
-        power = [0] * len(perms)
-        for targets, m in moves:
-            for u, c in zip(targets, powers[-1]):
-                power[u] += m * c
-        powers.append(power)
+        powers.append(r2r_columns(perms, powers[-1]))
     poly = [1]
     for lam in spectrum:
         poly = [hi - lam * lo for hi, lo in zip([0] + poly, poly + [0])]
-    if any(sum(c * v[u] for c, v in zip(poly, powers)) for u in range(len(perms))):
+    if sum(c * power for c, power in zip(poly, powers)).any():
         return [top]
 
     failures = []
     for nu, totals in predicted.items():
-        tm = transition_matrix("r2r", nu)
+        order = enumerate_words(nu)
         if not (
-            _follows_moves(nu, tm)
+            _follows_moves(order)
             and all(lam in spectrum for lam, m in totals.items() if m)
-            and _traces_match(powers, _fixing_permutations(tm.order, index), totals)
+            and _traces_match(powers, _fixing_permutations(order, index), totals)
         ):
             failures.append(nu)
     return [top] if top in failures else failures
 
 
-def _follows_moves(nu, tm: TransitionMatrix) -> bool:
-    """tm.order is enumerate_words(nu) and row w of tm.counts is sum m e_{w o sigma}."""
-    rows = tm.counts.data
-    if tm.order != enumerate_words(nu) or len(rows) != len(tm.order):
-        return False
-    moves = _move_gathers(tm.order)
-    for w, row in enumerate(rows):
-        image = [0] * len(rows)
-        for targets, m in moves:
-            image[targets[w]] += m
-        if tuple(image) != row:
-            return False
-    return True
+def _follows_moves(order) -> bool:
+    """r2r(w) == sum m e_{w o sigma} for every word w of order."""
+    gathers = _move_gathers(order)
+    return all(
+        r2r(w) == WordVector((order[targets[i]], m) for targets, m in gathers)
+        for i, w in enumerate(order)
+    )
 
 
 def _traces_match(powers, weight, totals) -> bool:
     """tr(M_nu^k) == sum m lam^k for every k < d, from powers[k] = e M^k."""
     return all(
-        sum(power[s] * c for s, c in weight.items())
+        sum(power[s, 0] * c for s, c in weight.items())
         == sum(m * lam**k for lam, m in totals.items())
         for k, power in enumerate(powers[:-1])
     )

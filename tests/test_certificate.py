@@ -3,13 +3,14 @@
 Every check runs against the CRT characteristic polynomial or against a
 deliberately wrong claim: a shifted eigenvalue, one unit of multiplicity
 moved, an eigenvalue outside the permutation spectrum, one perturbed entry
-of an explicit counts matrix, or a word outside the evaluation.
+of a counts matrix, or a word outside the evaluation.  The certificate reads
+the counts only through words.r2r: entry (i, j) of the counts of nu is the
+coefficient of order[j] in r2r(order[i]), with order = enumerate_words(nu),
+so each fault is injected into r2r.
 """
 
 import math
-from dataclasses import replace
 from fractions import Fraction
-from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -19,18 +20,10 @@ from shuffle_spectra import words
 from shuffle_spectra.combinatorics import partitions_of
 from shuffle_spectra.linalg import ExactMatrix, IntPolynomial
 from shuffle_spectra.spectrum import spectrum_for_evaluation
-from shuffle_spectra.words import certify_r2r_spectra
+from shuffle_spectra.words import WordVector, certify_r2r_spectra
 
 EVALUATIONS = [nu for n in range(1, 6) for nu in partitions_of(n)]
-_transition_matrix = cache(words.transition_matrix)
-
-
-@pytest.fixture(autouse=True, scope="module")
-def cached_matrices():
-    # each matrix is built once for the whole module; the certificate reads it
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(words, "transition_matrix", _transition_matrix)
-        yield
+_r2r = words.r2r
 
 
 def _spectrum(nu) -> dict[int, int]:
@@ -78,21 +71,27 @@ def _wrong_claims(nu):
         yield "outside", _moved(totals, support[-1], x)
 
 
-def _perturbed(nu, i, j, delta):
-    """A transition_matrix with entry (i, j) of nu's counts moved by delta."""
+def _perturbed(extra):
+    """words.r2r, except that r2r(w) gains the vector extra[w] for each word w in extra."""
 
-    def build(shuffle, evaluation):
-        tm = _transition_matrix(shuffle, evaluation)
-        if tuple(evaluation) != nu:
-            return tm
-        rows = [list(row) for row in tm.counts.data]
-        rows[i][j] += delta
-        return replace(tm, counts=ExactMatrix(rows))
+    def r2r(v):
+        v = v if isinstance(v, WordVector) else WordVector.unit(v)
+        out = _r2r(v)
+        for w, c in v.items():
+            if w in extra:
+                out = out + c * extra[w]
+        return out
 
-    return build
+    return r2r
 
 
-@pytest.mark.parametrize("n", range(7))
+def _entry_moved(nu, i, j, delta):
+    """words.r2r with entry (i, j) of nu's counts moved by delta."""
+    order = words.enumerate_words(nu)
+    return _perturbed({order[i]: delta * WordVector.unit(order[j])})
+
+
+@pytest.mark.parametrize("n", range(8))
 def test_certificate_accepts_every_predicted_spectrum(n):
     claims = {nu: _spectrum(nu) for nu in partitions_of(n)}
     assert certify_r2r_spectra(n, claims) == []
@@ -109,9 +108,9 @@ def test_certificate_rejects_wrong_spectra(nu):
 
 @pytest.mark.parametrize("nu", EVALUATIONS, ids=str)
 def test_certificate_rejects_one_perturbed_entry(nu, monkeypatch):
-    size = len(words.transition_matrix("r2r", nu).order)
+    size = len(words.enumerate_words(nu))
     for i, j in {(0, size - 1), (size - 1, 0), (size // 2, size // 2)}:
-        monkeypatch.setattr(words, "transition_matrix", _perturbed(nu, i, j, 1))
+        monkeypatch.setattr(words, "r2r", _entry_moved(nu, i, j, 1))
         assert _certify(nu, _spectrum(nu)) == [nu], (i, j)
 
 
@@ -139,12 +138,12 @@ def test_a_failed_permutation_check_names_only_the_permutation_deck():
 @given(data=st.data())
 def test_certificate_rejects_random_perturbations(data):
     nu = data.draw(st.sampled_from([nu for nu in EVALUATIONS if sum(nu) <= 4]))
-    size = len(words.transition_matrix("r2r", nu).order)
+    size = len(words.enumerate_words(nu))
     i = data.draw(st.integers(0, size - 1))
     j = data.draw(st.integers(0, size - 1))
     delta = data.draw(st.integers(-3, 3).filter(bool))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(words, "transition_matrix", _perturbed(nu, i, j, delta))
+        patch.setattr(words, "r2r", _entry_moved(nu, i, j, delta))
         assert _certify(nu, _spectrum(nu)) == [nu]
     claim = data.draw(st.sampled_from([claim for _, claim in _wrong_claims(nu)]))
     assert _certify(nu, claim) == [nu]
@@ -159,10 +158,10 @@ def test_move_check_catches_a_change_invisible_from_the_identity_word(monkeypatc
     # both are integral and orthogonal to every e M^k and every s(e) M^k.
     # The powers of the identity word e cannot see the change, and M' still
     # commutes with the swap s of 1 and 2; but its trace, and so its
-    # characteristic polynomial, is larger.  The row test of the move check
-    # rejects it: the rows of M' are not the move images of their words.
+    # characteristic polynomial, is larger.  The move check rejects the r2r
+    # whose counts are M': the image of a word is not its move image.
     top = (1, 1, 1, 1)
-    tm = _transition_matrix("r2r", top)
+    tm = words.transition_matrix("r2r", top)
     index = {w: i for i, w in enumerate(tm.order)}
     swapped = [index[tuple({1: 2, 2: 1}.get(x, x) for x in w)] for w in tm.order]
     powers = []
@@ -181,7 +180,12 @@ def test_move_check_catches_a_change_invisible_from_the_identity_word(monkeypatc
     )
     totals = _spectrum(top)
     assert changed.charpoly() != IntPolynomial.from_integer_roots(totals)
-    monkeypatch.setattr(words, "transition_matrix", lambda s, e: replace(tm, counts=changed))
+    extra = {
+        w: WordVector((u, c[i] * c[j] + d[i] * d[j]) for j, u in enumerate(tm.order))
+        for i, w in enumerate(tm.order)
+    }
+    monkeypatch.setattr(words, "r2r", _perturbed(extra))
+    assert words.operator_matrix(words.r2r, tm.order).transpose() == changed
     assert certify_r2r_spectra(4, {top: totals}) == [top]
 
 
@@ -207,34 +211,37 @@ def test_spectrum_check_catches_an_eigenvalue_with_matching_traces():
 
 
 def test_move_check_catches_a_wrong_row_for_a_word_outside_the_evaluation(monkeypatch):
-    # An extra word 111 with diagonal entry 8, claimed as eigenvalue 9 (which
-    # 111 has as a word of evaluation (3,)), would pass the traces.  Both
-    # halves of the move check reject it: 111 is not a word of (2, 1), and
-    # its row 8 e_111 is not its move image 9 e_111.
+    # r2r of a word of (2, 1) gains the word 111, which is not a word of
+    # (2, 1).  The powers and the traces come from the move table, so the
+    # true claim passes every other check; the move check rejects it, since
+    # the image of that word is not its move image.
     nu = (2, 1)
-    tm = _transition_matrix("r2r", nu)
-    rows = [list(row) + [0] for row in tm.counts.data] + [[0] * len(tm.order) + [8]]
-    fake = replace(tm, order=tm.order + ((1, 1, 1),), counts=ExactMatrix(rows))
-    monkeypatch.setattr(
-        words, "transition_matrix", lambda s, e: fake if e == nu else _transition_matrix(s, e)
-    )
-    claim = _spectrum(nu)
-    claim[9] += 1
-    assert _certify(nu, claim) == [nu]
+    word = words.enumerate_words(nu)[0]
+    monkeypatch.setattr(words, "r2r", _perturbed({word: WordVector.unit((1, 1, 1))}))
+    assert _certify(nu, _spectrum(nu)) == [nu]
 
 
-def test_order_check_catches_a_word_outside_the_evaluation(monkeypatch):
-    # The extra word 111 now has its true move image 9 e_111 as its row, and
-    # the claim holds its eigenvalue 9, so the rows, the spectrum and every
-    # trace over the matrix's own words agree; only the order test of the
-    # move check sees that 111 is not a word of (2, 1).
-    nu = (2, 1)
-    tm = _transition_matrix("r2r", nu)
-    rows = [list(row) + [0] for row in tm.counts.data] + [[0] * len(tm.order) + [9]]
-    fake = replace(tm, order=tm.order + ((1, 1, 1),), counts=ExactMatrix(rows))
-    monkeypatch.setattr(
-        words, "transition_matrix", lambda s, e: fake if e == nu else _transition_matrix(s, e)
-    )
-    claim = _spectrum(nu)
-    claim[9] += 1
-    assert _certify(nu, claim) == [nu]
+@pytest.mark.parametrize("n", range(7))
+def test_each_transition_matrix_row_is_the_move_image_of_its_word(n):
+    # The certificate proves its claims for r2r; this ties them to the
+    # matrices that transition_matrix builds and the CLI prints.
+    for nu in partitions_of(n):
+        tm = words.transition_matrix("r2r", nu)
+        assert tm.order == words.enumerate_words(nu)
+        gathers = words._move_gathers(tm.order)
+        for w, row in enumerate(tm.counts.data):
+            image = [0] * len(tm.order)
+            for targets, m in gathers:
+                image[targets[w]] += m
+            assert tuple(image) == row, (nu, tm.order[w])
+
+
+def test_certificate_builds_no_matrix(monkeypatch):
+    claims = {nu: _spectrum(nu) for nu in partitions_of(6)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate built a matrix")
+
+    monkeypatch.setattr(words, "transition_matrix", refuse)
+    monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+    assert certify_r2r_spectra(6, claims) == []
