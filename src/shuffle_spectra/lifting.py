@@ -21,8 +21,9 @@ matrix whose rows are the words of the space and whose columns are the
 vectors, and Lambda the diagonal matrix of their eigenvalues, it checks
 r2r V == V Lambda and rank V == dim of the space, in exact arithmetic.  r2r V
 needs no words-by-words matrix: each way of moving one letter is a
-permutation of positions, and `words.r2r_columns` sums one row gather of V
-per distinct move.
+permutation of positions, and `words.r2r_columns` sums one gather of each
+column of V per distinct move.  Rank V is the sum of the ranks of its
+per-eigenvalue blocks, which the eigen-equations make exact.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache
-
-import numpy as np
 
 from .combinatorics import (
     Partition,
@@ -45,6 +44,7 @@ from .combinatorics import (
     semistandard_tableaux,
     standard_tableaux,
 )
+from .linalg import ExactMatrix
 from .spectrum import eig_strip, sort_evaluation
 from .specht import specht_basis, theta_embedding
 from .words import (
@@ -196,11 +196,12 @@ def _check_eigenbasis(entries: list[EigenbasisEntry], words, dimension: int, spa
     words must be all the words of one evaluation, and a vector with any
     other word fails.  V holds the vectors as columns over words and Lambda
     their eigenvalues, so column j of r2r V == V Lambda is the eigen-equation
-    of vector j.  r2r V is the sum over the distinct moves sigma of r2r,
-    with multiplicities m, of m times V with row w taken from row w o sigma;
-    `r2r_columns` evaluates it on an object array, so nothing rounds or
-    overflows.  The span check is `ExactMatrix.rank` of V.  Each message
-    names the first failing vector.
+    of vector j.  `r2r_columns` evaluates r2r V with one gather of each
+    column per distinct move of r2r, in plain ints and Fractions, so nothing
+    rounds or overflows.  Once every eigen-equation holds, vectors of
+    distinct eigenvalues are independent, so rank V is the sum of the ranks
+    of its blocks of one eigenvalue each, and the span check adds up their
+    `ExactMatrix.rank`.  Each message names the first failing vector.
     """
     columns = [(entry, index) for entry in entries for index in range(len(entry.vectors))]
     vectors = [v for entry in entries for v in entry.vectors]
@@ -214,16 +215,19 @@ def _check_eigenbasis(entries: list[EigenbasisEntry], words, dimension: int, spa
         outside = next((w for w in v.words() if w not in known), None)
         if outside is not None:
             raise AssertionError(f"{label(j)} has word {word_to_text(outside)}, not in {space}")
-    matrix = operator_matrix(lambda v: v, vectors, words)
-    coords = np.array(matrix.data, dtype=object).reshape(matrix.rows, matrix.cols)
-    eigenvalues = np.array([entry.eigenvalue for entry, _ in columns], dtype=object)
-    failed = (r2r_columns(words, coords) != coords * eigenvalues).any(axis=0)
+    coords = operator_matrix(lambda v: v, vectors, words).transpose().data
+    eigenvalues = [entry.eigenvalue for entry, _ in columns]
+    images = r2r_columns(words, coords)
     for j, v in enumerate(vectors):
         if not v:
             raise AssertionError(f"zero {label(j)} in {space}")
-        if failed[j]:
+        if images[j] != [eigenvalues[j] * x for x in coords[j]]:
             raise AssertionError(f"eigen-equation failed for {label(j)} in {space}")
-    if len(vectors) != dimension or matrix.rank() != dimension:
+    blocks: dict[int, list] = {}
+    for lam, col in zip(eigenvalues, coords):
+        blocks.setdefault(lam, []).append(col)
+    rank = sum(ExactMatrix(block).rank() for block in blocks.values())
+    if len(vectors) != dimension or rank != dimension:
         raise AssertionError(f"eigenvectors do not span {space}")
 
 

@@ -10,14 +10,17 @@ Rank, nullspace and solve share one fraction-free Gauss-Jordan (Bareiss)
 elimination of the rows scaled to integers: each pivot column is cleared
 above and below, every update divides exactly by the previous pivot, and all
 pivots end equal, so a row over its pivot is a row of the reduced echelon
-form.  Ranks first try a certificate: a rank modulo one word-sized prime equal
-to the smaller dimension proves full rank, since a nonzero minor mod p is a
-nonzero integer minor.
+form.  Ranks first try a certificate: a rank modulo one word-sized prime,
+from a plain-int elimination over the shorter side, equal to the smaller
+dimension proves full rank, since a nonzero minor mod p is a nonzero integer
+minor.
 
 Characteristic polynomials are computed modulo a batch of word-sized primes
 (Hessenberg reduction followed by the standard minor recurrence) and
 recombined by CRT under a rigorous coefficient bound, so the result is exact
-even for the factorial-sized matrices this package produces.
+even for the factorial-sized matrices this package produces.  That modular
+step runs in numpy int64 arrays; it is the only numpy code in the package,
+and numpy is imported only when it runs.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 Scalar = int | Fraction
 Vector = tuple[Scalar, ...]
@@ -352,7 +353,7 @@ class ExactMatrix:
 # -- modular characteristic polynomial internals ---------------------------
 
 # Primes are capped so that a dot product of length <= _MAX_DIM of products of
-# two residues stays inside int64.
+# two residues stays inside the int64 arithmetic of _charpoly_mod.
 _PRIME_CAP = 1 << 26
 _MAX_DIM = (1 << 63) // (_PRIME_CAP * _PRIME_CAP)
 
@@ -389,30 +390,39 @@ def _prime_stream():
 
 
 def _rank_mod(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix modulo p, by Gaussian elimination in int64.
+    """Rank of an integer matrix modulo p, by Gaussian elimination in plain ints.
 
-    Residues stay below p < 2**26, so every product fits in int64.
+    Rank is invariant under transposition, so the elimination runs over the
+    shorter side.  It clears the columns left to right and drops each one
+    once cleared: a line with a nonzero first entry is the pivot, removed
+    and counted, and every other line adds the multiple of it that zeroes
+    its own first entry.
     """
-    a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-    n_rows, n_cols = a.shape
+    if rows and len(rows[0]) < len(rows):
+        rows = zip(*rows)
+    lines = [[x % p for x in row] for row in rows]
     rank = 0
-    for col in range(n_cols):
-        nz = np.flatnonzero(a[rank:, col])
-        if nz.size == 0:
+    while lines and lines[0]:
+        k = next((k for k, line in enumerate(lines) if line[0]), None)
+        if k is None:
+            lines = [line[1:] for line in lines]
             continue
-        pivot_row = rank + int(nz[0])
-        if pivot_row != rank:
-            a[[rank, pivot_row]] = a[[pivot_row, rank]]
-        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
-        below = a[rank + 1 :, col]
-        a[rank + 1 :, col:] = (a[rank + 1 :, col:] - below[:, None] * a[rank, col:]) % p
+        pivot = lines.pop(k)
         rank += 1
-        if rank == n_rows:
-            break
+        scale = p - pow(pivot[0], -1, p)
+        tail = [x * scale % p for x in pivot[1:]]
+        lines = [
+            [(x + line[0] * y) % p for x, y in zip(line[1:], tail)] if line[0] else line[1:]
+            for line in lines
+        ]
     return rank
 
 
 def _charpoly_int(a: list[list[int]]) -> tuple[int, ...]:
+    # numpy costs a fresh process more than half its start time, and only the
+    # vectorized int64 Hessenberg reduction below needs it, so it loads here
+    import numpy as np
+
     n = len(a)
     if n == 0:
         return (1,)
@@ -447,11 +457,13 @@ def _charpoly_int(a: list[list[int]]) -> tuple[int, ...]:
 
 
 def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Characteristic polynomial mod p, lowest degree first.
+    """Characteristic polynomial mod p, lowest degree first, of a numpy array.
 
     Reduction commutes with taking the characteristic polynomial, so no
     prime is ever "unlucky" here.
     """
+    import numpy as np
+
     n = a.shape[0]
     h = (a % p).astype(np.int64)
     # similarity reduction to upper Hessenberg form

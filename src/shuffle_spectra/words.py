@@ -10,10 +10,11 @@ eigenvectors and every operator image of them stay in int arithmetic.
 The three shuffles act unnormalized (integer coefficients); probability
 normalization by 1/n or 1/n^2 happens only when building transition
 matrices.  Random-to-random is also one table of position moves,
-_r2r_moves, and r2r_columns, the only code that applies it to vectors, does
-so for every column of a matrix over one word space at once.  Without
-building any matrix, certify_r2r_spectra checks r2r against it word by word
-and proves, in exact integers, that the r2r counts have a predicted spectrum.
+_r2r_moves, and _apply_moves, the only code that applies it to vectors,
+gathers a plain list of coefficients over one word space once per move;
+r2r_columns does so for every column of a matrix.  Without building any
+matrix, certify_r2r_spectra checks r2r against the table word by word and
+proves, in exact integers, that the r2r counts have a predicted spectrum.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, permutations, product
-from operator import itemgetter
-
-import numpy as np
+from itertools import chain, permutations, product, repeat
+from operator import add, itemgetter, mul
 
 from .linalg import ExactMatrix, Scalar
 
@@ -342,22 +341,37 @@ def _move_gathers(words) -> list[tuple[list[int], int]]:
     return gathers
 
 
-def r2r_columns(words, columns: np.ndarray) -> np.ndarray:
+def _apply_moves(gathers, column: list) -> list:
+    """r2r of one column over words, given gathers = _move_gathers(words).
+
+    Entry i of column is the coefficient of words[i].  The moves are closed
+    under inverses (delete at j and insert at k undoes delete at k and
+    insert at j), so the coefficient of w in r2r(v) is the sum over the
+    moves of m * v[w o sigma]: one C-level gather of the column per move,
+    summed per word, with the moves of equal multiplicity added up first.
+    Entries stay Python ints or Fractions, so nothing can overflow.
+    """
+    images: dict[int, list[tuple]] = {}
+    for rows, m in gathers:
+        # a lone word is its own image; itemgetter(0) gives an entry, not a tuple
+        gather = itemgetter(*rows) if len(rows) > 1 else tuple
+        images.setdefault(m, []).append(gather(column))
+    out = [0] * len(column)
+    for m, terms in images.items():
+        out = list(map(add, out, map(mul, repeat(m), map(sum, zip(*terms)))))
+    return out
+
+
+def r2r_columns(words, columns) -> list[list]:
     """r2r applied to every column of a matrix over words, exactly.
 
-    Row i of columns holds the coefficients of words[i], and words must be
-    all the words of one evaluation, in any order.  Column j of the result
-    holds the coefficients of r2r of column j.  The moves are closed under
-    inverses (delete at j and insert at k undoes delete at k and insert at
-    j), so the coefficient of w in r2r(v) is the sum over the moves of
-    m * v[w o sigma]: one row gather per move, and no words-by-words matrix.
-    Pass columns with dtype object, so that every entry stays a Python int
-    or Fraction and nothing can overflow.
+    Each column is a list whose entry i is the coefficient of words[i], and
+    words must be all the words of one evaluation, in any order.  Column j
+    of the result holds the coefficients of r2r of column j; no
+    words-by-words matrix is built.
     """
-    out = np.zeros_like(columns)
-    for rows, m in _move_gathers(tuple(words)):
-        out += m * columns[rows]
-    return out
+    gathers = _move_gathers(tuple(words))
+    return [_apply_moves(gathers, col) for col in columns]
 
 
 # -- word enumeration and transition matrices ---------------------------------
@@ -461,7 +475,7 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
        counts M_nu is r2r(w) over enumerate_words(nu), so M_nu is x acting
        on the words of nu, and M is x acting on the regular representation.
     2. Annihilation: e p(M) = 0, from the d products e M^k, each one
-       r2r_columns of the one before.  By 1, e p(M) is p(x) written in
+       _apply_moves of the one before.  By 1, e p(M) is p(x) written in
        permutation words, so p(x) = 0 and p(M_nu) = 0 for every nu: each M_nu
        is diagonalizable with its spectrum inside S, and nu's predicted
        eigenvalues must lie in S.
@@ -479,21 +493,25 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
     spectrum = [lam for lam, m in predicted[top].items() if m]
 
     # row w of M is r2r(w), so powers[k] = e M^k holds the coefficients of r2r^k(e)
-    powers = [np.zeros((len(perms), 1), dtype=object)]
+    gathers = _move_gathers(perms)
+    powers = [[0] * len(perms)]
     powers[0][index[tuple(range(1, n + 1))]] = 1
     for _ in spectrum:
-        powers.append(r2r_columns(perms, powers[-1]))
+        powers.append(_apply_moves(gathers, powers[-1]))
     poly = [1]
     for lam in spectrum:
         poly = [hi - lam * lo for hi, lo in zip([0] + poly, poly + [0])]
-    if sum(c * power for c, power in zip(poly, powers)).any():
+    total = [0] * len(perms)
+    for c, power in zip(poly, powers):
+        total = list(map(add, total, map(mul, repeat(c), power)))
+    if any(total):
         return [top]
 
     failures = []
     for nu, totals in predicted.items():
         order = enumerate_words(nu)
         if not (
-            _follows_moves(order)
+            _follows_moves(order, gathers if nu == top else _move_gathers(order))
             and all(lam in spectrum for lam, m in totals.items() if m)
             and _traces_match(powers, _fixing_permutations(order, index), totals)
         ):
@@ -501,9 +519,9 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
     return [top] if top in failures else failures
 
 
-def _follows_moves(order) -> bool:
-    """r2r(w) == sum m e_{w o sigma} for every word w of order."""
-    gathers = _move_gathers(order)
+def _follows_moves(order, gathers) -> bool:
+    """r2r(w) == sum m e_{w o sigma} for every word w of order, given
+    gathers = _move_gathers(order)."""
     return all(
         r2r(w) == WordVector((order[targets[i]], m) for targets, m in gathers)
         for i, w in enumerate(order)
@@ -513,7 +531,7 @@ def _follows_moves(order) -> bool:
 def _traces_match(powers, weight, totals) -> bool:
     """tr(M_nu^k) == sum m lam^k for every k < d, from powers[k] = e M^k."""
     return all(
-        sum(power[s, 0] * c for s, c in weight.items())
+        sum(power[s] * c for s, c in weight.items())
         == sum(m * lam**k for lam, m in totals.items())
         for k, power in enumerate(powers[:-1])
     )

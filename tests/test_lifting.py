@@ -385,6 +385,22 @@ def test_check_eigenbasis_rejects_and_names_the_first_failing_vector():
             check_specht_eigenbasis(shape, corrupted)
 
 
+def test_check_eigenbasis_ranks_by_eigenvalue_not_by_strip():
+    # The span check adds the ranks of the blocks of one eigenvalue; a
+    # vector repeated in two strips of equal eigenvalue must still fail it.
+    nu = (2, 1, 1)
+    words = enumerate_words(nu)
+    entries = [entry for _, entry in eigenbasis_for_evaluation(nu)]
+    strips = {(e.outer, e.inner): k for k, e in enumerate(entries)}
+    a, b = strips[(3, 1), (2, 1)], strips[(2, 1, 1), (1, 1)]
+    assert entries[a].eigenvalue == entries[b].eigenvalue == 6
+    copied = (entries[a].vectors[0],) + entries[b].vectors[1:]
+    # each strip alone stays independent, so only the eigenvalue block sees the repeat
+    assert word_rank(list(copied)) == len(copied)
+    with pytest.raises(AssertionError, match="eigenvectors do not span"):
+        _check_eigenbasis(_corrupt(entries, b, vectors=copied), words, len(words), "the word space")
+
+
 def test_check_eigenbasis_is_exact_beyond_64_bits():
     shape = (3, 1, 1)
     big = 2**64 + 3

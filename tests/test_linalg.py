@@ -212,6 +212,27 @@ def test_int_and_fraction_entries_agree(rows, cols, dependent, data):
     assert as_int.solve(rhs) == as_fraction.solve([Fraction(x) for x in rhs])
 
 
+def test_rank_mod_matches_exact_elimination():
+    # Entries lie in [-3, 3] and the shorter side is at most 6, so by
+    # Hadamard's bound every minor is at most (3 * 6**0.5)**6 = 54**3 < p in
+    # absolute value: a minor vanishes mod p only if it vanishes, and the
+    # rank mod p is the exact rank.
+    p = next(_prime_stream())
+    assert 54**3 < p
+    rng = random.Random(12)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (5, 5), (6, 6), (9, 3), (3, 9), (12, 6), (6, 12)]
+    for rows, cols in shapes:
+        for _ in range(10):
+            data = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            for i in range(1, rows):
+                # repeated, negated and zero rows make most of these singular
+                if rng.random() < 0.3:
+                    data[i] = [rng.choice((-1, 0, 1)) * x for x in data[rng.randrange(i)]]
+            expected = len(ExactMatrix(data)._echelon()[1])
+            assert _rank_mod(data, p) == expected, data
+            assert _rank_mod([list(col) for col in zip(*data)], p) == expected, data
+
+
 def test_rank_falls_back_when_singular_modulo_the_certificate_prime():
     p = next(_prime_stream())
     for data, expected in [

@@ -1,6 +1,11 @@
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import shuffle_spectra
 from shuffle_spectra.linalg import ExactMatrix
@@ -86,3 +91,39 @@ def test_the_benchmark_tracer_still_finds_every_layer():
     ]
     assert traced.FUNCTIONS and traced.METHODS
     assert missing == []
+
+
+def _run_cli(argv: list[str]) -> list[str]:
+    """Run the CLI in a fresh interpreter; return its stdout lines, the last
+    one saying whether numpy was imported."""
+    script = "\n".join(
+        [
+            "import sys",
+            "from shuffle_spectra.cli import main",
+            f"code = main({argv!r})",
+            "print('numpy' in sys.modules)",
+            "sys.exit(code)",
+        ]
+    )
+    src = str(Path(shuffle_spectra.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, first, loads_numpy",
+    [
+        # the certificate, eigenbasis checks and mod-p ranks are plain ints
+        (["verify", "--n", "5"], "verify n=5: OK", "False"),
+        # only the modular Laplacian charpoly needs numpy, and loads it itself
+        (["laplacian", "--n", "4", "--r", "3", "--spectrum"], "{", "True"),
+    ],
+)
+def test_numpy_is_imported_only_for_the_charpoly(argv, first, loads_numpy):
+    lines = _run_cli(argv)
+    assert lines[0] == first
+    assert lines[-1] == loads_numpy

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-import numpy as np
 import pytest
 
 from shuffle_spectra.injective import laplacian
@@ -242,19 +241,22 @@ def test_r2r_columns_matches_r2r_column_by_column():
     for n in range(0, 6):
         for nu in compositions(n):
             words = enumerate_words(nu)
-            columns = [WordVector.unit(w) for w in words]
-            columns.append(WordVector((w, rng.randint(-5, 5)) for w in words))
-            matrix = np.array(
-                [[v.coefficient(w) for v in columns] for w in words], dtype=object
-            )
-            images = r2r_columns(words, matrix)
-            for j, v in enumerate(columns):
-                assert WordVector(zip(words, images[:, j])) == r2r(v), (nu, j)
+            vectors = [WordVector.unit(w) for w in words]
+            vectors.append(WordVector((w, rng.randint(-5, 5)) for w in words))
+            vectors.append(WordVector((w, Fraction(rng.randint(-5, 5), 3)) for w in words))
+            columns = [[v.coefficient(w) for w in words] for v in vectors]
+            images = r2r_columns(words, columns)
+            assert len(images) == len(columns)
+            for j, v in enumerate(vectors):
+                assert len(images[j]) == len(words)
+                assert WordVector(zip(words, images[j])) == r2r(v), (nu, j)
             # any order of the words gives the same images
             shuffled = list(range(len(words)))
             rng.shuffle(shuffled)
-            again = r2r_columns([words[i] for i in shuffled], matrix[shuffled])
-            assert (again == images[shuffled]).all()
+            again = r2r_columns(
+                [words[i] for i in shuffled], [[col[i] for i in shuffled] for col in columns]
+            )
+            assert again == [[image[i] for i in shuffled] for image in images]
 
 
 def test_shuffle_compositions():
