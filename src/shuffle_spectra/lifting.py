@@ -8,12 +8,17 @@ the tests check it against the chain sum itself and against insertion
 followed by orthogonal projection.
 
 Kernel bases are nullspaces taken in word coordinates: the matrix whose
-columns are the images of the Specht basis vectors under the operator, over
-the words of the shape.  Composing lifts along the rows of a horizontal
-strip, smallest row first, and feeding in those kernel bases of the smaller
-shapes produces a complete eigenbasis of every Specht module; pushing those
-through the module embeddings indexed by semistandard tableaux yields a full
-eigenbasis of any word space.
+columns are the images of the Specht basis vectors under random-to-top, over
+the words of the shape.  Random-to-random is top-to-random after
+random-to-top, and top-to-random is the transpose of random-to-top in the
+word basis, so the two operators have the same kernel and random-to-top
+costs n images per word where random-to-random costs n^2.  Composing lifts
+along the rows of a horizontal strip, smallest row first, and feeding in
+those kernel bases of the smaller shapes produces a complete eigenbasis of
+every Specht module; each lift is kept as an integer multiple, which the
+scalar normal form of an eigenvector cannot tell apart, so no eigenvector
+costs a division.  Pushing those through the module embeddings indexed by
+semistandard tableaux yields a full eigenbasis of any word space.
 
 Both eigenbases pass one checker, `_check_eigenbasis`, before they are
 returned.  It tests the whole eigenbasis as one matrix identity: with V the
@@ -53,8 +58,8 @@ from .words import (
     apply_theta,
     enumerate_words,
     operator_matrix,
-    r2r,
     r2r_columns,
+    r2t,
     word_to_text,
 )
 
@@ -133,13 +138,23 @@ def lift_chain(outer: Partition, inner: Partition, v: WordVector) -> WordVector:
     the closed form valid; the composite is identically zero whenever the
     skew shape has two cells in one column.  It divides once, at the end.
     """
+    lifted, scale = _scaled_lift_chain(outer, inner, v)
+    return lifted / scale
+
+
+def _scaled_lift_chain(
+    outer: Partition, inner: Partition, v: WordVector
+) -> tuple[WordVector, int]:
+    """(g * lift_chain(outer, inner, v), g), with g the product of the gaps
+    of every lift along the chain; g is never zero, as every gap is
+    negative."""
     outer, inner = check_skew(outer, inner)
     current, scale = inner, 1
     for row in _added_rows(outer, inner):
         v, gaps = _scaled_lift(current, row, v)
         scale *= gaps
         current = _check_lift_target(current, row)
-    return v / scale
+    return v, scale
 
 
 @cache
@@ -147,16 +162,25 @@ def kernel_basis(shape: Partition) -> tuple[WordVector, ...]:
     """Basis of the kernel of the random-to-random operator on the Specht
     module of the shape, in the deterministic nullspace normal form.
 
-    The nullspace is taken over the words of the shape, so every returned
-    combination is annihilated exactly.  The dimension always equals the
-    number of desarrangement tableaux of the shape.
+    The nullspace is that of random-to-top, taken over the words of the
+    shape, so every returned combination is annihilated exactly.  It is the
+    same subspace: r2r = t2r o r2t with t2r the transpose of r2t in the word
+    basis, so r2r(v) = 0 gives |r2t(v)|^2 = <v, r2r(v)> = 0 over the
+    rationals, and the reduced nullspace basis depends only on the subspace.
+    The dimension always equals the number of desarrangement tableaux of the
+    shape, and `eigenbasis` checks these vectors again against r2r itself,
+    as the strip of eigenvalue 0.
     """
     shape = check_partition(shape)
     basis = specht_basis(shape).vectors
-    matrix = operator_matrix(r2r, basis, enumerate_words(shape))
+    matrix = operator_matrix(r2t, basis, enumerate_words(shape))
     vectors = []
     for coeffs in matrix.nullspace():
-        v = WordVector((w, c * x) for c, u in zip(coeffs, basis) for w, x in u.items())
+        # the normal form is the same for every nonzero multiple: clear the
+        # denominators first and combine in ints
+        multiple = math.lcm(*(c.denominator for c in coeffs))
+        coeffs = [c.numerator * (multiple // c.denominator) for c in coeffs]
+        v = WordVector((w, c * x) for c, u in zip(coeffs, basis) if c for w, x in u.items())
         vectors.append(normalize_vector(v))
     if len(vectors) != desarrangement_count(shape):
         raise AssertionError(
@@ -246,7 +270,9 @@ def eigenbasis(shape: Partition) -> tuple[EigenbasisEntry, ...]:
         kernel = kernel_basis(inner)
         if not kernel:
             continue
-        vectors = tuple(normalize_vector(lift_chain(shape, inner, u)) for u in kernel)
+        # the normal form is the same for every nonzero multiple, so the
+        # integral lift needs no division
+        vectors = tuple(normalize_vector(_scaled_lift_chain(shape, inner, u)[0]) for u in kernel)
         entries.append(EigenbasisEntry(shape, inner, eig_strip(shape, inner), vectors))
     _check_eigenbasis(
         entries,

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
+from operator import itemgetter
 
 from .combinatorics import (
     Partition,
@@ -140,6 +141,14 @@ def project_onto_specht(shape: Partition, v: WordVector) -> WordVector:
     return _gram_projection(shape, v)[1]
 
 
+@cache
+def _row_fills(t: Tableau) -> tuple[Word, ...]:
+    """Every choice of one distinct arrangement per row of t, concatenated."""
+    return tuple(
+        sum(combo, ()) for combo in product(*(multiset_arrangements(row) for row in t))
+    )
+
+
 def theta_embedding(t: Tableau, v: WordVector) -> WordVector:
     """Module morphism attached to a filled tableau.
 
@@ -148,22 +157,32 @@ def theta_embedding(t: Tableau, v: WordVector) -> WordVector:
     the tableau, summed over all choices.  On the increasing word this is
     the row-permuted concatenation sum, and the position action extends it
     to everything else.
+
+    Each choice is one fill of _row_fills(t), the rows' arrangements laid
+    end to end, so the letters of the fill line up with the letters of the
+    word sorted stably.  With rank[k] the place of position k in that
+    sorted order, every image of a word is one C-level gather
+    itemgetter(*rank)(fill), and the images are summed straight into one
+    dict.
     """
     shape = tableau_shape(t)
     shape = check_partition(shape)
     if not v:
         return WordVector()
-    _check_evaluation(shape, v)
-    row_options = [multiset_arrangements(row) for row in t]
-    terms: list[tuple[Word, Scalar]] = []
+    fills = _row_fills(tuple(map(tuple, t)))
+    n = sum(shape)
+    base = [r for r, length in enumerate(shape, 1) for _ in range(length)]
+    out: dict[Word, Scalar] = {}
     for word, coeff in v.items():
-        positions = [
-            [k for k, x in enumerate(word) if x == r] for r in range(1, len(t) + 1)
-        ]
-        for combo in product(*row_options):
-            out = list(word)
-            for r_positions, arrangement in zip(positions, combo):
-                for k, letter in zip(r_positions, arrangement):
-                    out[k] = letter
-            terms.append((tuple(out), coeff))
-    return WordVector(terms)
+        # a word outside the evaluation, of any length, makes _check_evaluation
+        # raise before its positions are sorted
+        if sorted(word) != base:
+            _check_evaluation(shape, v)
+        order = sorted(range(n), key=word.__getitem__)
+        rank = sorted(range(n), key=order.__getitem__)
+        # a word of at most one letter is its own image; itemgetter(0) gives a letter
+        gather = itemgetter(*rank) if n > 1 else tuple
+        for fill in fills:
+            image = gather(fill)
+            out[image] = out.get(image, 0) + coeff
+    return WordVector(out)

@@ -521,11 +521,19 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
 
 def _follows_moves(order, gathers) -> bool:
     """r2r(w) == sum m e_{w o sigma} for every word w of order, given
-    gathers = _move_gathers(order)."""
-    return all(
-        r2r(w) == WordVector((order[targets[i]], m) for targets, m in gathers)
-        for i, w in enumerate(order)
-    )
+    gathers = _move_gathers(order).
+
+    The move image of w is summed into a plain dict of positive counts and
+    compared with the terms of r2r(w), which hold no zeros either.
+    """
+    for i, w in enumerate(order):
+        image: dict[Word, int] = {}
+        for targets, m in gathers:
+            u = order[targets[i]]
+            image[u] = image.get(u, 0) + m
+        if r2r(w).items() != image.items():
+            return False
+    return True
 
 
 def _traces_match(powers, weight, totals) -> bool:

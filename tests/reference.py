@@ -6,14 +6,15 @@ the position action can be checked by an independent route.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from shuffle_spectra.combinatorics import part
+from shuffle_spectra.combinatorics import multiset_arrangements, part
 from shuffle_spectra.words import (
     Permutation,
     WordVector,
     apply_sh,
     apply_theta,
+    evaluation_of,
     operator_matrix,
 )
 
@@ -48,4 +49,26 @@ def chain_lift(shape, row: int, v: WordVector) -> WordVector:
             for b_from, b_to in zip(steps, steps[1:]):
                 term = apply_theta(b_from, b_to, term)
             terms.extend((w, coeff * c) for w, c in term.items())
+    return WordVector(terms)
+
+
+def theta_by_positions(t, v: WordVector) -> WordVector:
+    """The embedding of a filled tableau written position by position: the
+    occurrences of each letter r of a word, in position order, are
+    overwritten by every distinct arrangement of row r of t, summed over
+    all choices of one arrangement per row."""
+    shape = tuple(len(row) for row in t)
+    for word in v.words():
+        if evaluation_of(word) != shape:
+            raise ValueError(f"word {word} has evaluation {evaluation_of(word)}, expected {shape}")
+    row_options = [multiset_arrangements(row) for row in t]
+    terms = []
+    for word, coeff in v.items():
+        positions = [[k for k, x in enumerate(word) if x == r] for r in range(1, len(t) + 1)]
+        for combo in product(*row_options):
+            out = list(word)
+            for r_positions, arrangement in zip(positions, combo):
+                for k, letter in zip(r_positions, arrangement):
+                    out[k] = letter
+            terms.append((tuple(out), coeff))
     return WordVector(terms)

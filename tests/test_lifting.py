@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from shuffle_spectra import lifting
+from shuffle_spectra import lifting, words
 from shuffle_spectra.combinatorics import (
     desarrangement_count,
     horizontal_strip_inners,
@@ -15,6 +15,7 @@ from shuffle_spectra.combinatorics import (
 from shuffle_spectra.lifting import (
     _check_eigenbasis,
     _check_lift_target,
+    _scaled_lift_chain,
     eigenbasis,
     eigenbasis_for_evaluation,
     kernel_basis,
@@ -86,6 +87,19 @@ def test_kernel_basis_matches_specht_coordinate_nullspace():
             for v in kernel:
                 assert r2r(v) == WordVector()
                 assert specht_coordinates(shape, v) is not None
+
+
+def test_kernel_basis_applies_no_random_to_random(monkeypatch):
+    # the kernel is taken through random-to-top, n images per word
+    expected = kernel_basis((3, 2, 1))
+
+    def refuse(v):
+        raise AssertionError("kernel_basis applied r2r")
+
+    monkeypatch.setattr(words, "r2r", refuse)
+    if hasattr(lifting, "r2r"):
+        monkeypatch.setattr(lifting, "r2r", refuse)
+    assert kernel_basis.__wrapped__((3, 2, 1)) == expected
 
 
 def test_kernel_general_hook_pattern():
@@ -174,6 +188,19 @@ def test_lift_chain_worked_values():
     assert lift_chain((2, 1), (2, 1), k21) == k21  # empty chain
     # two cells in one column kill the composite
     assert lift_chain((3, 2), (1, 1), WordVector({W("ab"): 1, W("ba"): -1})) == WordVector()
+
+
+def test_scaled_lift_chain_is_an_integral_multiple_of_lift_chain():
+    for n in range(0, 7):
+        for outer in partitions_of(n):
+            for inner in horizontal_strip_inners(outer):
+                for u in kernel_basis(inner):
+                    lifted, g = _scaled_lift_chain(outer, inner, u)
+                    exact = lift_chain(outer, inner, u)
+                    assert g != 0
+                    assert all(type(c) is int for _, c in lifted.items()), (outer, inner)
+                    assert lifted == g * exact, (outer, inner)
+                    assert normalize_vector(lifted) == normalize_vector(exact), (outer, inner)
 
 
 def test_lift_matches_projection_form():

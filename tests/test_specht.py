@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -29,7 +30,7 @@ from shuffle_spectra.words import (
     word_from_text,
 )
 
-from reference import word_rank
+from reference import theta_by_positions, word_rank
 
 W = word_from_text
 
@@ -158,6 +159,43 @@ def test_theta_embedding_special_cases():
     assert theta_embedding(t, v) == v
     with pytest.raises(ValueError):
         theta_embedding(t, WordVector.unit(W("1112")))
+
+
+def _compositions(n):
+    """Every sequence of positive parts summing to n."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_theta_embedding_matches_the_per_position_definition(n):
+    # every semistandard tableau of every shape of size n, on every word of
+    # the shape and on one integer combination of all of them
+    rng = random.Random(n)
+    for shape in partitions_of(n):
+        words = enumerate_words(shape)
+        combination = WordVector((w, rng.choice([-3, -2, -1, 1, 2, 3])) for w in words)
+        tableaux = [t for nu in _compositions(n) for t in semistandard_tableaux(shape, nu)]
+        assert tableaux, shape
+        for t in tableaux:
+            for w in words:
+                unit = WordVector.unit(w)
+                assert theta_embedding(t, unit) == theta_by_positions(t, unit), (t, w)
+            assert theta_embedding(t, combination) == theta_by_positions(t, combination), t
+
+
+def test_theta_embedding_rejects_words_outside_the_evaluation():
+    t = ((1, 1, 2), (2,))
+    # too short, too long, a letter outside the shape, the wrong multiplicities
+    for bad in ["112", "11122", "1113", "2212"]:
+        for v in [WordVector.unit(W(bad)), WordVector({W("1112"): 1, W(bad): 2})]:
+            with pytest.raises(ValueError, match=re.escape(f"word {W(bad)} has evaluation")):
+                theta_embedding(t, v)
+            with pytest.raises(ValueError):
+                theta_by_positions(t, v)
 
 
 def test_theta_embedding_is_module_morphism():
