@@ -16,12 +16,21 @@ Convention at the bottom of the complex: the empty word is the unique basis
 element in degree zero, deleting the only letter of a word picks up the sign
 of position one, and the out-of-range maps are zero, so the extreme
 Laplacians use their single surviving term.
+
+laplacian_spectrum proves each spectrum integral without a characteristic
+polynomial: the Laplacian commutes with relabelling the letters, and the
+symmetric group acts transitively on the words, so the Krylov sequence of a
+single word decides annihilation and every multiplicity, in plain ints
+(see _certify_integral_spectrum).
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache, partial
-from itertools import permutations
+from itertools import permutations, repeat
+from operator import add, mul
+from typing import Sequence
 
 from .combinatorics import sign_of_word  # noqa: F401  (re-exported)
 from .linalg import ExactMatrix
@@ -124,14 +133,89 @@ def signed_r2r(v: WordVector) -> WordVector:
 
 
 def laplacian_spectrum(n: int, r: int) -> dict[int, int]:
-    """Integer spectrum of the Laplacian with multiplicities.
+    """Integer spectrum of the Laplacian with multiplicities, ascending.
 
-    Raises if the characteristic polynomial fails to split over the
-    integers, which would falsify the integrality statement.
+    Raises AssertionError if the spectrum is not integral, which would
+    falsify the integrality statement.
     """
-    matrix = laplacian(n, r)
-    poly = matrix.charpoly()
-    roots, remainder = poly.integer_roots(bound=matrix.eigenvalue_bound())
-    if remainder.degree != 0:
+    return _certify_integral_spectrum(laplacian(n, r), injective_words(n, r))
+
+
+def _certify_integral_spectrum(matrix: ExactMatrix, words: Sequence[Word]) -> dict[int, int]:
+    """Prove that an integer matrix on the injective words of one length has
+    an integral spectrum, and return it: {eigenvalue: multiplicity} over the
+    eigenvalues that occur, in ascending order.
+
+    words indexes the rows and columns and must be every injective word of
+    length r over {1..n}, for n its largest letter.  The symmetric group S_n
+    acts on them by relabelling letters, transitively.  Let N = len(words),
+    R = matrix.eigenvalue_bound(), w0 = words[0] and p = prod (x - lam) over
+    -R <= lam <= R.  Three exact checks, in plain ints:
+
+    1. Equivariance: M[s w][s u] == M[w][u] at every nonzero entry, for s the
+       transposition (1 2) and the cycle (1 2 ... n).  Relabelling is a
+       bijection on entries, so zeros go to zeros too, and M commutes with
+       the action of all of S_n.
+    2. Annihilation: p(M) e_w0 == 0, from the Krylov vectors M^k e_w0.  By 1,
+       p(M) e_{s w0} = s p(M) e_w0 = 0 for every s, and the words s w0 are
+       all the words, so p(M) = 0: M is diagonalizable and its eigenvalues
+       are integers in [-R, R].
+    3. Multiplicities: with q = p / (x - lam), P = q(M) / q(lam) is the
+       projection onto the lam-eigenspace, and by 1 its diagonal is
+       constant, so m_lam = tr P = N * sum q[k] c_k / q(lam), where
+       c_k = (M^k e_w0)[w0].  The division is exact; a remainder raises.
+
+    Raises ValueError on a word list of the wrong form and AssertionError
+    when a check fails.
+    """
+    n = max((max(w) for w in words if w), default=0)
+    r = len(words[0]) if words else 0
+    size = len(words)
+    if (matrix.rows, matrix.cols) != (size, size) or sorted(words) != list(injective_words(n, r)):
+        raise ValueError("words must be every injective word of one length, one per row")
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in matrix.to_int_rows()]
+
+    index = {w: i for i, w in enumerate(words)}
+    relabellings = [(0, *range(2, n + 1), 1)] + ([(0, 2, 1, *range(3, n + 1))] if n > 1 else [])
+    for s in relabellings:
+        image = [index[tuple(s[a] for a in w)] for w in words]
+        for i, row in enumerate(rows):
+            target = matrix.data[image[i]]
+            if any(target[image[j]] != x for j, x in row):
+                raise AssertionError(f"Laplacian for n={n}, r={r} does not commute with S_{n}")
+
+    bound = matrix.eigenvalue_bound()
+    spectrum = range(-bound, bound + 1)
+    poly = [1]
+    for lam in spectrum:
+        poly = [hi - lam * lo for hi, lo in zip([0] + poly, poly + [0])]
+    # krylov runs through M^k e_w0, total adds up p(M) e_w0, diagonal[k] = c_k
+    krylov = [1] + [0] * (size - 1)
+    total = [0] * size
+    diagonal = []
+    for k, c in enumerate(poly):
+        if k:
+            krylov = [sum(x * krylov[j] for j, x in row) for row in rows]
+        total = list(map(add, total, map(mul, repeat(c), krylov)))
+        diagonal.append(krylov[0])
+    if any(total):
         raise AssertionError(f"Laplacian spectrum for n={n}, r={r} is not integral")
-    return roots
+
+    out = {}
+    for lam in spectrum:
+        # q = p / (x - lam) by synthetic division, highest degree first
+        quotient, carry = [], 0
+        for c in reversed(poly[1:]):
+            carry = c + lam * carry
+            quotient.append(carry)
+        mult, remainder = divmod(
+            size * sum(map(mul, reversed(quotient), diagonal)),
+            math.prod(lam - mu for mu in spectrum if mu != lam),
+        )
+        if remainder:
+            raise AssertionError(
+                f"Laplacian for n={n}, r={r}: multiplicity of {lam} is not an integer"
+            )
+        if mult:
+            out[lam] = mult
+    return out

@@ -15,18 +15,18 @@ from a plain-int elimination over the shorter side, equal to the smaller
 dimension proves full rank, since a nonzero minor mod p is a nonzero integer
 minor.
 
-Characteristic polynomials are computed modulo a batch of word-sized primes
-(Hessenberg reduction followed by the standard minor recurrence) and
-recombined by CRT under a rigorous coefficient bound, so the result is exact
-even for the factorial-sized matrices this package produces.  That modular
-step runs in numpy int64 arrays; it is the only numpy code in the package,
-and numpy is imported only when it runs.
+No command computes a characteristic polynomial: the spectra the package
+prints are proved by certificates built from a few Krylov vectors
+(words.certify_r2r_spectra, injective.laplacian_spectrum).  charpoly stays
+for small matrices, by the Faddeev-LeVerrier recurrence in plain ints; the
+tests check spectra against a modular CRT charpoly of their own.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
@@ -342,20 +342,34 @@ class ExactMatrix:
         """Characteristic polynomial det(xI - M) of an integer matrix.
 
         Requires a square matrix with integral entries; scale denominators
-        away first.
+        away first.  Faddeev-LeVerrier: with B_1 = I, the coefficient of
+        x^(n-k) is c = -tr(M B_k) / k, an exact division, and
+        B_(k+1) = M B_k + c I.  That is n dense products, so it suits small
+        matrices.
         """
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        entries = self.to_int_rows()
-        return IntPolynomial(_charpoly_int(entries))
+        a = self.to_int_rows()
+        n = self.rows
+        coefficients = [0] * n + [1]
+        b = ExactMatrix.identity(n).data
+        for k in range(1, n + 1):
+            ab = [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+            c = -sum(ab[i][i] for i in range(n)) // k
+            coefficients[n - k] = c
+            b = ab
+            for i in range(n):
+                b[i][i] += c
+        return IntPolynomial(coefficients)
 
 
-# -- modular characteristic polynomial internals ---------------------------
+# -- modular ranks ----------------------------------------------------------
 
-# Primes are capped so that a dot product of length <= _MAX_DIM of products of
-# two residues stays inside the int64 arithmetic of _charpoly_mod.
+# The most words or injective words that a command builds a matrix over: the
+# cap on the exact arithmetic, which is dense in that dimension.
+_MAX_DIM = 2048
+# Ranks are taken modulo primes below this cap (_rank_mod).
 _PRIME_CAP = 1 << 26
-_MAX_DIM = (1 << 63) // (_PRIME_CAP * _PRIME_CAP)
 
 
 def _is_prime(n: int) -> bool:
@@ -416,85 +430,3 @@ def _rank_mod(rows: list[list[int]], p: int) -> int:
             for line in lines
         ]
     return rank
-
-
-def _charpoly_int(a: list[list[int]]) -> tuple[int, ...]:
-    # numpy costs a fresh process more than half its start time, and only the
-    # vectorized int64 Hessenberg reduction below needs it, so it loads here
-    import numpy as np
-
-    n = len(a)
-    if n == 0:
-        return (1,)
-    if n > _MAX_DIM:
-        raise ValueError(f"matrix too large for modular charpoly ({n} > {_MAX_DIM})")
-    radius = max(sum(abs(x) for x in row) for row in a)
-    # every eigenvalue z has |z| <= radius, so the coefficient of x^(n-k)
-    # is bounded by C(n,k) * radius^k
-    bound = max(math.comb(n, k) * radius**k for k in range(n + 1))
-    target = 2 * bound + 1
-
-    if max(abs(x) for row in a for x in row) < (1 << 62):
-        arr = np.array(a, dtype=np.int64)
-    else:
-        arr = np.array(a, dtype=object)
-    modulus = 1
-    combined = [0] * (n + 1)
-    for p in _prime_stream():
-        residues = _charpoly_mod(arr, p)
-        if modulus == 1:
-            combined = [int(r) for r in residues]
-        else:
-            inv = pow(modulus % p, p - 2, p)
-            for i in range(n + 1):
-                delta = (int(residues[i]) - combined[i]) % p
-                combined[i] += modulus * ((delta * inv) % p)
-        modulus *= p
-        if modulus >= target:
-            break
-    half = modulus // 2
-    return tuple(c - modulus if c > half else c for c in combined)
-
-
-def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Characteristic polynomial mod p, lowest degree first, of a numpy array.
-
-    Reduction commutes with taking the characteristic polynomial, so no
-    prime is ever "unlucky" here.
-    """
-    import numpy as np
-
-    n = a.shape[0]
-    h = (a % p).astype(np.int64)
-    # similarity reduction to upper Hessenberg form
-    for k in range(n - 2):
-        col = h[k + 1 :, k]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = int(nz[0]) + k + 1
-        if piv != k + 1:
-            h[[k + 1, piv], :] = h[[piv, k + 1], :]
-            h[:, [k + 1, piv]] = h[:, [piv, k + 1]]
-        inv = pow(int(h[k + 1, k]), p - 2, p)
-        mult = (h[k + 2 :, k] * inv) % p
-        h[k + 2 :, :] = (h[k + 2 :, :] - mult[:, None] * h[k + 1, :]) % p
-        h[:, k + 1] = (h[:, k + 1] + h[:, k + 2 :] @ mult) % p
-    # minor recurrence on the Hessenberg form; polys[k] holds the
-    # characteristic polynomial of the leading k x k block
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    prods = np.zeros(0, dtype=np.int64)  # prods[i] = h[i+1,i] * ... * h[k-1,k-2]
-    for k in range(1, n + 1):
-        if k >= 2:
-            s = int(h[k - 1, k - 2])
-            prods = np.concatenate([(prods * s) % p, np.array([s], dtype=np.int64)])
-        hkk = int(h[k - 1, k - 1])
-        new = np.zeros(n + 1, dtype=np.int64)
-        new[1 : k + 1] = polys[k - 1, 0:k]
-        new[0:k] = (new[0:k] - hkk * polys[k - 1, 0:k]) % p
-        if k >= 2:
-            weights = (h[0 : k - 1, k - 1] * prods[: k - 1]) % p
-            new[0:k] = (new[0:k] - weights @ polys[0 : k - 1, 0:k]) % p
-        polys[k, :] = new % p
-    return polys[n, :]

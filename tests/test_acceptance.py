@@ -4,8 +4,8 @@ Each test prints a single PASS line with its runtime when it succeeds; any
 mismatch fails the test with the offending data in the assertion message.
 The heavyweight item is the exact characteristic polynomial of the 720x720
 permutation transition matrix, proved by the spectral certificate in about a
-second; the smaller matrices also go through the CRT charpoly as an
-independent cross-check.
+second; the smaller matrices, and every Laplacian with n <= 5, also go
+through the CRT charpoly of reference.py as an independent cross-check.
 """
 
 import json
@@ -28,6 +28,7 @@ from shuffle_spectra.frobenius import SchurExpansion, frobenius_of_eigenspace
 from shuffle_spectra.injective import (
     injective_words,
     laplacian,
+    laplacian_spectrum,
     signed_r2r,
 )
 from shuffle_spectra.lifting import (
@@ -67,7 +68,7 @@ from golden_tables import (
     R2T_COUNTS_22,
     WORDS_22,
 )
-from reference import word_rank
+from reference import charpoly, word_rank
 
 W = word_from_text
 LETTERS = (1, 2, 3)
@@ -123,7 +124,7 @@ def test_criterion_02_golden_spectrum_tables():
 def _check_charpoly_matches_prediction(nu):
     report = spectrum_for_evaluation(nu)
     counts = transition_matrix("r2r", nu).counts
-    poly = counts.charpoly()
+    poly = charpoly(counts)
     predicted = IntPolynomial.from_integer_roots(report.totals)
     assert poly == predicted, f"characteristic polynomial mismatch on {nu}"
     roots, rest = poly.integer_roots(bound=counts.eigenvalue_bound())
@@ -379,10 +380,11 @@ def test_criterion_09_injective_words_integrality():
     for n in range(1, 6):
         for r in range(0, n + 1):
             matrix = laplacian(n, r)
-            poly = matrix.charpoly()
-            roots, rest = poly.integer_roots(bound=matrix.eigenvalue_bound())
+            roots, rest = charpoly(matrix).integer_roots(bound=matrix.eigenvalue_bound())
             assert rest.degree == 0, f"non-integral Laplacian spectrum at n={n}, r={r}"
             assert sum(roots.values()) == len(injective_words(n, r))
+            # the certified spectrum is the CRT one, key order included
+            assert list(laplacian_spectrum(n, r).items()) == list(roots.items()), (n, r)
         words = injective_words(n, n)
         signed = operator_matrix(signed_r2r, words)
         assert operator_matrix(lambda v: _sign_twist(r2r(_sign_twist(v))), words) == signed, n

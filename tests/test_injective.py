@@ -3,6 +3,7 @@ import math
 import pytest
 
 from shuffle_spectra.injective import (
+    _certify_integral_spectrum,
     boundary,
     boundary_matrix,
     coboundary,
@@ -15,6 +16,8 @@ from shuffle_spectra.injective import (
 from shuffle_spectra.linalg import ExactMatrix
 from shuffle_spectra.spectrum import spectrum_for_evaluation
 from shuffle_spectra.words import WordVector, apply_permutation, operator_matrix, r2r
+
+from reference import charpoly
 
 
 def signed_r2r_matrix(n, r):
@@ -145,8 +148,86 @@ def test_signed_and_plain_operators_share_spectra():
 
     for n in range(1, 5):
         signed = signed_r2r_matrix(n, n)
-        poly = signed.charpoly()
+        poly = charpoly(signed)
         expected = IntPolynomial.from_integer_roots(
             spectrum_for_evaluation((1,) * n).totals
         )
         assert poly == expected
+
+
+def test_top_laplacian_spectrum_at_six_is_the_shuffle_spectrum():
+    # the top Laplacian is the signed r2r, conjugate to r2r by the sign
+    # twist, so the strip theory gives its spectrum by an independent route
+    totals = spectrum_for_evaluation((1,) * 6).totals
+    spectrum = laplacian_spectrum(6, 6)
+    assert spectrum == {lam: m for lam, m in totals.items() if m}
+    assert list(spectrum) == sorted(spectrum)
+
+
+def test_certificate_returns_the_spectrum_in_ascending_order():
+    for n, r in [(1, 0), (1, 1), (3, 0), (3, 2), (4, 3), (4, 4)]:
+        matrix = laplacian(n, r)
+        spectrum = _certify_integral_spectrum(matrix, injective_words(n, r))
+        roots, rest = charpoly(matrix).integer_roots(bound=matrix.eigenvalue_bound())
+        assert rest.degree == 0
+        assert list(spectrum.items()) == list(roots.items()), (n, r)
+        assert list(spectrum) == sorted(spectrum) and all(spectrum.values())
+
+
+@pytest.mark.parametrize(
+    "kept", [(), ((2, 1, 3, 4),), ((2, 3, 4, 1),)], ids=["none", "transposition", "cycle"]
+)
+def test_certificate_rejects_a_matrix_that_breaks_the_symmetry(kept):
+    # one symmetric pair of entries moved, together with its images under the
+    # letter relabellings in kept: still symmetric and still commuting with
+    # those, no longer with all of S_4, so each generator is needed
+    words = injective_words(4, 3)
+    index = {w: i for i, w in enumerate(words)}
+    data = [list(row) for row in laplacian(4, 3).data]
+    i, j = next((i, j) for i, row in enumerate(data) for j, x in enumerate(row) if x and i < j)
+    moved = {(i, j), (j, i)}
+    while True:
+        images = {
+            (index[tuple(s[a - 1] for a in words[x])], index[tuple(s[a - 1] for a in words[y])])
+            for x, y in moved
+            for s in kept
+        }
+        if images <= moved:
+            break
+        moved |= images
+    for i, j in moved:
+        data[i][j] += 1
+    changed = ExactMatrix(data)
+    assert changed.is_symmetric() and len(moved) < 2 * len(words)
+    with pytest.raises(AssertionError, match="does not commute"):
+        _certify_integral_spectrum(changed, words)
+
+
+def test_certificate_rejects_an_equivariant_matrix_with_irrational_spectrum():
+    # right multiplication by (1 2) + 2 (2 3), acting on positions, commutes
+    # with relabelling letters; on the standard representation of S_3 it has
+    # trace 0 and determinant -3, so eigenvalues +-sqrt(3)
+    sympy = pytest.importorskip("sympy")
+    words = injective_words(3, 3)
+    moves = [((2, 1, 3), 1), ((1, 3, 2), 2)]
+    matrix = operator_matrix(
+        lambda v: WordVector(
+            (apply_permutation(w, tau), m * c) for w, c in v.items() for tau, m in moves
+        ),
+        words,
+    )
+    eigenvalues = sympy.Matrix(matrix.data).eigenvals()
+    assert eigenvalues == {3: 1, -3: 1, sympy.sqrt(3): 2, -sympy.sqrt(3): 2}
+    with pytest.raises(AssertionError, match="is not integral"):
+        _certify_integral_spectrum(matrix, words)
+
+
+def test_certificate_rejects_a_word_list_that_is_not_one_orbit():
+    words = injective_words(3, 2)
+    matrix = laplacian(3, 2)
+    smaller = ExactMatrix([row[:-1] for row in matrix.data[:-1]])
+    with pytest.raises(ValueError):
+        _certify_integral_spectrum(smaller, words[:-1])
+    with pytest.raises(ValueError):
+        _certify_integral_spectrum(matrix, words[:-1] + ((1, 1),))
+

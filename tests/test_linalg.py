@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from shuffle_spectra.linalg import ExactMatrix, IntPolynomial, _prime_stream, _rank_mod
 
 from golden_tables import R2R_COUNTS_22
+from reference import charpoly
 
 
 def test_nullspace_identity_is_empty():
@@ -41,21 +42,21 @@ def test_rank_of_shifted_transition_counts():
 
 
 def test_charpoly_trivial():
-    assert ExactMatrix([[5]]).charpoly() == IntPolynomial((-5, 1))
-    assert ExactMatrix.identity(2).charpoly() == IntPolynomial((1, -2, 1))
-    assert ExactMatrix([]).charpoly() == IntPolynomial((1,))
+    assert charpoly(ExactMatrix([[5]])) == IntPolynomial((-5, 1))
+    assert charpoly(ExactMatrix.identity(2)) == IntPolynomial((1, -2, 1))
+    assert charpoly(ExactMatrix([])) == IntPolynomial((1,))
 
 
 def test_charpoly_of_worked_shuffle_matrix():
-    cp = ExactMatrix(R2R_COUNTS_22).charpoly()
+    cp = charpoly(ExactMatrix(R2R_COUNTS_22))
     assert cp == IntPolynomial.from_integer_roots({16: 1, 10: 1, 6: 1, 4: 1, 0: 2})
 
 
 def test_charpoly_rejects_bad_input():
     with pytest.raises(ValueError):
-        ExactMatrix([[1, 2]]).charpoly()
+        charpoly(ExactMatrix([[1, 2]]))
     with pytest.raises(ValueError):
-        ExactMatrix([[Fraction(1, 2)]]).charpoly()
+        charpoly(ExactMatrix([[Fraction(1, 2)]]))
 
 
 def test_charpoly_matches_sympy_on_random_matrices():
@@ -64,7 +65,7 @@ def test_charpoly_matches_sympy_on_random_matrices():
     for _ in range(15):
         n = rng.randint(1, 8)
         data = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
-        mine = ExactMatrix(data).charpoly()
+        mine = charpoly(ExactMatrix(data))
         theirs = [int(c) for c in sympy.Matrix(data).charpoly().all_coeffs()[::-1]]
         assert list(mine.coefficients) == theirs
 
@@ -79,9 +80,23 @@ def test_charpoly_multiplicative_on_block_diagonals():
             row + [0] * b_n for row in a
         ] + [[0] * a_n + row for row in b]
         assert (
-            ExactMatrix(block).charpoly()
-            == ExactMatrix(a).charpoly() * ExactMatrix(b).charpoly()
+            charpoly(ExactMatrix(block))
+            == charpoly(ExactMatrix(a)) * charpoly(ExactMatrix(b))
         )
+
+
+def test_faddeev_charpoly_matches_the_crt_reference():
+    # ExactMatrix.charpoly is the library's own small-matrix route
+    rng = random.Random(4321)
+    for _ in range(20):
+        n = rng.randint(0, 9)
+        m = ExactMatrix([[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)])
+        assert m.charpoly() == charpoly(m)
+    assert ExactMatrix(R2R_COUNTS_22).charpoly() == charpoly(ExactMatrix(R2R_COUNTS_22))
+    with pytest.raises(ValueError):
+        ExactMatrix([[1, 2]]).charpoly()
+    with pytest.raises(ValueError):
+        ExactMatrix([[Fraction(1, 2)]]).charpoly()
 
 
 def test_solve_identity_and_inconsistent():

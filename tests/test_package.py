@@ -47,7 +47,7 @@ def _floating(node) -> bool:
 
 def test_the_exact_core_has_no_floating_point():
     # every printed claim rests on exact arithmetic, so no float may enter
-    # the package, numpy code included
+    # the package
     found = [
         f"{name}:{node.lineno}: {ast.unparse(node)}"
         for name, tree in package_trees()
@@ -115,15 +115,37 @@ def _run_cli(argv: list[str]) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "argv, first, loads_numpy",
+    "argv, first",
     [
-        # the certificate, eigenbasis checks and mod-p ranks are plain ints
-        (["verify", "--n", "5"], "verify n=5: OK", "False"),
-        # only the modular Laplacian charpoly needs numpy, and loads it itself
-        (["laplacian", "--n", "4", "--r", "3", "--spectrum"], "{", "True"),
+        # the r2r certificate, eigenbasis checks and mod-p ranks are plain ints
+        (["verify", "--n", "5"], "verify n=5: OK"),
+        # so is the Laplacian spectrum certificate
+        (["laplacian", "--n", "4", "--r", "3", "--spectrum"], "{"),
     ],
 )
-def test_numpy_is_imported_only_for_the_charpoly(argv, first, loads_numpy):
+def test_no_command_imports_numpy(argv, first):
     lines = _run_cli(argv)
     assert lines[0] == first
-    assert lines[-1] == loads_numpy
+    assert lines[-1] == "False"
+
+
+def _numpy_imports(tree) -> list[int]:
+    """Line numbers of the statements in tree that import numpy or a submodule."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] == "numpy" for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_package_has_no_numpy_import():
+    found = [f"{name}:{line}" for name, tree in package_trees() for line in _numpy_imports(tree)]
+    assert found == []
+    source = "import os\nimport numpy as np\ndef f():\n    from numpy.linalg import eig\n"
+    assert _numpy_imports(ast.parse(source)) == [2, 4]
