@@ -7,6 +7,10 @@ building a transition matrix, that run checks r2r word by word against the
 table of its position moves, proves exactly that each r2r counts matrix of
 one size has the characteristic polynomial the horizontal strips predict
 (see words.certify_r2r_spectra), and checks every eigenbasis of that size.
+laplacian --spectrum proves its spectrum the same way
+(injective.laplacian_spectrum): both proofs share the Krylov core of linalg,
+and what each keeps of its own is the move check and fixing-permutation
+traces for r2r, the relabelling check for the Laplacian.
 
 Exit codes: 0 on success, 1 when any exact check fails, 2 on usage errors.
 A failed library check (an eigen-equation, a span or a kernel dimension)

@@ -18,22 +18,21 @@ of position one, and the out-of-range maps are zero, so the extreme
 Laplacians use their single surviving term.
 
 laplacian_spectrum proves each spectrum integral without a characteristic
-polynomial: the Laplacian commutes with relabelling the letters, and the
+polynomial (see _certify_integral_spectrum).  Its own part is the relabelling
+check: the Laplacian commutes with relabelling the letters, and the
 symmetric group acts transitively on the words, so the Krylov sequence of a
-single word decides annihilation and every multiplicity, in plain ints
-(see _certify_integral_spectrum).
+single word decides annihilation and every multiplicity through the Krylov
+core of linalg, in plain ints.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cache, partial
-from itertools import permutations, repeat
-from operator import add, mul
+from itertools import permutations
 from typing import Sequence
 
 from .combinatorics import sign_of_word  # noqa: F401  (re-exported)
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, _annihilating_krylov, _multiplicities
 from .words import Word, WordVector, operator_matrix
 
 
@@ -156,14 +155,14 @@ def _certify_integral_spectrum(matrix: ExactMatrix, words: Sequence[Word]) -> di
        transposition (1 2) and the cycle (1 2 ... n).  Relabelling is a
        bijection on entries, so zeros go to zeros too, and M commutes with
        the action of all of S_n.
-    2. Annihilation: p(M) e_w0 == 0, from the Krylov vectors M^k e_w0.  By 1,
-       p(M) e_{s w0} = s p(M) e_w0 = 0 for every s, and the words s w0 are
-       all the words, so p(M) = 0: M is diagonalizable and its eigenvalues
-       are integers in [-R, R].
-    3. Multiplicities: with q = p / (x - lam), P = q(M) / q(lam) is the
-       projection onto the lam-eigenspace, and by 1 its diagonal is
-       constant, so m_lam = tr P = N * sum q[k] c_k / q(lam), where
-       c_k = (M^k e_w0)[w0].  The division is exact; a remainder raises.
+    2. Annihilation: p(M) e_w0 == 0, from the Krylov vectors M^k e_w0
+       (linalg._annihilating_krylov).  By 1, p(M) e_{s w0} = s p(M) e_w0 = 0
+       for every s, and the words s w0 are all the words, so p(M) = 0: M is
+       diagonalizable and its eigenvalues are integers in [-R, R].
+    3. Multiplicities: by 1, every diagonal entry of M^k equals
+       (M^k e_w0)[w0], so tr(M^k) = N (M^k e_w0)[w0], and these traces for
+       the k below 2R + 1 fix every multiplicity (linalg._multiplicities).
+       A multiplicity that is not an integer raises.
 
     Raises ValueError on a word list of the wrong form and AssertionError
     when a check fails.
@@ -186,36 +185,13 @@ def _certify_integral_spectrum(matrix: ExactMatrix, words: Sequence[Word]) -> di
 
     bound = matrix.eigenvalue_bound()
     spectrum = range(-bound, bound + 1)
-    poly = [1]
-    for lam in spectrum:
-        poly = [hi - lam * lo for hi, lo in zip([0] + poly, poly + [0])]
-    # krylov runs through M^k e_w0, total adds up p(M) e_w0, diagonal[k] = c_k
-    krylov = [1] + [0] * (size - 1)
-    total = [0] * size
-    diagonal = []
-    for k, c in enumerate(poly):
-        if k:
-            krylov = [sum(x * krylov[j] for j, x in row) for row in rows]
-        total = list(map(add, total, map(mul, repeat(c), krylov)))
-        diagonal.append(krylov[0])
-    if any(total):
+    start = [1] + [0] * (size - 1)
+    krylov = _annihilating_krylov(
+        lambda u: [sum(x * u[j] for j, x in row) for row in rows], start, spectrum
+    )
+    if krylov is None:
         raise AssertionError(f"Laplacian spectrum for n={n}, r={r} is not integral")
-
-    out = {}
-    for lam in spectrum:
-        # q = p / (x - lam) by synthetic division, highest degree first
-        quotient, carry = [], 0
-        for c in reversed(poly[1:]):
-            carry = c + lam * carry
-            quotient.append(carry)
-        mult, remainder = divmod(
-            size * sum(map(mul, reversed(quotient), diagonal)),
-            math.prod(lam - mu for mu in spectrum if mu != lam),
-        )
-        if remainder:
-            raise AssertionError(
-                f"Laplacian for n={n}, r={r}: multiplicity of {lam} is not an integer"
-            )
-        if mult:
-            out[lam] = mult
+    out = _multiplicities(spectrum, [size * u[0] for u in krylov[:-1]])
+    if out is None:
+        raise AssertionError(f"Laplacian for n={n}, r={r}: a multiplicity is not an integer")
     return out

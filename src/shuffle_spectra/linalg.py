@@ -10,16 +10,24 @@ Rank, nullspace and solve share one fraction-free Gauss-Jordan (Bareiss)
 elimination of the rows scaled to integers: each pivot column is cleared
 above and below, every update divides exactly by the previous pivot, and all
 pivots end equal, so a row over its pivot is a row of the reduced echelon
-form.  Ranks first try a certificate: a rank modulo one word-sized prime,
-from a plain-int elimination over the shorter side, equal to the smaller
-dimension proves full rank, since a nonzero minor mod p is a nonzero integer
-minor.
+form.  Ranks first try a certificate: a rank modulo _RANK_PRIME, the
+largest prime below 2**26, from a plain-int elimination over the shorter
+side, equal to the smaller dimension proves full rank, since a nonzero minor
+mod p is a nonzero integer minor.
 
-No command computes a characteristic polynomial: the spectra the package
-prints are proved by certificates built from a few Krylov vectors
-(words.certify_r2r_spectra, injective.laplacian_spectrum).  charpoly stays
-for small matrices, by the Faddeev-LeVerrier recurrence in plain ints; the
-tests check spectra against a modular CRT charpoly of their own.
+No command computes a characteristic polynomial.  Both spectra the package
+prints share one Krylov core, in plain ints.  For an operator M given as a
+step u -> M u, a start vector v and distinct integers S, with p the product
+of (x - lam) over S (IntPolynomial.from_integer_roots) and d = |S|:
+_annihilating_krylov checks p(M) v == 0 from the vectors M^k v, k <= d, and
+_multiplicities turns the traces of M^k, k < d, into the multiplicity of
+each lam, sum q[k] tr(M^k) / q(lam) for q = p / (x - lam)
+(IntPolynomial.divide_root).  What lifts p(M) v == 0 to p(M) == 0 and what
+gives the traces stays with each operator: the move check and the
+fixing-permutation weights in words.certify_r2r_spectra, the relabelling
+check in injective._certify_integral_spectrum.  charpoly stays for small
+matrices, by the Faddeev-LeVerrier recurrence in plain ints; the tests check
+spectra against a modular CRT charpoly of their own.
 """
 
 from __future__ import annotations
@@ -91,18 +99,16 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    @classmethod
     def from_integer_roots(cls, roots: dict[int, int]) -> "IntPolynomial":
         """Monic product of (x - r)^multiplicity over the given root map."""
-        poly = cls.one()
+        coefficients = [1]
         for root, mult in roots.items():
-            factor = cls((-root, 1))
             for _ in range(mult):
-                poly = poly * factor
-        return poly
+                # x * c - root * c, lowest degree first
+                coefficients = [
+                    hi - root * lo for hi, lo in zip([0] + coefficients, coefficients + [0])
+                ]
+        return cls(coefficients)
 
     def integer_roots(self, bound: int) -> tuple[dict[int, int], "IntPolynomial"]:
         """All integer roots in [-bound, bound] with multiplicities.
@@ -116,24 +122,26 @@ class IntPolynomial:
         if self.is_zero():
             raise ValueError("the zero polynomial has every root")
         roots: dict[int, int] = {}
-        poly = list(self.coefficients)
-
-        def divide_out(r: int) -> bool:
-            # synthetic division by (x - r); succeeds iff r is a root
-            out = [0] * (len(poly) - 1)
-            carry = 0
-            for i in range(len(poly) - 1, 0, -1):
-                carry = poly[i] + carry * r if i < len(poly) - 1 else poly[i]
-                out[i - 1] = carry
-            if poly[0] + carry * r != 0:
-                return False
-            poly[:] = out
-            return True
-
+        poly = self
         for r in range(-bound, bound + 1):
-            while len(poly) > 1 and divide_out(r):
+            while poly.degree > 0:
+                quotient, remainder = poly.divide_root(r)
+                if remainder:
+                    break
+                poly = quotient
                 roots[r] = roots.get(r, 0) + 1
-        return roots, IntPolynomial(poly)
+        return roots, poly
+
+    def divide_root(self, r: int) -> tuple["IntPolynomial", int]:
+        """Quotient and remainder of the division by (x - r), by synthetic
+        division; the remainder is the value at r."""
+        carries = []
+        carry = 0
+        for c in reversed(self.coefficients):
+            carry = c + r * carry
+            carries.append(carry)
+        remainder = carries.pop() if carries else 0
+        return IntPolynomial(reversed(carries)), remainder
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -148,6 +156,41 @@ class IntPolynomial:
             parts.append(("-" if c < 0 else "+") + mag + term)
         text = " ".join(parts).lstrip("+")
         return f"IntPolynomial({text.strip()})"
+
+
+def _annihilating_krylov(step, start: list[int], roots: Sequence[int]) -> list[list[int]] | None:
+    """The Krylov vectors [v, M v, ..., M^d v] of v = start, or None unless
+    p(M) v == 0 for p = prod (x - lam) over the d distinct roots.
+
+    step(u) returns M u as a list of ints.
+    """
+    krylov = [start]
+    for _ in roots:
+        krylov.append(step(krylov[-1]))
+    poly = IntPolynomial.from_integer_roots(dict.fromkeys(roots, 1)).coefficients
+    if any(sum(map(mul, poly, column)) for column in zip(*krylov)):
+        return None
+    return krylov
+
+
+def _multiplicities(roots: Sequence[int], traces: Sequence[int]) -> dict[int, int] | None:
+    """The multiplicities m of the distinct roots with sum m lam^k == traces[k]
+    for every k < d, over the roots with m != 0, in the order of roots; None
+    when one is not an integer.
+
+    With p = prod (x - lam) and q = p / (x - lam), every other root is a root
+    of q, so sum q[k] traces[k] = m_lam q(lam).
+    """
+    poly = IntPolynomial.from_integer_roots(dict.fromkeys(roots, 1))
+    out = {}
+    for lam in roots:
+        q = poly.divide_root(lam)[0]
+        m, remainder = divmod(sum(map(mul, q.coefficients, traces)), q(lam))
+        if remainder:
+            return None
+        if m:
+            out[lam] = m
+    return out
 
 
 class ExactMatrix:
@@ -293,12 +336,12 @@ class ExactMatrix:
     def rank(self) -> int:
         """Exact rank over the rationals.
 
-        Returns min(rows, cols) at once when the rank modulo the first prime
-        of _prime_stream() reaches it, which proves full rank; otherwise
-        counts the pivots of the exact elimination.
+        Returns min(rows, cols) at once when the rank modulo _RANK_PRIME
+        reaches it, which proves full rank; otherwise counts the pivots of
+        the exact elimination.
         """
         full = min(self.rows, self.cols)
-        if full and _rank_mod(self._integerized_rows(), next(_prime_stream())) == full:
+        if full and _rank_mod(self._integerized_rows(), _RANK_PRIME) == full:
             return full
         return len(self._echelon()[1])
 
@@ -368,39 +411,8 @@ class ExactMatrix:
 # The most words or injective words that a command builds a matrix over: the
 # cap on the exact arithmetic, which is dense in that dimension.
 _MAX_DIM = 2048
-# Ranks are taken modulo primes below this cap (_rank_mod).
-_PRIME_CAP = 1 << 26
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_stream():
-    p = _PRIME_CAP - 1
-    while p > 2:
-        if _is_prime(p):
-            yield p
-        p -= 2
+# Ranks are certified modulo this prime (_rank_mod), the largest below 2**26.
+_RANK_PRIME = 67108859
 
 
 def _rank_mod(rows: list[list[int]], p: int) -> int:

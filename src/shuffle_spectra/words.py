@@ -13,19 +13,22 @@ matrices.  Random-to-random is also one table of position moves,
 _r2r_moves, and _apply_moves, the only code that applies it to vectors,
 gathers a plain list of coefficients over one word space once per move;
 r2r_columns does so for every column of a matrix.  Without building any
-matrix, certify_r2r_spectra checks r2r against the table word by word and
-proves, in exact integers, that the r2r counts have a predicted spectrum.
+matrix, certify_r2r_spectra proves, in exact integers, that the r2r counts
+have a predicted spectrum.  Its own part is the move check of r2r against
+the table, word by word, and the traces read off the permutation words
+through the position permutations that fix each word; annihilation and
+multiplicities are the Krylov core of linalg.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import chain, permutations, product, repeat
 from operator import add, itemgetter, mul
 
-from .linalg import ExactMatrix, Scalar
+from .linalg import ExactMatrix, Scalar, _annihilating_krylov, _multiplicities
 
 Word = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -474,16 +477,18 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
        enumerate_words(nu), r2r(w) == sum m e_{w o sigma}.  Row w of the
        counts M_nu is r2r(w) over enumerate_words(nu), so M_nu is x acting
        on the words of nu, and M is x acting on the regular representation.
-    2. Annihilation: e p(M) = 0, from the d products e M^k, each one
-       _apply_moves of the one before.  By 1, e p(M) is p(x) written in
-       permutation words, so p(x) = 0 and p(M_nu) = 0 for every nu: each M_nu
-       is diagonalizable with its spectrum inside S, and nu's predicted
-       eigenvalues must lie in S.
-    3. Power traces: tr(M_nu^k) == sum m lam^k for every k < d.  By 1, the
-       diagonal entry of M_nu^k at a word w is the coefficient of w in
-       w x^k, the sum of (e M^k)[sigma] over the position permutations sigma
-       with w o sigma == w.  The Vandermonde matrix on S is invertible, so
-       these d traces fix every multiplicity, zeros included.
+    2. Annihilation: e p(M) = 0, from the Krylov vectors e M^k, each one
+       _apply_moves of the one before (linalg._annihilating_krylov).  By 1,
+       e p(M) is p(x) written in permutation words, so p(x) = 0 and
+       p(M_nu) = 0 for every nu: each M_nu is diagonalizable with its
+       spectrum inside S.
+    3. Multiplicities: by 1, the diagonal entry of M_nu^k at a word w is the
+       coefficient of w in w x^k, the sum of (e M^k)[sigma] over the
+       position permutations sigma with w o sigma == w; summed over the
+       words of nu, that is tr(M_nu^k).  The Vandermonde matrix on S is
+       invertible, so the traces for k < d fix every multiplicity
+       (linalg._multiplicities), and the claim holds iff those are its
+       nonzero (lam, m) pairs.
     """
     top = (1,) * n
     if top not in predicted or any(sum(nu) != n for nu in predicted):
@@ -494,26 +499,20 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
 
     # row w of M is r2r(w), so powers[k] = e M^k holds the coefficients of r2r^k(e)
     gathers = _move_gathers(perms)
-    powers = [[0] * len(perms)]
-    powers[0][index[tuple(range(1, n + 1))]] = 1
-    for _ in spectrum:
-        powers.append(_apply_moves(gathers, powers[-1]))
-    poly = [1]
-    for lam in spectrum:
-        poly = [hi - lam * lo for hi, lo in zip([0] + poly, poly + [0])]
-    total = [0] * len(perms)
-    for c, power in zip(poly, powers):
-        total = list(map(add, total, map(mul, repeat(c), power)))
-    if any(total):
+    identity = [0] * len(perms)
+    identity[index[tuple(range(1, n + 1))]] = 1
+    powers = _annihilating_krylov(partial(_apply_moves, gathers), identity, spectrum)
+    if powers is None:
         return [top]
 
     failures = []
     for nu, totals in predicted.items():
         order = enumerate_words(nu)
+        weight = _fixing_permutations(order, index)
+        traces = [sum(power[s] * c for s, c in weight.items()) for power in powers[:-1]]
         if not (
             _follows_moves(order, gathers if nu == top else _move_gathers(order))
-            and all(lam in spectrum for lam, m in totals.items() if m)
-            and _traces_match(powers, _fixing_permutations(order, index), totals)
+            and _multiplicities(spectrum, traces) == {lam: m for lam, m in totals.items() if m}
         ):
             failures.append(nu)
     return [top] if top in failures else failures
@@ -534,15 +533,6 @@ def _follows_moves(order, gathers) -> bool:
         if r2r(w).items() != image.items():
             return False
     return True
-
-
-def _traces_match(powers, weight, totals) -> bool:
-    """tr(M_nu^k) == sum m lam^k for every k < d, from powers[k] = e M^k."""
-    return all(
-        sum(power[s] * c for s, c in weight.items())
-        == sum(m * lam**k for lam, m in totals.items())
-        for k, power in enumerate(powers[:-1])
-    )
 
 
 def _fixing_permutations(order, index) -> dict[int, int]:

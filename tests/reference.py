@@ -12,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 
 from shuffle_spectra.combinatorics import multiset_arrangements, part
-from shuffle_spectra.linalg import ExactMatrix, IntPolynomial, _PRIME_CAP, _prime_stream
+from shuffle_spectra.linalg import ExactMatrix, IntPolynomial
 from shuffle_spectra.words import (
     Permutation,
     WordVector,
@@ -78,9 +78,46 @@ def theta_by_positions(t, v: WordVector) -> WordVector:
     return WordVector(terms)
 
 
-# A dot product of this many products of two residues below _PRIME_CAP stays
+# The CRT charpoly works modulo the primes below this cap, largest first.
+PRIME_CAP = 1 << 26
+# A dot product of this many products of two residues below PRIME_CAP stays
 # inside the int64 arithmetic of _charpoly_mod.
-_CHARPOLY_MAX_DIM = (1 << 63) // (_PRIME_CAP * _PRIME_CAP)
+_CHARPOLY_MAX_DIM = (1 << 63) // (PRIME_CAP * PRIME_CAP)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, which decides
+    every n below 2**64."""
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_stream():
+    """The odd primes below PRIME_CAP, largest first."""
+    p = PRIME_CAP - 1
+    while p > 2:
+        if is_prime(p):
+            yield p
+        p -= 2
 
 
 def charpoly(matrix: ExactMatrix) -> IntPolynomial:
@@ -111,7 +148,7 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
         arr = np.array(a, dtype=object)
     modulus = 1
     combined = [0] * (n + 1)
-    for p in _prime_stream():
+    for p in prime_stream():
         residues = _charpoly_mod(arr, p)
         if modulus == 1:
             combined = [int(r) for r in residues]

@@ -4,10 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shuffle_spectra.linalg import ExactMatrix, IntPolynomial, _prime_stream, _rank_mod
+from shuffle_spectra.linalg import (
+    ExactMatrix,
+    IntPolynomial,
+    _RANK_PRIME,
+    _annihilating_krylov,
+    _multiplicities,
+    _rank_mod,
+)
 
 from golden_tables import R2R_COUNTS_22
-from reference import charpoly
+from reference import charpoly, prime_stream
 
 
 def test_nullspace_identity_is_empty():
@@ -232,7 +239,7 @@ def test_rank_mod_matches_exact_elimination():
     # Hadamard's bound every minor is at most (3 * 6**0.5)**6 = 54**3 < p in
     # absolute value: a minor vanishes mod p only if it vanishes, and the
     # rank mod p is the exact rank.
-    p = next(_prime_stream())
+    p = _RANK_PRIME
     assert 54**3 < p
     rng = random.Random(12)
     shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (5, 5), (6, 6), (9, 3), (3, 9), (12, 6), (6, 12)]
@@ -249,7 +256,7 @@ def test_rank_mod_matches_exact_elimination():
 
 
 def test_rank_falls_back_when_singular_modulo_the_certificate_prime():
-    p = next(_prime_stream())
+    p = _RANK_PRIME
     for data, expected in [
         ([[1, 0], [0, p]], 2),
         ([[p, 0, 0], [0, 1, 1]], 2),
@@ -272,3 +279,76 @@ def test_polynomial_evaluation_and_degree():
     p = IntPolynomial((-5, 1))
     assert p(5) == 0 and p(0) == -5 and p.degree == 1
     assert IntPolynomial(()).is_zero()
+
+
+def test_rank_prime_is_the_first_prime_of_the_reference_stream():
+    assert _RANK_PRIME == next(prime_stream())
+    assert _RANK_PRIME < 1 << 26
+
+
+def test_rank_prime_is_the_largest_prime_below_two_to_the_26():
+    sympy = pytest.importorskip("sympy")
+    assert _RANK_PRIME == sympy.prevprime(1 << 26)
+
+
+polynomials = st.lists(st.integers(-50, 50), max_size=8).map(IntPolynomial)
+
+
+@settings(deadline=None, max_examples=100)
+@given(polynomials, st.integers(-12, 12))
+def test_divide_root_undoes_multiplication_by_a_linear_factor(poly, r):
+    quotient, remainder = poly.divide_root(r)
+    assert remainder == poly(r)
+    product = list((quotient * IntPolynomial((-r, 1))).coefficients) or [0]
+    product[0] += remainder
+    assert IntPolynomial(product) == poly
+    assert IntPolynomial(()).divide_root(r) == (IntPolynomial(()), 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.dictionaries(st.integers(-9, 9), st.integers(1, 3), max_size=5),
+    st.integers(1, 20),
+    st.integers(-3, 3).filter(bool),
+)
+def test_integer_roots_recovers_every_root_and_the_cofactor(roots, c, lead):
+    # x^2 + c has no integer root
+    cofactor = IntPolynomial((c * lead, 0, lead))
+    found, rest = (IntPolynomial.from_integer_roots(roots) * cofactor).integer_roots(bound=9)
+    assert found == roots
+    assert rest == cofactor
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(-20, 20), unique=True, max_size=8), st.data())
+def test_multiplicities_recover_the_map_from_its_power_sums(roots, data):
+    mults = data.draw(st.lists(st.integers(0, 6), min_size=len(roots), max_size=len(roots)))
+    traces = [sum(m * lam**k for lam, m in zip(roots, mults)) for k in range(len(roots))]
+    expected = {lam: m for lam, m in zip(roots, mults) if m}
+    assert _multiplicities(roots, traces) == expected
+    assert list(_multiplicities(roots, traces)) == list(expected)
+    if roots:
+        k = data.draw(st.integers(0, len(roots) - 1))
+        traces[k] += data.draw(st.sampled_from([-1, 1]))
+        assert _multiplicities(roots, traces) != expected
+
+
+def test_multiplicities_refuse_a_fractional_solution():
+    # m_0 + m_1 = 1 and m_1 = 1/2
+    assert _multiplicities([0, 2], [1, 1]) is None
+
+
+def test_annihilating_krylov_needs_every_eigenvalue():
+    diagonal = [3, -1, 3, 0, 5]
+
+    def step(u):
+        return [d * x for d, x in zip(diagonal, u)]
+
+    start = [1, 2, 0, 1, -1]
+    krylov = _annihilating_krylov(step, start, [5, 0, -1, 3])
+    assert krylov == [[d**k * x for d, x in zip(diagonal, start)] for k in range(5)]
+    assert _annihilating_krylov(step, start, [5, 0, -1, 3, 7]) is not None
+    for left_out in (5, 0, -1, 3):
+        assert _annihilating_krylov(step, start, [x for x in (5, 0, -1, 3) if x != left_out]) is None
+    # a start vector without the 5 component needs no 5
+    assert _annihilating_krylov(step, [1, 0, 0, 0, 0], [3]) == [[1, 0, 0, 0, 0], [3, 0, 0, 0, 0]]
