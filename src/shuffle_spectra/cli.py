@@ -102,14 +102,37 @@ def _strip_text(outer, inner) -> str:
 
 
 def _write_json(payload, out) -> None:
-    """Indented JSON and a newline, written in blocks of encoder chunks."""
-    block = []
-    for chunk in json.JSONEncoder(indent=2).iterencode(payload):
-        block.append(chunk)
-        if len(block) == 1024:
-            out.write("".join(block))
-            block.clear()
-    out.write("".join(block) + "\n")
+    """json.dumps(payload, indent=2) and a newline, written piece by piece.
+
+    An indent makes json use its pure-Python encoder, so each container that
+    holds no container goes through the C encoder in one call instead, with
+    a line break and the indent of its items as the item separator.  Only
+    containers of containers are walked here.
+    """
+    _write_json_value(payload, out, "\n")
+    out.write("\n")
+
+
+def _write_json_value(value, out, newline: str) -> None:
+    # newline is a line break and the indent of value's own line
+    containers = (dict, list, tuple)
+    if not isinstance(value, containers) or not value:
+        out.write(json.dumps(value))
+        return
+    inner = newline + "  "
+    is_dict = isinstance(value, dict)
+    if not any(isinstance(x, containers) for x in (value.values() if is_dict else value)):
+        text = json.dumps(value, separators=("," + inner, ": "))
+        out.write(text[0] + inner + text[1:-1] + newline + text[-1])
+        return
+    out.write("{" if is_dict else "[")
+    for i, (key, x) in enumerate(value.items() if is_dict else enumerate(value)):
+        out.write(("," if i else "") + inner)
+        if is_dict:
+            # json writes a key that is not a str as the JSON text of its value
+            out.write(json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
+        _write_json_value(x, out, inner)
+    out.write(newline + ("}" if is_dict else "]"))
 
 
 def _render_table(headers: list[str], rows: list[list[str]]) -> str:

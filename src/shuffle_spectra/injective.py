@@ -148,8 +148,11 @@ def _certify_integral_spectrum(matrix: ExactMatrix, words: Sequence[Word]) -> di
     words indexes the rows and columns and must be every injective word of
     length r over {1..n}, for n its largest letter.  The symmetric group S_n
     acts on them by relabelling letters, transitively.  Let N = len(words),
-    R = matrix.eigenvalue_bound(), w0 = words[0] and p = prod (x - lam) over
-    -R <= lam <= R.  Three exact checks, in plain ints:
+    R the largest absolute row sum (a Gershgorin bound on every eigenvalue),
+    w0 = words[0] and p = prod (x - lam) over -R <= lam <= R.  One scan of
+    the matrix finds R and the nonzero entries of each row, and raises
+    ValueError on an entry that is not an int.  Three exact checks follow,
+    in plain ints:
 
     1. Equivariance: M[s w][s u] == M[w][u] at every nonzero entry, for s the
        transposition (1 2) and the cycle (1 2 ... n).  Relabelling is a
@@ -172,7 +175,15 @@ def _certify_integral_spectrum(matrix: ExactMatrix, words: Sequence[Word]) -> di
     size = len(words)
     if (matrix.rows, matrix.cols) != (size, size) or sorted(words) != list(injective_words(n, r)):
         raise ValueError("words must be every injective word of one length, one per row")
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in matrix.to_int_rows()]
+    rows = []
+    bound = 0
+    for row in matrix.data:
+        sparse = [(j, x) for j, x in enumerate(row) if x]
+        bad = next((x for _, x in sparse if type(x) is not int), None)
+        if bad is not None:
+            raise ValueError(f"non-integral entry {bad}")
+        bound = max(bound, sum(abs(x) for _, x in sparse))
+        rows.append(sparse)
 
     index = {w: i for i, w in enumerate(words)}
     relabellings = [(0, *range(2, n + 1), 1)] + ([(0, 2, 1, *range(3, n + 1))] if n > 1 else [])
@@ -183,7 +194,6 @@ def _certify_integral_spectrum(matrix: ExactMatrix, words: Sequence[Word]) -> di
             if any(target[image[j]] != x for j, x in row):
                 raise AssertionError(f"Laplacian for n={n}, r={r} does not commute with S_{n}")
 
-    bound = matrix.eigenvalue_bound()
     spectrum = range(-bound, bound + 1)
     start = [1] + [0] * (size - 1)
     krylov = _annihilating_krylov(

@@ -24,11 +24,12 @@ Both eigenbases pass one checker, `_check_eigenbasis`, before they are
 returned.  It tests the whole eigenbasis as one matrix identity: with V the
 matrix whose rows are the words of the space and whose columns are the
 vectors, and Lambda the diagonal matrix of their eigenvalues, it checks
-r2r V == V Lambda and rank V == dim of the space, in exact arithmetic.  r2r V
-needs no words-by-words matrix: each way of moving one letter is a
-permutation of positions, and `words.r2r_columns` sums one gather of each
-column of V per distinct move.  Rank V is the sum of the ranks of its
-per-eigenvalue blocks, which the eigen-equations make exact.
+r2r V == V Lambda and rank V == dim of the space, in exact integers.  r2r V
+needs neither a words-by-words matrix nor a pass per vector: each row of V
+is packed into one int, its entries the digits in base 2**b (Kronecker
+substitution), and one gather per distinct move of positions applies r2r to
+that one column.  Rank V is the sum of the ranks of its per-eigenvalue
+blocks, which the eigen-equations make exact.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache
+from operator import lshift, mul, sub
 
 from .combinatorics import (
     Partition,
@@ -49,16 +51,17 @@ from .combinatorics import (
     semistandard_tableaux,
     standard_tableaux,
 )
-from .linalg import ExactMatrix
+from .linalg import _RANK_PRIME, ExactMatrix, _rank_mod
 from .spectrum import eig_strip, sort_evaluation
 from .specht import specht_basis, theta_embedding
 from .words import (
     WordVector,
+    _apply_moves,
+    _move_gathers,
     apply_sh,
     apply_theta,
     enumerate_words,
     operator_matrix,
-    r2r_columns,
     r2t,
     word_to_text,
 )
@@ -69,13 +72,14 @@ def normalize_vector(v: WordVector) -> WordVector:
     coefficient of the lexicographically first word positive."""
     if not v:
         return v
-    divisor = math.gcd(*(c.numerator for _, c in v.items()))
-    multiple = math.lcm(*(c.denominator for _, c in v.items()))
-    if v.coefficient(min(v.words())) < 0:
+    terms = dict(v.items())
+    if any(type(c) is not int for c in terms.values()):
+        multiple = math.lcm(*(c.denominator for c in terms.values()))
+        terms = {w: c.numerator * (multiple // c.denominator) for w, c in terms.items()}
+    divisor = math.gcd(*terms.values())
+    if terms[min(terms)] < 0:
         divisor = -divisor
-    return WordVector(
-        (w, c.numerator * (multiple // c.denominator) // divisor) for w, c in v.items()
-    )
+    return WordVector._from_ints({w: c // divisor for w, c in terms.items()})
 
 
 def _added_rows(outer: Partition, inner: Partition) -> list[int]:
@@ -218,14 +222,26 @@ def _check_eigenbasis(entries: list[EigenbasisEntry], words, dimension: int, spa
     of words, a space of the given dimension.
 
     words must be all the words of one evaluation, and a vector with any
-    other word fails.  V holds the vectors as columns over words and Lambda
-    their eigenvalues, so column j of r2r V == V Lambda is the eigen-equation
-    of vector j.  `r2r_columns` evaluates r2r V with one gather of each
-    column per distinct move of r2r, in plain ints and Fractions, so nothing
-    rounds or overflows.  Once every eigen-equation holds, vectors of
+    other word fails.  V holds the vectors as int columns over words, each
+    with its Fraction coefficients cleared by the lcm of their denominators,
+    which changes neither its eigen-equation nor any rank; Lambda holds
+    their eigenvalues.  With n the word length and B = max |V| *
+    max(n**2, max |Lambda|), every entry of r2r V and of V Lambda is at most
+    B in absolute value, since r2r sums n**2 entries of a column.  Each row w
+    of V is packed into P[w] = sum over j of V[w][j] * 2**(b*j), and of
+    V Lambda into S[w], where 2**b > 2B.  `_apply_moves` maps P to the
+    packed rows of r2r V, so D = r2r P - S packs the digits d_j of
+    r2r V - V Lambda, each with |d_j| <= 2B < 2**b.  A packed int with such
+    digits is zero only when every digit is, and its lowest set bit lies in
+    the digit of its first nonzero one: D == 0 is every eigen-equation, and
+    the first failing vector is the least (lowest set bit of d) // b over the
+    nonzero entries d of D.  Once every eigen-equation holds, vectors of
     distinct eigenvalues are independent, so rank V is the sum of the ranks
-    of its blocks of one eigenvalue each, and the span check adds up their
-    `ExactMatrix.rank`.  Each message names the first failing vector.
+    of its blocks of one eigenvalue each.  A block whose rank modulo
+    _RANK_PRIME equals its number of vectors has full rank; any other one
+    gets its exact `ExactMatrix.rank`.  Everything runs in plain ints, so
+    nothing rounds or overflows.  Each message names the first failing
+    vector.
     """
     columns = [(entry, index) for entry in entries for index in range(len(entry.vectors))]
     vectors = [v for entry in entries for v in entry.vectors]
@@ -234,23 +250,48 @@ def _check_eigenbasis(entries: list[EigenbasisEntry], words, dimension: int, spa
         entry, index = columns[j]
         return f"vector {index} of strip {entry.outer}/{entry.inner}"
 
-    known = set(words)
+    index = {w: i for i, w in enumerate(words)}
+    coords = []
     for j, v in enumerate(vectors):
-        outside = next((w for w in v.words() if w not in known), None)
-        if outside is not None:
-            raise AssertionError(f"{label(j)} has word {word_to_text(outside)}, not in {space}")
-    coords = operator_matrix(lambda v: v, vectors, words).transpose().data
+        col = [0] * len(words)
+        for w, c in v.items():
+            i = index.get(w)
+            if i is None:
+                raise AssertionError(f"{label(j)} has word {word_to_text(w)}, not in {space}")
+            col[i] = c
+        if any(type(c) is not int for _, c in v.items()):
+            multiple = math.lcm(*(c.denominator for _, c in v.items()))
+            col = [int(c * multiple) for c in col]
+        coords.append(col)
+
     eigenvalues = [entry.eigenvalue for entry, _ in columns]
-    images = r2r_columns(words, coords)
-    for j, v in enumerate(vectors):
-        if not v:
-            raise AssertionError(f"zero {label(j)} in {space}")
-        if images[j] != [eigenvalues[j] * x for x in coords[j]]:
-            raise AssertionError(f"eigen-equation failed for {label(j)} in {space}")
+    n = len(words[0])
+    top = max((max(map(abs, col)) for col in coords), default=0)
+    b = (2 * top * max([n * n, *map(abs, eigenvalues)])).bit_length()
+    shifts = [b * j for j in range(len(vectors))]
+    # the rows of V, packed; with no vectors, every word packs to 0
+    packed = [sum(map(lshift, row, shifts)) for row in zip(*coords)] or [0] * len(words)
+    scaled = [
+        sum(map(lshift, map(mul, row, eigenvalues), shifts)) for row in zip(*coords)
+    ] or packed
+    image = _apply_moves(_move_gathers(words), packed)
+    failing = min(
+        (((d & -d).bit_length() - 1) // b for d in map(sub, image, scaled) if d),
+        default=len(vectors),
+    )
+    zero = next((j for j, v in enumerate(vectors) if not v), len(vectors))
+    if zero < failing:
+        raise AssertionError(f"zero {label(zero)} in {space}")
+    if failing < len(vectors):
+        raise AssertionError(f"eigen-equation failed for {label(failing)} in {space}")
+
     blocks: dict[int, list] = {}
     for lam, col in zip(eigenvalues, coords):
         blocks.setdefault(lam, []).append(col)
-    rank = sum(ExactMatrix(block).rank() for block in blocks.values())
+    rank = sum(
+        len(block) if _rank_mod(block, _RANK_PRIME) == len(block) else ExactMatrix(block).rank()
+        for block in blocks.values()
+    )
     if len(vectors) != dimension or rank != dimension:
         raise AssertionError(f"eigenvectors do not span {space}")
 

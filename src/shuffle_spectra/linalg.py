@@ -289,12 +289,6 @@ class ExactMatrix:
             raise ValueError(f"non-integral entry {bad}")
         return [list(row) for row in self.data]
 
-    def eigenvalue_bound(self) -> int:
-        """Integer Gershgorin bound: every eigenvalue has |z| <= bound."""
-        if self.rows == 0:
-            return 0
-        return max(math.ceil(sum(abs(x) for x in row)) for row in self.data)
-
     # -- elimination ------------------------------------------------------
 
     def _integerized_rows(self) -> list[list[int]]:
@@ -420,25 +414,29 @@ def _rank_mod(rows: list[list[int]], p: int) -> int:
 
     Rank is invariant under transposition, so the elimination runs over the
     shorter side.  It clears the columns left to right and drops each one
-    once cleared: a line with a nonzero first entry is the pivot, removed
-    and counted, and every other line adds the multiple of it that zeroes
-    its own first entry.
+    once cleared: a line with a nonzero first entry mod p is the pivot,
+    removed and counted, and every other line adds the multiple of it that
+    zeroes its own first entry mod p.  Reduction is lazy: the pivot line is
+    reduced mod p once, the other lines are updated by x + c * y with c and
+    y below p, and only a first entry, which decides the next pivot, is
+    taken mod p.  Every entry grows by less than p**2 per pivot.
     """
     if rows and len(rows[0]) < len(rows):
         rows = zip(*rows)
-    lines = [[x % p for x in row] for row in rows]
+    lines = list(rows)
     rank = 0
     while lines and lines[0]:
-        k = next((k for k, line in enumerate(lines) if line[0]), None)
+        k = next((k for k, line in enumerate(lines) if line[0] % p), None)
         if k is None:
             lines = [line[1:] for line in lines]
             continue
         pivot = lines.pop(k)
         rank += 1
         scale = p - pow(pivot[0], -1, p)
-        tail = [x * scale % p for x in pivot[1:]]
-        lines = [
-            [(x + line[0] * y) % p for x, y in zip(line[1:], tail)] if line[0] else line[1:]
-            for line in lines
-        ]
+        tail = [y * scale % p for y in pivot[1:]]
+        updated = []
+        for line in lines:
+            c = line[0] % p
+            updated.append([x + c * y for x, y in zip(line[1:], tail)] if c else line[1:])
+        lines = updated
     return rank

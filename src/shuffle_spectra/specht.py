@@ -163,7 +163,8 @@ def theta_embedding(t: Tableau, v: WordVector) -> WordVector:
     word sorted stably.  With rank[k] the place of position k in that
     sorted order, every image of a word is one C-level gather
     itemgetter(*rank)(fill), and the images are summed straight into one
-    dict.
+    dict, which becomes the vector as it is when every coefficient is an
+    int.
     """
     shape = tableau_shape(t)
     shape = check_partition(shape)
@@ -185,4 +186,6 @@ def theta_embedding(t: Tableau, v: WordVector) -> WordVector:
         for fill in fills:
             image = gather(fill)
             out[image] = out.get(image, 0) + coeff
+    if all(type(c) is int for _, c in v.items()):
+        return WordVector._from_ints(out)
     return WordVector(out)

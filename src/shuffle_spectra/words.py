@@ -11,10 +11,11 @@ The three shuffles act unnormalized (integer coefficients); probability
 normalization by 1/n or 1/n^2 happens only when building transition
 matrices.  Random-to-random is also one table of position moves,
 _r2r_moves, and _apply_moves, the only code that applies it to vectors,
-gathers a plain list of coefficients over one word space once per move;
-r2r_columns does so for every column of a matrix.  Without building any
-matrix, certify_r2r_spectra proves, in exact integers, that the r2r counts
-have a predicted spectrum.  Its own part is the move check of r2r against
+gathers a plain list of coefficients over one word space once per move; the
+eigenbasis check of lifting applies it once to a whole matrix of vectors
+packed into one int per word.  Without building any matrix,
+certify_r2r_spectra proves, in exact integers, that the r2r counts have a
+predicted spectrum.  Its own part is the move check of r2r against
 the table, word by word, and the traces read off the permutation words
 through the position permutations that fix each word; annihilation and
 multiplicities are the Krylov core of linalg.
@@ -114,6 +115,14 @@ class WordVector:
                 if type(coeff) is not int and coeff.denominator == 1:
                     data[word] = coeff.numerator
         self._terms = data
+
+    @classmethod
+    def _from_ints(cls, terms: dict[Word, int]) -> "WordVector":
+        """The vector of a term map that the caller built and hands over: tuple
+        words, each once, with int coefficients.  Only the zeros are dropped."""
+        out = cls.__new__(cls)
+        out._terms = {w: c for w, c in terms.items() if c}
+        return out
 
     @classmethod
     def unit(cls, word) -> "WordVector":
@@ -363,18 +372,6 @@ def _apply_moves(gathers, column: list) -> list:
     for m, terms in images.items():
         out = list(map(add, out, map(mul, repeat(m), map(sum, zip(*terms)))))
     return out
-
-
-def r2r_columns(words, columns) -> list[list]:
-    """r2r applied to every column of a matrix over words, exactly.
-
-    Each column is a list whose entry i is the coefficient of words[i], and
-    words must be all the words of one evaluation, in any order.  Column j
-    of the result holds the coefficients of r2r of column j; no
-    words-by-words matrix is built.
-    """
-    gathers = _move_gathers(tuple(words))
-    return [_apply_moves(gathers, col) for col in columns]
 
 
 # -- word enumeration and transition matrices ---------------------------------

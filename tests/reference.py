@@ -16,6 +16,8 @@ from shuffle_spectra.linalg import ExactMatrix, IntPolynomial
 from shuffle_spectra.words import (
     Permutation,
     WordVector,
+    _apply_moves,
+    _move_gathers,
     apply_sh,
     apply_theta,
     evaluation_of,
@@ -27,6 +29,25 @@ def word_rank(vectors: list[WordVector]) -> int:
     """Rank of word vectors, over the words that occur in them."""
     words = sorted({w for v in vectors for w in v.words()})
     return operator_matrix(lambda v: v, vectors, words).rank()
+
+
+def r2r_columns(words, columns) -> list[list]:
+    """r2r applied to every column of a matrix over words, exactly.
+
+    Each column is a list whose entry i is the coefficient of words[i], and
+    words must be all the words of one evaluation, in any order.  Column j
+    of the result holds the coefficients of r2r of column j, by one
+    _apply_moves per column; no words-by-words matrix is built.
+    """
+    gathers = _move_gathers(tuple(words))
+    return [_apply_moves(gathers, col) for col in columns]
+
+
+def eigenvalue_bound(matrix: ExactMatrix) -> int:
+    """Integer Gershgorin bound: every eigenvalue has |z| <= bound."""
+    if matrix.rows == 0:
+        return 0
+    return max(math.ceil(sum(abs(x) for x in row)) for row in matrix.data)
 
 
 def compose_permutations(sigma: Permutation, tau: Permutation) -> Permutation:

@@ -68,7 +68,7 @@ from golden_tables import (
     R2T_COUNTS_22,
     WORDS_22,
 )
-from reference import charpoly, word_rank
+from reference import charpoly, eigenvalue_bound, word_rank
 
 W = word_from_text
 LETTERS = (1, 2, 3)
@@ -127,7 +127,7 @@ def _check_charpoly_matches_prediction(nu):
     poly = charpoly(counts)
     predicted = IntPolynomial.from_integer_roots(report.totals)
     assert poly == predicted, f"characteristic polynomial mismatch on {nu}"
-    roots, rest = poly.integer_roots(bound=counts.eigenvalue_bound())
+    roots, rest = poly.integer_roots(bound=eigenvalue_bound(counts))
     assert rest.degree == 0 and all(r >= 0 for r in roots), nu
 
 
@@ -380,7 +380,7 @@ def test_criterion_09_injective_words_integrality():
     for n in range(1, 6):
         for r in range(0, n + 1):
             matrix = laplacian(n, r)
-            roots, rest = charpoly(matrix).integer_roots(bound=matrix.eigenvalue_bound())
+            roots, rest = charpoly(matrix).integer_roots(bound=eigenvalue_bound(matrix))
             assert rest.degree == 0, f"non-integral Laplacian spectrum at n={n}, r={r}"
             assert sum(roots.values()) == len(injective_words(n, r))
             # the certified spectrum is the CRT one, key order included

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shuffle_spectra import cli, lifting
 from shuffle_spectra.cli import main
@@ -27,6 +29,35 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+json_leaves = st.one_of(
+    st.text(max_size=6),
+    st.text(st.characters(min_codepoint=0x80), max_size=4),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+json_payloads = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(json_payloads)
+@example({})
+@example([])
+@example({"a": [[], {}], "b": {"c": []}})
+@example([[[]], [{}]])
+@example({"vectors": [{"1122": "3", "2211": "-3"}], "é": ["ü", 2**70, None]})
+def test_write_json_matches_indented_dumps(payload):
+    out = io.StringIO()
+    cli._write_json(payload, out)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
 def test_eigenvalues_table_matches_golden_bytes(capsys):

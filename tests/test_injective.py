@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from shuffle_spectra.linalg import ExactMatrix
 from shuffle_spectra.spectrum import spectrum_for_evaluation
 from shuffle_spectra.words import WordVector, apply_permutation, operator_matrix, r2r
 
-from reference import charpoly
+from reference import charpoly, eigenvalue_bound
 
 
 def signed_r2r_matrix(n, r):
@@ -168,7 +169,7 @@ def test_certificate_returns_the_spectrum_in_ascending_order():
     for n, r in [(1, 0), (1, 1), (3, 0), (3, 2), (4, 3), (4, 4)]:
         matrix = laplacian(n, r)
         spectrum = _certify_integral_spectrum(matrix, injective_words(n, r))
-        roots, rest = charpoly(matrix).integer_roots(bound=matrix.eigenvalue_bound())
+        roots, rest = charpoly(matrix).integer_roots(bound=eigenvalue_bound(matrix))
         assert rest.degree == 0
         assert list(spectrum.items()) == list(roots.items()), (n, r)
         assert list(spectrum) == sorted(spectrum) and all(spectrum.values())
@@ -231,3 +232,13 @@ def test_certificate_rejects_a_word_list_that_is_not_one_orbit():
     with pytest.raises(ValueError):
         _certify_integral_spectrum(matrix, words[:-1] + ((1, 1),))
 
+
+
+def test_certificate_rejects_a_non_integral_entry():
+    # the one scan that finds the nonzero entries and the bound also types them
+    words = injective_words(3, 2)
+    data = [list(row) for row in laplacian(3, 2).data]
+    data[1][4] = Fraction(1, 2)
+    data[4][1] = Fraction(1, 2)
+    with pytest.raises(ValueError, match="non-integral entry 1/2"):
+        _certify_integral_spectrum(ExactMatrix(data), words)

@@ -1,8 +1,10 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shuffle_spectra import lifting, words
 from shuffle_spectra.combinatorics import (
@@ -13,6 +15,7 @@ from shuffle_spectra.combinatorics import (
     standard_tableaux,
 )
 from shuffle_spectra.lifting import (
+    EigenbasisEntry,
     _check_eigenbasis,
     _check_lift_target,
     _scaled_lift_chain,
@@ -442,3 +445,80 @@ def test_check_eigenbasis_is_exact_beyond_64_bits():
         corrupted = _corrupt(entries, len(entries) - 1, vectors=(bumped,) + last.vectors[1:])
         with pytest.raises(AssertionError, match="eigen-equation failed for vector 0"):
             check_specht_eigenbasis(shape, corrupted)
+
+
+@cache
+def _word_space_eigenvectors(nu):
+    return [(v, e.eigenvalue) for _, e in eigenbasis_for_evaluation(nu) for v in e.vectors]
+
+
+def _claimed_column(nu, kind, scale, delta, seed):
+    """A vector over the words of nu and the eigenvalue claimed for it, times scale.
+
+    eigen: an eigenvector of the word space, its eigenvalue moved by delta.
+    constant: every word once, claimed for (1 + delta) * n**2; r2r maps it
+    to n**2 times itself, so delta == -2 makes every digit of the packed
+    difference 2 * max |V| * n**2, the most the packing has room for.
+    random: entries in [-3, 3], claimed for an eigenvalue in [-n**2, n**2].
+    """
+    words = enumerate_words(nu)
+    n = sum(nu)
+    if kind == "eigen":
+        pairs = _word_space_eigenvectors(nu)
+        v, lam = pairs[seed % len(pairs)]
+        lam += delta
+    elif kind == "constant":
+        v, lam = WordVector((w, 1) for w in words), (1 + delta) * n * n
+    else:
+        rng = random.Random(seed)
+        v = WordVector((w, rng.randint(-3, 3)) for w in words)
+        lam = rng.randint(-n * n, n * n)
+    return scale * v, lam
+
+
+claimed_columns = st.tuples(
+    st.sampled_from(["eigen", "constant", "random"]),
+    st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([2**64, -(2**64) - 3, 2**130, Fraction(1, 3), Fraction(-5, 2)]),
+    ),
+    st.integers(-2, 2),
+    st.integers(0, 2**16),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from([(1, 1), (2, 1), (2, 2), (2, 1, 1), (3, 1)]),
+    st.lists(claimed_columns, min_size=1, max_size=6),
+)
+@example((2, 2), [("constant", 2**64, -2, 0)])
+@example((1, 1), [("constant", 1, -2, 0), ("eigen", 1, 1, 0)])
+@example((2, 1), [("eigen", 2**130, 1, 0), ("random", 1, 0, 5), ("eigen", 1, 2, 1)])
+@example((2, 1), [("eigen", 2**130, 0, 0), ("eigen", Fraction(-5, 2), 0, 1), ("eigen", 3, 0, 2)])
+@example((2, 1), [("eigen", 1, 0, 0), ("eigen", -(2**64) - 3, 0, 0), ("eigen", 1, 0, 2)])
+def test_packed_check_agrees_with_a_per_vector_check(nu, columns):
+    # one strip per vector, so the message names the vector by its strip
+    words = enumerate_words(nu)
+    claims = [_claimed_column(nu, *column) for column in columns]
+    entries = [EigenbasisEntry((j,), (), lam, (v,)) for j, (v, lam) in enumerate(claims)]
+    first = next((j for j, (v, lam) in enumerate(claims) if not v or r2r(v) != lam * v), None)
+    if first is not None:
+        what = "zero" if not claims[first][0] else "eigen-equation failed for"
+        expected = f"{what} vector 0 of strip ({first},)/() in the word space"
+    elif len(claims) == len(words) and word_rank([v for v, _ in claims]) == len(words):
+        expected = None
+    else:
+        expected = "eigenvectors do not span the word space"
+    try:
+        _check_eigenbasis(entries, words, len(words), "the word space")
+    except AssertionError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
+
+def test_check_eigenbasis_without_vectors_fails_the_span():
+    words = enumerate_words((2, 1))
+    with pytest.raises(AssertionError, match="eigenvectors do not span the word space"):
+        _check_eigenbasis([], words, len(words), "the word space")

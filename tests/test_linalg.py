@@ -255,6 +255,34 @@ def test_rank_mod_matches_exact_elimination():
             assert _rank_mod([list(col) for col in zip(*data)], p) == expected, data
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([2, 3, _RANK_PRIME]), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_lazy_rank_mod_counts_the_pivots_of_a_matrix_of_known_rank(p, rows, cols, data):
+    # r ones on the diagonal, moved by unimodular row and column additions,
+    # keep rank r over the rationals and modulo every prime; adding p * K
+    # puts entries at and above p and below zero without changing it mod p
+    r = data.draw(st.integers(0, min(rows, cols)))
+    m = [[int(i == j < r) for j in range(cols)] for i in range(rows)]
+    for axis, a, b, c in data.draw(
+        st.lists(st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3)))
+    ):
+        size = rows if axis else cols
+        if a != b and max(a, b) < size:
+            if axis:
+                m[a] = [x + c * y for x, y in zip(m[a], m[b])]
+            else:
+                m = [row[:a] + [row[a] + c * row[b]] + row[a + 1 :] for row in m]
+    expected = len(ExactMatrix(m)._echelon()[1])
+    assert expected == r
+    row_of_k = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    k = data.draw(st.lists(row_of_k, min_size=rows, max_size=rows))
+    lifted = [[x + p * y for x, y in zip(row, krow)] for row, krow in zip(m, k)]
+    before = [list(row) for row in lifted]
+    assert _rank_mod(lifted, p) == expected
+    assert lifted == before
+    assert _rank_mod([list(col) for col in zip(*lifted)], p) == expected
+
+
 def test_rank_falls_back_when_singular_modulo_the_certificate_prime():
     p = _RANK_PRIME
     for data, expected in [

@@ -17,7 +17,6 @@ from shuffle_spectra.words import (
     operator_matrix,
     _r2r_moves,
     r2r,
-    r2r_columns,
     r2t,
     shuffle_product,
     t2r,
@@ -28,7 +27,7 @@ from shuffle_spectra.words import (
 from shuffle_spectra.combinatorics import partitions_of
 
 from golden_tables import R2R_COUNTS_22, R2T_COUNTS_22, WORDS_22
-from reference import compose_permutations
+from reference import compose_permutations, r2r_columns
 
 W = word_from_text
 
