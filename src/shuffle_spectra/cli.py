@@ -30,6 +30,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from .combinatorics import partitions_of, standard_tableaux
 from .frobenius import frobenius_of_eigenspace
@@ -67,25 +68,29 @@ def _parse_partition(text: str, parser: argparse.ArgumentParser, option: str):
     return parts
 
 
-def _refuse_many_words(command: str, evaluation, parser: argparse.ArgumentParser) -> None:
-    """Exit 2, before any work, when the evaluation has over _MAX_DIM words.
+def _over_max_dim(steps) -> bool:
+    """True once the running product of the (numerator, denominator) steps,
+    each division exact, passes _MAX_DIM: a huge count stops early."""
+    count = 1
+    for numerator, denominator in steps:
+        count = count * numerator // denominator
+        if count > _MAX_DIM:
+            return True
+    return False
 
-    The count is the multinomial coefficient, built one binomial factor at a
-    time and abandoned as soon as it passes the limit, so a huge evaluation
-    costs nothing here either.
-    """
-    words, total = 1, 0
-    for k in evaluation:
-        total += k
-        binomial = 1
-        for j in range(1, min(k, total - k) + 1):
-            binomial = binomial * (total - j + 1) // j
-            if words * binomial > _MAX_DIM:
-                parser.error(
-                    f"{command}: evaluation {_partition_text(evaluation)}"
-                    f" has more than {_MAX_DIM} words"
-                )
-        words *= binomial
+
+def _refuse_many_words(command: str, evaluation, parser: argparse.ArgumentParser) -> None:
+    """Exit 2, before any work, when the evaluation has over _MAX_DIM words:
+    the multinomial, a product of binomials C(t, k), one per count k with t
+    the running total, each step C(t, j) = C(t, j - 1) * (t - j + 1) / j."""
+    if _over_max_dim(
+        (t - j + 1, j)
+        for k, t in zip(evaluation, accumulate(evaluation))
+        for j in range(1, min(k, t - k) + 1)
+    ):
+        parser.error(
+            f"{command}: evaluation {_partition_text(evaluation)} has more than {_MAX_DIM} words"
+        )
 
 
 def _refuse_large_n(command: str, n: int, parser: argparse.ArgumentParser) -> None:
@@ -399,12 +404,10 @@ def cmd_frobenius(args, parser) -> int:
 def cmd_laplacian(args, parser) -> int:
     if not 0 <= args.r <= args.n:
         parser.error(f"laplacian: need 0 <= r <= n, got r={args.r}, n={args.n}")
-    words = 1  # n!/(n-r)!, abandoned once past the limit, so a huge n costs nothing
-    for k in range(args.n - args.r + 1, args.n + 1):
-        words *= k
-        if words > _MAX_DIM:
-            mode = "--spectrum" if args.spectrum else "the matrix"
-            parser.error(f"laplacian: {mode} needs at most {_MAX_DIM} injective words")
+    # n!/(n-r)! injective words
+    if _over_max_dim((k, 1) for k in range(args.n - args.r + 1, args.n + 1)):
+        mode = "--spectrum" if args.spectrum else "the matrix"
+        parser.error(f"laplacian: {mode} needs at most {_MAX_DIM} injective words")
     if args.spectrum:
         spectrum = laplacian_spectrum(args.n, args.r)
         payload = {

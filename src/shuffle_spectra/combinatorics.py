@@ -10,7 +10,6 @@ reproducible run to run.
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -211,8 +210,21 @@ def desarrangement_count(shape: Partition) -> int:
 
 
 def multiset_arrangements(values) -> list[tuple[int, ...]]:
-    """Distinct orderings of a multiset, each exactly once, sorted."""
-    return sorted(set(permutations(values)))
+    """Distinct orderings of a multiset, each exactly once, sorted: each
+    distinct value in turn leads the orderings of the rest, so the work
+    follows their number, not the factorial of the length."""
+
+    def orderings(pool: tuple[int, ...]):
+        if not pool:
+            yield ()
+            return
+        for x in sorted(set(pool)):
+            rest = list(pool)
+            rest.remove(x)
+            for tail in orderings(tuple(rest)):
+                yield (x,) + tail
+
+    return list(orderings(tuple(values)))
 
 
 @cache

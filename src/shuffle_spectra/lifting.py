@@ -29,7 +29,7 @@ needs neither a words-by-words matrix nor a pass per vector: each row of V
 is packed into one int, its entries the digits in base 2**b (Kronecker
 substitution), and one gather per distinct move of positions applies r2r to
 that one column.  Rank V is the sum of the ranks of its per-eigenvalue
-blocks, which the eigen-equations make exact.
+blocks, which the eigen-equations make exact, each certified by linalg._rank.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .combinatorics import (
     semistandard_tableaux,
     standard_tableaux,
 )
-from .linalg import _RANK_PRIME, ExactMatrix, _rank_mod
+from .linalg import _clear_denominators, _rank
 from .spectrum import eig_strip, sort_evaluation
 from .specht import specht_basis, theta_embedding
 from .words import (
@@ -73,13 +73,11 @@ def normalize_vector(v: WordVector) -> WordVector:
     if not v:
         return v
     terms = dict(v.items())
-    if any(type(c) is not int for c in terms.values()):
-        multiple = math.lcm(*(c.denominator for c in terms.values()))
-        terms = {w: c.numerator * (multiple // c.denominator) for w, c in terms.items()}
-    divisor = math.gcd(*terms.values())
+    coeffs = _clear_denominators(list(terms.values()))
+    divisor = math.gcd(*coeffs)
     if terms[min(terms)] < 0:
         divisor = -divisor
-    return WordVector._from_ints({w: c // divisor for w, c in terms.items()})
+    return WordVector._from_ints({w: c // divisor for w, c in zip(terms, coeffs)})
 
 
 def _added_rows(outer: Partition, inner: Partition) -> list[int]:
@@ -182,8 +180,7 @@ def kernel_basis(shape: Partition) -> tuple[WordVector, ...]:
     for coeffs in matrix.nullspace():
         # the normal form is the same for every nonzero multiple: clear the
         # denominators first and combine in ints
-        multiple = math.lcm(*(c.denominator for c in coeffs))
-        coeffs = [c.numerator * (multiple // c.denominator) for c in coeffs]
+        coeffs = _clear_denominators(coeffs)
         v = WordVector((w, c * x) for c, u in zip(coeffs, basis) if c for w, x in u.items())
         vectors.append(normalize_vector(v))
     if len(vectors) != desarrangement_count(shape):
@@ -223,7 +220,7 @@ def _check_eigenbasis(entries: list[EigenbasisEntry], words, dimension: int, spa
 
     words must be all the words of one evaluation, and a vector with any
     other word fails.  V holds the vectors as int columns over words, each
-    with its Fraction coefficients cleared by the lcm of their denominators,
+    with its Fraction coefficients cleared by linalg._clear_denominators,
     which changes neither its eigen-equation nor any rank; Lambda holds
     their eigenvalues.  With n the word length and B = max |V| *
     max(n**2, max |Lambda|), every entry of r2r V and of V Lambda is at most
@@ -237,9 +234,9 @@ def _check_eigenbasis(entries: list[EigenbasisEntry], words, dimension: int, spa
     the first failing vector is the least (lowest set bit of d) // b over the
     nonzero entries d of D.  Once every eigen-equation holds, vectors of
     distinct eigenvalues are independent, so rank V is the sum of the ranks
-    of its blocks of one eigenvalue each.  A block whose rank modulo
-    _RANK_PRIME equals its number of vectors has full rank; any other one
-    gets its exact `ExactMatrix.rank`.  Everything runs in plain ints, so
+    of its blocks of one eigenvalue each.  linalg._rank ranks each block,
+    its vectors as int rows: full at once when its rank modulo a prime says
+    so, else by exact elimination.  Everything runs in plain ints, so
     nothing rounds or overflows.  Each message names the first failing
     vector.
     """
@@ -259,10 +256,7 @@ def _check_eigenbasis(entries: list[EigenbasisEntry], words, dimension: int, spa
             if i is None:
                 raise AssertionError(f"{label(j)} has word {word_to_text(w)}, not in {space}")
             col[i] = c
-        if any(type(c) is not int for _, c in v.items()):
-            multiple = math.lcm(*(c.denominator for _, c in v.items()))
-            col = [int(c * multiple) for c in col]
-        coords.append(col)
+        coords.append(_clear_denominators(col))
 
     eigenvalues = [entry.eigenvalue for entry, _ in columns]
     n = len(words[0])
@@ -288,11 +282,7 @@ def _check_eigenbasis(entries: list[EigenbasisEntry], words, dimension: int, spa
     blocks: dict[int, list] = {}
     for lam, col in zip(eigenvalues, coords):
         blocks.setdefault(lam, []).append(col)
-    rank = sum(
-        len(block) if _rank_mod(block, _RANK_PRIME) == len(block) else ExactMatrix(block).rank()
-        for block in blocks.values()
-    )
-    if len(vectors) != dimension or rank != dimension:
+    if len(vectors) != dimension or sum(map(_rank, blocks.values())) != dimension:
         raise AssertionError(f"eigenvectors do not span {space}")
 
 

@@ -6,14 +6,17 @@ the package is checked against, deterministic down to the bit.  Integral
 entries are plain ints; a Fraction appears only where a denominator really
 arises (a probability matrix, a Gram solve, a rational input).
 
-Rank, nullspace and solve share one fraction-free Gauss-Jordan (Bareiss)
-elimination of the rows scaled to integers: each pivot column is cleared
-above and below, every update divides exactly by the previous pivot, and all
-pivots end equal, so a row over its pivot is a row of the reduced echelon
-form.  Ranks first try a certificate: a rank modulo _RANK_PRIME, the
+Exact values become ints in one place, _clear_denominators, which scales
+them by the lcm of their denominators and hands ints back as they are.
+Ranks are certified in one place, _rank on int rows, which ExactMatrix and
+the eigenbasis check of lifting share: a rank modulo _RANK_PRIME, the
 largest prime below 2**26, from a plain-int elimination over the shorter
-side, equal to the smaller dimension proves full rank, since a nonzero minor
-mod p is a nonzero integer minor.
+side, equal to the smaller dimension proves full rank, since a nonzero
+minor mod p is a nonzero integer minor; otherwise it counts the pivots of
+_echelon.  That fraction-free Gauss-Jordan (Bareiss) elimination of int
+rows also gives nullspace and solve: each pivot column is cleared above and
+below, every update divides exactly by the previous pivot, and all pivots
+end equal, so a row over its pivot is a row of the reduced echelon form.
 
 No command computes a characteristic polynomial.  Both spectra the package
 prints share one Krylov core, in plain ints.  For an operator M given as a
@@ -57,6 +60,15 @@ def _quotient(a: int, b: int) -> Scalar:
     return Fraction(a, b) if r else q
 
 
+def _clear_denominators(values: Sequence[Scalar]) -> Sequence[int]:
+    """values times the lcm of their denominators, ints in the same ratios;
+    a sequence of ints comes back as it is, with no lcm taken."""
+    if {int}.issuperset(map(type, values)):
+        return values
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
 class IntPolynomial:
     """Integer polynomial; coefficients stored lowest degree first."""
 
@@ -88,16 +100,6 @@ class IntPolynomial:
     def __hash__(self) -> int:
         return hash(self.coefficients)
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
     @classmethod
     def from_integer_roots(cls, roots: dict[int, int]) -> "IntPolynomial":
         """Monic product of (x - r)^multiplicity over the given root map."""
@@ -109,28 +111,6 @@ class IntPolynomial:
                     hi - root * lo for hi, lo in zip([0] + coefficients, coefficients + [0])
                 ]
         return cls(coefficients)
-
-    def integer_roots(self, bound: int) -> tuple[dict[int, int], "IntPolynomial"]:
-        """All integer roots in [-bound, bound] with multiplicities.
-
-        Returns the root->multiplicity map together with the rootless
-        cofactor.  Callers supply a bound that provably covers every root
-        (e.g. a Gershgorin bound for a characteristic polynomial); the
-        cofactor is constant exactly when the polynomial splits over the
-        integers within that bound.
-        """
-        if self.is_zero():
-            raise ValueError("the zero polynomial has every root")
-        roots: dict[int, int] = {}
-        poly = self
-        for r in range(-bound, bound + 1):
-            while poly.degree > 0:
-                quotient, remainder = poly.divide_root(r)
-                if remainder:
-                    break
-                poly = quotient
-                roots[r] = roots.get(r, 0) + 1
-        return roots, poly
 
     def divide_root(self, r: int) -> tuple["IntPolynomial", int]:
         """Quotient and remainder of the division by (x - r), by synthetic
@@ -224,10 +204,6 @@ class ExactMatrix:
             return cls.zeros(0, 0)
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
 
-    def __getitem__(self, key: tuple[int, int]) -> Scalar:
-        i, j = key
-        return self.data[i][j]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ExactMatrix) and self.data == other.data
 
@@ -240,9 +216,6 @@ class ExactMatrix:
     def row(self, i: int) -> Vector:
         return self.data[i]
 
-    def column(self, j: int) -> Vector:
-        return tuple(self.data[i][j] for i in range(self.rows))
-
     def transpose(self) -> "ExactMatrix":
         # the entries are already normalized, so skip __init__
         out = ExactMatrix.__new__(ExactMatrix)
@@ -252,34 +225,12 @@ class ExactMatrix:
     def scale(self, s) -> "ExactMatrix":
         return ExactMatrix([[x * s for x in row] for row in self.data])
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + other.scale(-1)
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         bt = other.transpose().data
         return ExactMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data]
-        )
-
-    def multiply_vector(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(_entry(sum(a * b for a, b in zip(row, v))) for row in self.data)
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
         )
 
     def to_int_rows(self) -> list[list[int]]:
@@ -291,53 +242,13 @@ class ExactMatrix:
 
     # -- elimination ------------------------------------------------------
 
-    def _integerized_rows(self) -> list[list[int]]:
-        # row scaling by positive integers preserves rank
-        out = []
-        for row in self.data:
-            scale = math.lcm(*(x.denominator for x in row)) if row else 1
-            out.append([x.numerator * (scale // x.denominator) for x in row])
-        return out
-
-    def _echelon(self) -> tuple[list[list[int]], list[int]]:
-        """Fraction-free Gauss-Jordan elimination of the integerized rows.
-
-        Returns the rows and the pivot columns; row r holds pivot r.  Every
-        pivot ends equal to the last one, so row r divided by its pivot is
-        row r of the reduced row echelon form.
-        """
-        m = self._integerized_rows()
-        pivots: list[int] = []
-        prev = 1
-        for col in range(self.cols):
-            top = len(pivots)
-            pivot_row = next((r for r in range(top, self.rows) if m[r][col]), None)
-            if pivot_row is None:
-                continue
-            m[top], m[pivot_row] = m[pivot_row], m[top]
-            pivot_line = m[top]
-            pivot = pivot_line[col]
-            for r in range(self.rows):
-                if r != top:
-                    factor = m[r][col]
-                    m[r] = [(pivot * x - factor * y) // prev for x, y in zip(m[r], pivot_line)]
-            prev = pivot
-            pivots.append(col)
-            if len(pivots) == self.rows:
-                break
-        return m, pivots
+    def _integerized_rows(self) -> list[Sequence[int]]:
+        # row scaling by positive integers preserves rank and nullspace
+        return [_clear_denominators(row) for row in self.data]
 
     def rank(self) -> int:
-        """Exact rank over the rationals.
-
-        Returns min(rows, cols) at once when the rank modulo _RANK_PRIME
-        reaches it, which proves full rank; otherwise counts the pivots of
-        the exact elimination.
-        """
-        full = min(self.rows, self.cols)
-        if full and _rank_mod(self._integerized_rows(), _RANK_PRIME) == full:
-            return full
-        return len(self._echelon()[1])
+        """Exact rank over the rationals, by _rank."""
+        return _rank(self._integerized_rows())
 
     def nullspace(self) -> tuple[Vector, ...]:
         """Basis of the right kernel, in reduced normal form.
@@ -346,7 +257,7 @@ class ExactMatrix:
         and zeros in every other free column, so the output is unique for a
         given matrix and usable in golden-file comparisons.
         """
-        m, pivots = self._echelon()
+        m, pivots = _echelon(self._integerized_rows())
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
@@ -365,7 +276,8 @@ class ExactMatrix:
         """
         if len(b) != self.rows:
             raise ValueError("right-hand side has the wrong length")
-        m, pivots = ExactMatrix([row + (x,) for row, x in zip(self.data, b)])._echelon()
+        augmented = ExactMatrix([row + (x,) for row, x in zip(self.data, b)])
+        m, pivots = _echelon(augmented._integerized_rows())
         if pivots and pivots[-1] == self.cols:
             return None
         x = [0] * self.cols
@@ -400,7 +312,7 @@ class ExactMatrix:
         return IntPolynomial(coefficients)
 
 
-# -- modular ranks ----------------------------------------------------------
+# -- ranks and elimination of int rows --------------------------------------
 
 # The most words or injective words that a command builds a matrix over: the
 # cap on the exact arithmetic, which is dense in that dimension.
@@ -440,3 +352,42 @@ def _rank_mod(rows: list[list[int]], p: int) -> int:
             updated.append([x + c * y for x, y in zip(line[1:], tail)] if c else line[1:])
         lines = updated
     return rank
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of int rows, all of one length.
+
+    Returns the reduced rows and the pivot columns; row r holds pivot r.
+    Every pivot ends equal to the last one, so row r divided by its pivot is
+    row r of the reduced row echelon form.  rows itself is left as it is.
+    """
+    m = list(rows)
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        pivot_row = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        m[top], m[pivot_row] = m[pivot_row], m[top]
+        pivot_line = m[top]
+        pivot = pivot_line[col]
+        for r in range(len(m)):
+            if r != top:
+                factor = m[r][col]
+                m[r] = [(pivot * x - factor * y) // prev for x, y in zip(m[r], pivot_line)]
+        prev = pivot
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    return m, pivots
+
+
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank over the rationals of int rows, all of one length: the
+    smaller dimension when the rank modulo _RANK_PRIME reaches it, which
+    proves full rank, else the pivot count of _echelon."""
+    full = min(len(rows), len(rows[0])) if rows else 0
+    if full and _rank_mod(rows, _RANK_PRIME) == full:
+        return full
+    return len(_echelon(rows)[1])

@@ -29,6 +29,7 @@ from functools import cache, partial
 from itertools import chain, permutations, product, repeat
 from operator import add, itemgetter, mul
 
+from .combinatorics import multiset_arrangements
 from .linalg import ExactMatrix, Scalar, _annihilating_krylov, _multiplicities
 
 Word = tuple[int, ...]
@@ -387,18 +388,7 @@ def enumerate_words(evaluation) -> tuple[Word, ...]:
     if any(not isinstance(x, int) or x < 0 for x in evaluation):
         raise ValueError(f"bad evaluation: {evaluation}")
     letters = [i + 1 for i, mult in enumerate(evaluation) for _ in range(mult)]
-
-    def distinct_orderings(pool: tuple[int, ...]):
-        if not pool:
-            yield ()
-            return
-        for x in sorted(set(pool)):
-            rest = list(pool)
-            rest.remove(x)
-            for tail in distinct_orderings(tuple(rest)):
-                yield (x,) + tail
-
-    words = list(distinct_orderings(tuple(letters)))
+    words = multiset_arrangements(letters)
     return tuple(sorted(words, key=lambda w: tuple(reversed(w)), reverse=True))
 
 
@@ -558,8 +548,8 @@ def operator_matrix(op, sources, targets=None) -> ExactMatrix:
     default to sources, so matrix-kernel computations agree with operator
     kernels without any transposition.  Sources may be words or word
     vectors; targets are words, and must be given when the sources are
-    vectors.  Every operator, and every list of word vectors, is turned into
-    a matrix here and nowhere else.
+    vectors.  Every operator matrix is built here; the eigenbasis check of
+    lifting packs int columns of word vectors of its own instead.
     """
     sources = tuple(sources)
     targets = sources if targets is None else tuple(targets)

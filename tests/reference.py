@@ -2,7 +2,8 @@
 
 Nothing in the package calls these; they exist so that lifts, embeddings,
 the position action and every proved spectrum can be checked by an
-independent route.
+independent route, with the matrix and polynomial arithmetic that only
+these checks need.
 """
 
 import math
@@ -12,7 +13,7 @@ from itertools import combinations, product
 import numpy as np
 
 from shuffle_spectra.combinatorics import multiset_arrangements, part
-from shuffle_spectra.linalg import ExactMatrix, IntPolynomial
+from shuffle_spectra.linalg import ExactMatrix, IntPolynomial, _entry
 from shuffle_spectra.words import (
     Permutation,
     WordVector,
@@ -41,6 +42,57 @@ def r2r_columns(words, columns) -> list[list]:
     """
     gathers = _move_gathers(tuple(words))
     return [_apply_moves(gathers, col) for col in columns]
+
+
+def matrix_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Entrywise sum of two matrices of one shape."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    return ExactMatrix([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.data, b.data)])
+
+
+def multiply_vector(matrix: ExactMatrix, v) -> tuple:
+    """matrix times the column v, with integral entries as ints."""
+    if len(v) != matrix.cols:
+        raise ValueError("shape mismatch")
+    return tuple(_entry(sum(a * b for a, b in zip(row, v))) for row in matrix.data)
+
+
+def is_symmetric(matrix: ExactMatrix) -> bool:
+    """Whether the matrix is square and equal to its transpose."""
+    return matrix.rows == matrix.cols and matrix.transpose() == matrix
+
+
+def poly_product(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """The product of two integer polynomials."""
+    if p.is_zero() or q.is_zero():
+        return IntPolynomial(())
+    out = [0] * (len(p.coefficients) + len(q.coefficients) - 1)
+    for i, a in enumerate(p.coefficients):
+        for j, b in enumerate(q.coefficients):
+            out[i + j] += a * b
+    return IntPolynomial(out)
+
+
+def integer_roots(poly: IntPolynomial, bound: int) -> tuple[dict[int, int], IntPolynomial]:
+    """All integer roots of poly in [-bound, bound] with multiplicities,
+    and the rootless cofactor.
+
+    The bound must cover every root (a Gershgorin bound for a
+    characteristic polynomial, say); the cofactor is constant exactly when
+    the polynomial splits over the integers within it.
+    """
+    if poly.is_zero():
+        raise ValueError("the zero polynomial has every root")
+    roots: dict[int, int] = {}
+    for r in range(-bound, bound + 1):
+        while poly.degree > 0:
+            quotient, remainder = poly.divide_root(r)
+            if remainder:
+                break
+            poly = quotient
+            roots[r] = roots.get(r, 0) + 1
+    return roots, poly
 
 
 def eigenvalue_bound(matrix: ExactMatrix) -> int:

@@ -22,7 +22,7 @@ from shuffle_spectra.linalg import ExactMatrix, IntPolynomial
 from shuffle_spectra.spectrum import spectrum_for_evaluation
 from shuffle_spectra.words import WordVector, certify_r2r_spectra
 
-from reference import charpoly
+from reference import charpoly, multiply_vector
 
 EVALUATIONS = [nu for n in range(1, 6) for nu in partitions_of(n)]
 _r2r = words.r2r
@@ -170,7 +170,7 @@ def test_move_check_catches_a_change_invisible_from_the_identity_word(monkeypatc
     for start in [(1, 2, 3, 4), (2, 1, 3, 4)]:
         powers.append([1 if w == start else 0 for w in tm.order])
         for _ in tm.order:
-            powers.append(list(tm.counts.transpose().multiply_vector(powers[-1])))
+            powers.append(list(multiply_vector(tm.counts.transpose(), powers[-1])))
     c = ExactMatrix(powers).nullspace()[0]
     c = [int(x * math.lcm(*(Fraction(y).denominator for y in c))) for x in c]
     d = [c[k] for k in swapped]

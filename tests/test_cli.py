@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -353,6 +354,30 @@ def test_usage_errors_exit_code_two(capsys, monkeypatch):
 
 def _never_called(*args):
     raise AssertionError(f"size guard let {args} through")
+
+
+class _Refused(Exception):
+    pass
+
+
+class _RefusingParser:
+    def error(self, message):
+        raise _Refused(message)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 9), max_size=6))
+def test_the_word_count_refusal_compares_the_multinomial_with_the_cap(evaluation):
+    words = math.factorial(sum(evaluation)) // math.prod(map(math.factorial, evaluation))
+    try:
+        cli._refuse_many_words("eigenbasis", evaluation, _RefusingParser())
+        refused = False
+    except _Refused:
+        refused = True
+    assert refused == (words > _MAX_DIM)
+    # exactly _MAX_DIM passes, one more does not
+    assert not cli._over_max_dim([(_MAX_DIM, 1)])
+    assert cli._over_max_dim([(_MAX_DIM + 1, 1)])
 
 
 def test_console_script_entry_point():

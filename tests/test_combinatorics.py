@@ -1,8 +1,10 @@
+import itertools
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shuffle_spectra import combinatorics
 from shuffle_spectra.combinatorics import (
     desarrangement_count,
     diag,
@@ -15,6 +17,7 @@ from shuffle_spectra.combinatorics import (
     is_horizontal_strip,
     is_standard,
     kostka,
+    multiset_arrangements,
     partitions_of,
     rsk,
     semistandard_tableaux,
@@ -238,3 +241,20 @@ def test_even_ascent_suffix_examples():
 def test_entry_positions_roundtrip():
     t = ((1, 3), (2,))
     assert entry_positions(t) == {1: (1, 1), 3: (1, 2), 2: (2, 1)}
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(min_value=1, max_value=3), max_size=7))
+def test_multiset_arrangements_are_the_sorted_distinct_permutations(values):
+    assert multiset_arrangements(values) == sorted(set(itertools.permutations(values)))
+
+
+def test_multiset_arrangements_of_a_long_row_walk_no_permutations(monkeypatch):
+    # a row of twelve 1s and one 2 has 13! orderings but only 13 distinct ones
+    def refuse(*args):
+        raise AssertionError("itertools.permutations called")
+
+    monkeypatch.setattr(itertools, "permutations", refuse)
+    monkeypatch.setattr(combinatorics, "permutations", refuse, raising=False)
+    expected = [(1,) * k + (2,) + (1,) * (12 - k) for k in range(12, -1, -1)]
+    assert multiset_arrangements((1,) * 12 + (2,)) == expected

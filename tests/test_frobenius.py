@@ -9,6 +9,8 @@ from shuffle_spectra.linalg import ExactMatrix
 from shuffle_spectra.spectrum import r2t_spectrum, spectrum_for_evaluation
 from shuffle_spectra.words import WordVector, enumerate_words, operator_matrix, r2r
 
+from reference import matrix_sum
+
 # character tables for sizes 3 and 4: shape -> values on conjugacy classes,
 # classes listed with their sizes
 S3_CLASSES = [((1, 1, 1), 1), ((2, 1), 3), ((3,), 2)]
@@ -94,7 +96,7 @@ def _relabel_matrix(sigma, words):
 
 def _eigenspace_basis(n, eig):
     words = enumerate_words((1,) * n)
-    matrix = operator_matrix(r2r, words) - ExactMatrix.identity(len(words)).scale(eig)
+    matrix = matrix_sum(operator_matrix(r2r, words), ExactMatrix.identity(len(words)).scale(-eig))
     return words, matrix.nullspace()
 
 
@@ -105,7 +107,7 @@ def _restricted_trace(basis_matrix, action):
     size = gram.rows
     total = Fraction(0)
     for j in range(size):
-        col = gram.solve(moved.column(j))
+        col = gram.solve([row[j] for row in moved.data])
         total += col[j]
     return total
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,12 +10,22 @@ from shuffle_spectra.linalg import (
     IntPolynomial,
     _RANK_PRIME,
     _annihilating_krylov,
+    _clear_denominators,
+    _echelon,
     _multiplicities,
+    _rank,
     _rank_mod,
 )
 
 from golden_tables import R2R_COUNTS_22
-from reference import charpoly, prime_stream
+from reference import (
+    charpoly,
+    integer_roots,
+    matrix_sum,
+    multiply_vector,
+    poly_product,
+    prime_stream,
+)
 
 
 def test_nullspace_identity_is_empty():
@@ -43,7 +54,7 @@ def test_rank_trivial():
 
 def test_rank_of_shifted_transition_counts():
     # the 16-eigenspace of the worked 6x6 shuffle matrix is one-dimensional
-    m = ExactMatrix(R2R_COUNTS_22) - ExactMatrix.identity(6).scale(16)
+    m = matrix_sum(ExactMatrix(R2R_COUNTS_22), ExactMatrix.identity(6).scale(-16))
     assert m.rank() == 5
     assert len(m.nullspace()) == 1
 
@@ -86,9 +97,8 @@ def test_charpoly_multiplicative_on_block_diagonals():
         block = [
             row + [0] * b_n for row in a
         ] + [[0] * a_n + row for row in b]
-        assert (
-            charpoly(ExactMatrix(block))
-            == charpoly(ExactMatrix(a)) * charpoly(ExactMatrix(b))
+        assert charpoly(ExactMatrix(block)) == poly_product(
+            charpoly(ExactMatrix(a)), charpoly(ExactMatrix(b))
         )
 
 
@@ -134,7 +144,7 @@ def test_rank_plus_nullity_is_column_count(rows, cols, data):
     m = ExactMatrix(entries)
     assert m.rank() + len(m.nullspace()) == m.cols
     for v in m.nullspace():
-        assert all(x == 0 for x in m.multiply_vector(v))
+        assert all(x == 0 for x in multiply_vector(m, v))
 
 
 @settings(deadline=None, max_examples=80)
@@ -194,14 +204,14 @@ def test_nullspace_and_solve_match_sympy(rows, cols, dependent, consistent, data
 
     if consistent:
         y = data.draw(st.lists(rationals, min_size=cols, max_size=cols))
-        rhs = list(m.multiply_vector(y))
+        rhs = list(multiply_vector(m, y))
     else:
         rhs = data.draw(st.lists(rationals, min_size=rows, max_size=rows))
     x = m.solve(rhs)
     augmented = theirs.row_join(_sympy_matrix(sympy, [[v] for v in rhs]))
     assert (x is None) == (augmented.rank() > theirs.rank())
     if x is not None:
-        assert list(m.multiply_vector(x)) == rhs
+        assert list(multiply_vector(m, x)) == rhs
         pivots = set(theirs.rref()[1])
         assert all(x[c] == 0 for c in range(cols) if c not in pivots)
 
@@ -250,7 +260,7 @@ def test_rank_mod_matches_exact_elimination():
                 # repeated, negated and zero rows make most of these singular
                 if rng.random() < 0.3:
                     data[i] = [rng.choice((-1, 0, 1)) * x for x in data[rng.randrange(i)]]
-            expected = len(ExactMatrix(data)._echelon()[1])
+            expected = len(_echelon(data)[1])
             assert _rank_mod(data, p) == expected, data
             assert _rank_mod([list(col) for col in zip(*data)], p) == expected, data
 
@@ -272,7 +282,7 @@ def test_lazy_rank_mod_counts_the_pivots_of_a_matrix_of_known_rank(p, rows, cols
                 m[a] = [x + c * y for x, y in zip(m[a], m[b])]
             else:
                 m = [row[:a] + [row[a] + c * row[b]] + row[a + 1 :] for row in m]
-    expected = len(ExactMatrix(m)._echelon()[1])
+    expected = len(_echelon(m)[1])
     assert expected == r
     row_of_k = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
     k = data.draw(st.lists(row_of_k, min_size=rows, max_size=rows))
@@ -281,6 +291,20 @@ def test_lazy_rank_mod_counts_the_pivots_of_a_matrix_of_known_rank(p, rows, cols
     assert _rank_mod(lifted, p) == expected
     assert lifted == before
     assert _rank_mod([list(col) for col in zip(*lifted)], p) == expected
+    # the certified rank of the lifted matrix is its exact rank
+    assert _rank(lifted) == len(_echelon(lifted)[1])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.one_of(st.integers(-(2**70), 2**70), rationals)), st.lists(st.integers()))
+def test_clear_denominators_gives_ints_in_the_same_ratios(values, ints):
+    cleared = _clear_denominators(values)
+    assert len(cleared) == len(values) and all(type(x) is int for x in cleared)
+    scale = math.lcm(*(Fraction(x).denominator for x in values))
+    assert scale > 0
+    assert list(cleared) == [x * scale for x in values]
+    # all-int input comes back as it is
+    assert _clear_denominators(ints) is ints
 
 
 def test_rank_falls_back_when_singular_modulo_the_certificate_prime():
@@ -297,8 +321,8 @@ def test_rank_falls_back_when_singular_modulo_the_certificate_prime():
 
 
 def test_integer_roots_extraction():
-    poly = IntPolynomial.from_integer_roots({3: 2, -1: 1}) * IntPolynomial((1, 0, 1))
-    roots, rest = poly.integer_roots(bound=5)
+    poly = poly_product(IntPolynomial.from_integer_roots({3: 2, -1: 1}), IntPolynomial((1, 0, 1)))
+    roots, rest = integer_roots(poly, 5)
     assert roots == {-1: 1, 3: 2}
     assert rest == IntPolynomial((1, 0, 1))
 
@@ -327,7 +351,7 @@ polynomials = st.lists(st.integers(-50, 50), max_size=8).map(IntPolynomial)
 def test_divide_root_undoes_multiplication_by_a_linear_factor(poly, r):
     quotient, remainder = poly.divide_root(r)
     assert remainder == poly(r)
-    product = list((quotient * IntPolynomial((-r, 1))).coefficients) or [0]
+    product = list(poly_product(quotient, IntPolynomial((-r, 1))).coefficients) or [0]
     product[0] += remainder
     assert IntPolynomial(product) == poly
     assert IntPolynomial(()).divide_root(r) == (IntPolynomial(()), 0)
@@ -342,7 +366,7 @@ def test_divide_root_undoes_multiplication_by_a_linear_factor(poly, r):
 def test_integer_roots_recovers_every_root_and_the_cofactor(roots, c, lead):
     # x^2 + c has no integer root
     cofactor = IntPolynomial((c * lead, 0, lead))
-    found, rest = (IntPolynomial.from_integer_roots(roots) * cofactor).integer_roots(bound=9)
+    found, rest = integer_roots(poly_product(IntPolynomial.from_integer_roots(roots), cofactor), 9)
     assert found == roots
     assert rest == cofactor
 

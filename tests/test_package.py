@@ -149,3 +149,36 @@ def test_the_package_has_no_numpy_import():
     assert found == []
     source = "import os\nimport numpy as np\ndef f():\n    from numpy.linalg import eig\n"
     assert _numpy_imports(ast.parse(source)) == [2, 4]
+
+
+_RANK_INTERNALS = {"_rank_mod", "_RANK_PRIME", "_echelon"}
+
+
+def _rank_internal_uses(tree) -> list[int]:
+    """Line numbers of the imports in tree of a rank internal of linalg, and
+    of the attribute reads of one."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        else:
+            continue
+        if names & _RANK_INTERNALS:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_linalg_reaches_its_rank_internals():
+    # every other module ranks through linalg._rank, so the certificate and
+    # the elimination stay in one place
+    found = [
+        f"{name}:{line}"
+        for name, tree in package_trees()
+        if name != "linalg.py"
+        for line in _rank_internal_uses(tree)
+    ]
+    assert found == []
+    source = "from .linalg import _RANK_PRIME, _rank\nimport x\ny = linalg._echelon(m)\n"
+    assert _rank_internal_uses(ast.parse(source)) == [1, 3]

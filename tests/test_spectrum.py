@@ -16,7 +16,7 @@ from shuffle_spectra.spectrum import (
 from shuffle_spectra.words import enumerate_words, transition_matrix, word_from_text
 
 from golden_tables import FIGURE_LENGTH3, GOLDEN, GOLDEN_DIAG
-from reference import charpoly, eigenvalue_bound
+from reference import charpoly, eigenvalue_bound, integer_roots
 
 W = word_from_text
 
@@ -162,7 +162,7 @@ def test_r2t_spectrum_matches_brute_force():
         for nu in partitions_of(n):
             tm = transition_matrix("r2t", nu)
             poly = charpoly(tm.counts)
-            roots, rest = poly.integer_roots(bound=eigenvalue_bound(tm.counts))
+            roots, rest = integer_roots(poly, eigenvalue_bound(tm.counts))
             assert rest.degree == 0, (nu, rest)
             assert roots == r2t_spectrum(nu), nu
             assert n - 1 not in roots
