@@ -7,22 +7,19 @@ a signed variant of the random-to-random operator, conjugate to the plain
 one by the sign-of-sorting involution, which is how the integrality of the
 Laplacian spectra follows from the shuffle spectrum.
 
-Boundary and coboundary act directly on word vectors, and every matrix here
-is words.operator_matrix of an operator: the Laplacian is the matrix of
-v -> coboundary(boundary(v)) + boundary(coboundary(v)), assembled one basis
-word at a time with no dense matrix products.
-
 Convention at the bottom of the complex: the empty word is the unique basis
 element in degree zero, deleting the only letter of a word picks up the sign
 of position one, and the out-of-range maps are zero, so the extreme
 Laplacians use their single surviving term.
 
-laplacian_spectrum proves each spectrum integral without a characteristic
-polynomial (see _certify_integral_spectrum).  Its own part is the relabelling
-check: the Laplacian commutes with relabelling the letters, and the
-symmetric group acts transitively on the words, so the Krylov sequence of a
-single word decides annihilation and every multiplicity through the Krylov
-core of linalg, in plain ints.
+Boundary, coboundary and the Laplacian step v -> coboundary(boundary(v)) +
+boundary(coboundary(v)) act on word vectors.  laplacian and boundary_matrix
+densify their words.operator_columns; laplacian_spectrum proves each
+spectrum integral from the sparse columns of the step, with no matrix and
+no characteristic polynomial (see _certify_integral_spectrum).  The
+Laplacian commutes with relabelling letters, which acts transitively on the
+words, so the Krylov sequence of one word decides annihilation and every
+multiplicity through the Krylov core of linalg, in plain ints.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from typing import Sequence
 
 from .combinatorics import sign_of_word  # noqa: F401  (re-exported)
 from .linalg import ExactMatrix, _annihilating_krylov, _multiplicities
-from .words import Word, WordVector, operator_matrix
+from .words import Word, WordVector, operator_columns, operator_matrix
 
 
 @cache
@@ -91,21 +88,19 @@ def coboundary(n: int, r: int, v: WordVector) -> WordVector:
     return WordVector(terms)
 
 
-@cache
+def _laplacian_step(n: int, r: int, v: WordVector) -> WordVector:
+    """The Laplacian on injective words of length r, applied to one vector."""
+    out = WordVector()
+    if r >= 1:
+        out = out + coboundary(n, r - 1, boundary(n, r, v))
+    if r < n:
+        out = out + boundary(n, r + 1, coboundary(n, r, v))
+    return out
+
+
 def laplacian(n: int, r: int) -> ExactMatrix:
     """Laplacian on injective words of length r, a symmetric integer matrix."""
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-
-    def apply(v: WordVector) -> WordVector:
-        out = WordVector()
-        if r >= 1:
-            out = out + coboundary(n, r - 1, boundary(n, r, v))
-        if r < n:
-            out = out + boundary(n, r + 1, coboundary(n, r, v))
-        return out
-
-    return operator_matrix(apply, injective_words(n, r))
+    return operator_matrix(partial(_laplacian_step, n, r), injective_words(n, r))
 
 
 def signed_r2r(v: WordVector) -> WordVector:
@@ -137,68 +132,72 @@ def laplacian_spectrum(n: int, r: int) -> dict[int, int]:
     Raises AssertionError if the spectrum is not integral, which would
     falsify the integrality statement.
     """
-    return _certify_integral_spectrum(laplacian(n, r), injective_words(n, r))
+    words = injective_words(n, r)
+    columns = operator_columns(partial(_laplacian_step, n, r), words)
+    return _certify_integral_spectrum(columns, words)
 
 
-def _certify_integral_spectrum(matrix: ExactMatrix, words: Sequence[Word]) -> dict[int, int]:
+def _certify_integral_spectrum(columns: list[dict], words: Sequence[Word]) -> dict[int, int]:
     """Prove that an integer matrix on the injective words of one length has
     an integral spectrum, and return it: {eigenvalue: multiplicity} over the
     eigenvalues that occur, in ascending order.
 
-    words indexes the rows and columns and must be every injective word of
-    length r over {1..n}, for n its largest letter.  The symmetric group S_n
-    acts on them by relabelling letters, transitively.  Let N = len(words),
-    R the largest absolute row sum (a Gershgorin bound on every eigenvalue),
-    w0 = words[0] and p = prod (x - lam) over -R <= lam <= R.  One scan of
-    the matrix finds R and the nonzero entries of each row, and raises
-    ValueError on an entry that is not an int.  Three exact checks follow,
+    The matrix M comes as sparse columns, columns[j][i] = M[i][j] for the
+    nonzero entries, as words.operator_columns gives them.  words indexes
+    the rows and columns and must be every injective word of length r over
+    {1..n}, for n its largest letter; S_n acts on them by relabelling
+    letters, transitively.  Let N = len(words), R the largest absolute
+    column sum (a Gershgorin bound on every eigenvalue of the transpose, so
+    of M), w0 = words[0] and p = prod (x - lam) over -R <= lam <= R.  An
+    entry that is not an int raises ValueError.  Three exact checks follow,
     in plain ints:
 
-    1. Equivariance: M[s w][s u] == M[w][u] at every nonzero entry, for s the
-       transposition (1 2) and the cycle (1 2 ... n).  Relabelling is a
-       bijection on entries, so zeros go to zeros too, and M commutes with
-       the action of all of S_n.
-    2. Annihilation: p(M) e_w0 == 0, from the Krylov vectors M^k e_w0
-       (linalg._annihilating_krylov).  By 1, p(M) e_{s w0} = s p(M) e_w0 = 0
-       for every s, and the words s w0 are all the words, so p(M) = 0: M is
-       diagonalizable and its eigenvalues are integers in [-R, R].
+    1. Equivariance: column s w is column w relabelled by s, for s the
+       transposition (1 2) and the cycle (1 2 ... n).  These generate S_n,
+       so M commutes with the action of all of S_n.
+    2. Annihilation: p(M) e_w0 == 0, from the Krylov vectors M^k e_w0, each
+       a scatter of the columns (linalg._annihilating_krylov).  By 1,
+       p(M) e_{s w0} = s p(M) e_w0 = 0 for every s, and the words s w0 are
+       all the words, so p(M) = 0: M is diagonalizable and its eigenvalues
+       are integers in [-R, R].
     3. Multiplicities: by 1, every diagonal entry of M^k equals
        (M^k e_w0)[w0], so tr(M^k) = N (M^k e_w0)[w0], and these traces for
        the k below 2R + 1 fix every multiplicity (linalg._multiplicities).
        A multiplicity that is not an integer raises.
 
-    Raises ValueError on a word list of the wrong form and AssertionError
-    when a check fails.
+    Rows in place of columns give the same verdict: M and its transpose share
+    the spectrum, and each commutes with the relabellings when the other
+    does.  Raises ValueError on a word list of the wrong form or a row index
+    outside it, and AssertionError when a check fails.
     """
     n = max((max(w) for w in words if w), default=0)
     r = len(words[0]) if words else 0
     size = len(words)
-    if (matrix.rows, matrix.cols) != (size, size) or sorted(words) != list(injective_words(n, r)):
+    inside = all(not col or 0 <= min(col) <= max(col) < size for col in columns)
+    if len(columns) != size or not inside or sorted(words) != list(injective_words(n, r)):
         raise ValueError("words must be every injective word of one length, one per row")
-    rows = []
-    bound = 0
-    for row in matrix.data:
-        sparse = [(j, x) for j, x in enumerate(row) if x]
-        bad = next((x for _, x in sparse if type(x) is not int), None)
-        if bad is not None:
-            raise ValueError(f"non-integral entry {bad}")
-        bound = max(bound, sum(abs(x) for _, x in sparse))
-        rows.append(sparse)
+    bad = next((x for col in columns for x in col.values() if type(x) is not int), None)
+    if bad is not None:
+        raise ValueError(f"non-integral entry {bad}")
+    bound = max((sum(map(abs, col.values())) for col in columns), default=0)
 
     index = {w: i for i, w in enumerate(words)}
     relabellings = [(0, *range(2, n + 1), 1)] + ([(0, 2, 1, *range(3, n + 1))] if n > 1 else [])
     for s in relabellings:
         image = [index[tuple(s[a] for a in w)] for w in words]
-        for i, row in enumerate(rows):
-            target = matrix.data[image[i]]
-            if any(target[image[j]] != x for j, x in row):
+        for j, col in enumerate(columns):
+            if columns[image[j]] != {image[i]: x for i, x in col.items()}:
                 raise AssertionError(f"Laplacian for n={n}, r={r} does not commute with S_{n}")
 
+    def scatter(u: list[int]) -> list[int]:
+        out = [0] * size
+        for x, col in zip(u, columns):
+            for i, c in col.items():
+                out[i] += c * x
+        return out
+
     spectrum = range(-bound, bound + 1)
-    start = [1] + [0] * (size - 1)
-    krylov = _annihilating_krylov(
-        lambda u: [sum(x * u[j] for j, x in row) for row in rows], start, spectrum
-    )
+    krylov = _annihilating_krylov(scatter, [1] + [0] * (size - 1), spectrum)
     if krylov is None:
         raise AssertionError(f"Laplacian spectrum for n={n}, r={r} is not integral")
     out = _multiplicities(spectrum, [size * u[0] for u in krylov[:-1]])

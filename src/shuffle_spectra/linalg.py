@@ -314,8 +314,8 @@ class ExactMatrix:
 
 # -- ranks and elimination of int rows --------------------------------------
 
-# The most words or injective words that a command builds a matrix over: the
-# cap on the exact arithmetic, which is dense in that dimension.
+# The most words or injective words a command takes: its dense matrices are that
+# big, though the library runs the sparse Laplacian certificate past it (n = 7).
 _MAX_DIM = 2048
 # Ranks are certified modulo this prime (_rank_mod), the largest below 2**26.
 _RANK_PRIME = 67108859

@@ -541,23 +541,24 @@ def _fixing_permutations(order, index) -> dict[int, int]:
     return weight
 
 
-def operator_matrix(op, sources, targets=None) -> ExactMatrix:
-    """Matrix of a word-vector operator in column convention.
+def operator_columns(op, sources, targets=None) -> list[dict[int, Scalar]]:
+    """Sparse matrix of a word-vector operator in column convention.
 
-    Column j holds the coordinates of op(sources[j]) over targets, which
-    default to sources, so matrix-kernel computations agree with operator
-    kernels without any transposition.  Sources may be words or word
-    vectors; targets are words, and must be given when the sources are
-    vectors.  Every operator matrix is built here; the eigenbasis check of
-    lifting packs int columns of word vectors of its own instead.
+    Column j maps the index in targets (default: sources, which must then
+    be words) of each word of op(sources[j]) to its nonzero coefficient.
+    No other code indexes operator images (lifting packs word vectors).
     """
     sources = tuple(sources)
+    index = {w: i for i, w in enumerate(sources if targets is None else targets)}
+    return [{index[u]: c for u, c in op(_as_vector(w)).items()} for w in sources]
+
+
+def operator_matrix(op, sources, targets=None) -> ExactMatrix:
+    """operator_columns densified, so matrix kernels are operator kernels."""
+    sources = tuple(sources)
     targets = sources if targets is None else tuple(targets)
-    index = {w: i for i, w in enumerate(targets)}
-    columns = []
-    for w in sources:
-        col = [0] * len(targets)
-        for u, c in op(_as_vector(w)).items():
-            col[index[u]] = c
-        columns.append(col)
+    columns = [[0] * len(targets) for _ in sources]
+    for col, sparse in zip(columns, operator_columns(op, sources, targets)):
+        for i, c in sparse.items():
+            col[i] = c
     return ExactMatrix.from_columns(columns)

@@ -58,6 +58,12 @@ def multiply_vector(matrix: ExactMatrix, v) -> tuple:
     return tuple(_entry(sum(a * b for a, b in zip(row, v))) for row in matrix.data)
 
 
+def sparse_columns(matrix: ExactMatrix) -> list[dict]:
+    """The columns of a matrix in the form of words.operator_columns: column
+    j maps each row index i with a nonzero entry to that entry."""
+    return [{i: x for i, x in enumerate(col) if x} for col in zip(*matrix.data)]
+
+
 def is_symmetric(matrix: ExactMatrix) -> bool:
     """Whether the matrix is square and equal to its transpose."""
     return matrix.rows == matrix.cols and matrix.transpose() == matrix

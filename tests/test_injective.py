@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from shuffle_spectra import injective
 from shuffle_spectra.injective import (
     _certify_integral_spectrum,
     boundary,
@@ -18,7 +19,14 @@ from shuffle_spectra.linalg import ExactMatrix
 from shuffle_spectra.spectrum import spectrum_for_evaluation
 from shuffle_spectra.words import WordVector, apply_permutation, operator_matrix, r2r
 
-from reference import charpoly, eigenvalue_bound, integer_roots, is_symmetric, matrix_sum
+from reference import (
+    charpoly,
+    eigenvalue_bound,
+    integer_roots,
+    is_symmetric,
+    matrix_sum,
+    sparse_columns,
+)
 
 
 def signed_r2r_matrix(n, r):
@@ -156,19 +164,38 @@ def test_signed_and_plain_operators_share_spectra():
         assert poly == expected
 
 
-def test_top_laplacian_spectrum_at_six_is_the_shuffle_spectrum():
+@pytest.mark.parametrize("n", [6, 7])
+def test_top_laplacian_spectrum_is_the_shuffle_spectrum(n):
     # the top Laplacian is the signed r2r, conjugate to r2r by the sign
-    # twist, so the strip theory gives its spectrum by an independent route
-    totals = spectrum_for_evaluation((1,) * 6).totals
-    spectrum = laplacian_spectrum(6, 6)
+    # twist, so the strip theory gives its spectrum by an independent route;
+    # n = 7 has 5040 words, more than the CLI takes
+    totals = spectrum_for_evaluation((1,) * n).totals
+    spectrum = laplacian_spectrum(n, n)
     assert spectrum == {lam: m for lam, m in totals.items() if m}
     assert list(spectrum) == sorted(spectrum)
+
+
+def test_laplacian_spectrum_builds_no_matrix(monkeypatch):
+    # the certificate reads the sparse columns of the Laplacian step, so
+    # neither the dense Laplacian nor any other ExactMatrix is built
+    totals = spectrum_for_evaluation((1,) * 6).totals
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Laplacian certificate built a matrix")
+
+    monkeypatch.setattr(injective, "laplacian", refuse)
+    monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+    # laplacian --n 5 --r 4 --spectrum, as the CLI golden digest pins it
+    at_five = {1: 1, 2: 4, 3: 11, 4: 4, 5: 10, 6: 4, 7: 21, 8: 8, 9: 12, 11: 15, 13: 12,
+               14: 4, 15: 5, 18: 4, 20: 4, 25: 1}
+    assert laplacian_spectrum(5, 4) == at_five
+    assert laplacian_spectrum(6, 6) == {lam: m for lam, m in totals.items() if m}
 
 
 def test_certificate_returns_the_spectrum_in_ascending_order():
     for n, r in [(1, 0), (1, 1), (3, 0), (3, 2), (4, 3), (4, 4)]:
         matrix = laplacian(n, r)
-        spectrum = _certify_integral_spectrum(matrix, injective_words(n, r))
+        spectrum = _certify_integral_spectrum(sparse_columns(matrix), injective_words(n, r))
         roots, rest = integer_roots(charpoly(matrix), eigenvalue_bound(matrix))
         assert rest.degree == 0
         assert list(spectrum.items()) == list(roots.items()), (n, r)
@@ -201,7 +228,19 @@ def test_certificate_rejects_a_matrix_that_breaks_the_symmetry(kept):
     changed = ExactMatrix(data)
     assert is_symmetric(changed) and len(moved) < 2 * len(words)
     with pytest.raises(AssertionError, match="does not commute"):
-        _certify_integral_spectrum(changed, words)
+        _certify_integral_spectrum(sparse_columns(changed), words)
+
+
+def test_certificate_compares_the_entries_and_not_only_where_they_sit():
+    # doubling one symmetric pair of entries keeps the support of every
+    # column, so only the values show that the symmetry is broken
+    words = injective_words(4, 3)
+    data = [list(row) for row in laplacian(4, 3).data]
+    i, j = next((i, j) for i, row in enumerate(data) for j, x in enumerate(row) if x and i < j)
+    data[i][j] *= 2
+    data[j][i] *= 2
+    with pytest.raises(AssertionError, match="does not commute"):
+        _certify_integral_spectrum(sparse_columns(ExactMatrix(data)), words)
 
 
 def test_certificate_rejects_an_equivariant_matrix_with_irrational_spectrum():
@@ -220,7 +259,7 @@ def test_certificate_rejects_an_equivariant_matrix_with_irrational_spectrum():
     eigenvalues = sympy.Matrix(matrix.data).eigenvals()
     assert eigenvalues == {3: 1, -3: 1, sympy.sqrt(3): 2, -sympy.sqrt(3): 2}
     with pytest.raises(AssertionError, match="is not integral"):
-        _certify_integral_spectrum(matrix, words)
+        _certify_integral_spectrum(sparse_columns(matrix), words)
 
 
 def test_certificate_rejects_a_word_list_that_is_not_one_orbit():
@@ -228,17 +267,21 @@ def test_certificate_rejects_a_word_list_that_is_not_one_orbit():
     matrix = laplacian(3, 2)
     smaller = ExactMatrix([row[:-1] for row in matrix.data[:-1]])
     with pytest.raises(ValueError):
-        _certify_integral_spectrum(smaller, words[:-1])
+        _certify_integral_spectrum(sparse_columns(smaller), words[:-1])
     with pytest.raises(ValueError):
-        _certify_integral_spectrum(matrix, words[:-1] + ((1, 1),))
-
+        _certify_integral_spectrum(sparse_columns(matrix), words[:-1] + ((1, 1),))
+    # a row index outside the words, which a list index would wrap round
+    columns = sparse_columns(matrix)
+    columns[0][-1] = columns[0].pop(0)
+    with pytest.raises(ValueError):
+        _certify_integral_spectrum(columns, words)
 
 
 def test_certificate_rejects_a_non_integral_entry():
-    # the one scan that finds the nonzero entries and the bound also types them
+    # entries are typed before any check reads them
     words = injective_words(3, 2)
     data = [list(row) for row in laplacian(3, 2).data]
     data[1][4] = Fraction(1, 2)
     data[4][1] = Fraction(1, 2)
     with pytest.raises(ValueError, match="non-integral entry 1/2"):
-        _certify_integral_spectrum(ExactMatrix(data), words)
+        _certify_integral_spectrum(sparse_columns(ExactMatrix(data)), words)
