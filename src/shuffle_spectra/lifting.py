@@ -29,7 +29,11 @@ needs neither a words-by-words matrix nor a pass per vector: each row of V
 is packed into one int, its entries the digits in base 2**b (Kronecker
 substitution), and one gather per distinct move of positions applies r2r to
 that one column.  Rank V is the sum of the ranks of its per-eigenvalue
-blocks, which the eigen-equations make exact, each certified by linalg._rank.
+blocks, which the eigen-equations make exact, each certified by linalg._rank:
+every vector of a block becomes one int with its coefficients mod a prime
+in 64-bit lanes, one lane per word, so the elimination modulo that prime
+updates a whole vector per big-int operation, and a block whose rank modulo
+the prime is its size is proven independent at once.
 """
 
 from __future__ import annotations
@@ -235,10 +239,10 @@ def _check_eigenbasis(entries: list[EigenbasisEntry], words, dimension: int, spa
     nonzero entries d of D.  Once every eigen-equation holds, vectors of
     distinct eigenvalues are independent, so rank V is the sum of the ranks
     of its blocks of one eigenvalue each.  linalg._rank ranks each block,
-    its vectors as int rows: full at once when its rank modulo a prime says
-    so, else by exact elimination.  Everything runs in plain ints, so
-    nothing rounds or overflows.  Each message names the first failing
-    vector.
+    its vectors as int rows packed into 64-bit lanes: full at once when its
+    rank modulo a prime says so, else by exact elimination.  Everything runs
+    in plain ints, so nothing rounds or overflows.  Each message names the
+    first failing vector.
     """
     columns = [(entry, index) for entry in entries for index in range(len(entry.vectors))]
     vectors = [v for entry in entries for v in entry.vectors]

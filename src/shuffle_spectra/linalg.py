@@ -10,13 +10,20 @@ Exact values become ints in one place, _clear_denominators, which scales
 them by the lcm of their denominators and hands ints back as they are.
 Ranks are certified in one place, _rank on int rows, which ExactMatrix and
 the eigenbasis check of lifting share: a rank modulo _RANK_PRIME, the
-largest prime below 2**26, from a plain-int elimination over the shorter
-side, equal to the smaller dimension proves full rank, since a nonzero
-minor mod p is a nonzero integer minor; otherwise it counts the pivots of
-_echelon.  That fraction-free Gauss-Jordan (Bareiss) elimination of int
-rows also gives nullspace and solve: each pivot column is cleared above and
-below, every update divides exactly by the previous pivot, and all pivots
-end equal, so a row over its pivot is a row of the reduced echelon form.
+largest prime below 2**26, equal to the smaller dimension proves full rank,
+since a nonzero minor mod p is a nonzero integer minor; otherwise it counts
+the pivots of _echelon.  That fraction-free Gauss-Jordan (Bareiss)
+elimination of int rows also gives nullspace and solve: each pivot column is
+cleared above and below, every update divides exactly by the previous
+pivot, and all pivots end equal, so a row over its pivot is a row of the
+reduced echelon form.
+
+The rank mod p (_rank_mod) eliminates over the shorter side with each line
+packed into one int, one entry mod p per 64-bit lane, so clearing a column
+costs one big-int operation per line.  A lane stays below
+p + r * (p - 1)**2 after r pivots, which is below 2**64 for r up to 4096 at
+_RANK_PRIME (_lane_capacity), and after every 4096 pivots each lane is
+reduced mod p again.
 
 No command computes a characteristic polynomial.  Both spectra the package
 prints share one Krylov core, in plain ints.  For an operator M given as a
@@ -36,6 +43,7 @@ spectra against a modular CRT charpoly of their own.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
@@ -321,36 +329,62 @@ _MAX_DIM = 2048
 _RANK_PRIME = 67108859
 
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix modulo p, by Gaussian elimination in plain ints.
+# A packed line holds one entry per 64-bit lane, lowest lane first.
+_LANE = (1 << 64) - 1
+
+
+def _lane_capacity(p: int) -> int:
+    """The most pivots r with p + r * (p - 1)**2 <= 2**64, the lane bound
+    of _rank_mod; 4096 for _RANK_PRIME."""
+    return ((1 << 64) - p) // (p - 1) ** 2
+
+
+def _pack(values: Sequence[int], p: int) -> int:
+    """The values reduced mod p, one per lane, as one int."""
+    return int.from_bytes(struct.pack(f"<{len(values)}Q", *[x % p for x in values]), "little")
+
+
+def _lanes(x: int, width: int) -> tuple[int, ...]:
+    """The width lanes of x, lowest first; x must fit in them."""
+    return struct.unpack(f"<{width}Q", x.to_bytes(8 * width, "little"))
+
+
+def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of an integer matrix modulo a prime p < 2**32, by Gaussian
+    elimination on packed lines.
 
     Rank is invariant under transposition, so the elimination runs over the
-    shorter side.  It clears the columns left to right and drops each one
-    once cleared: a line with a nonzero first entry mod p is the pivot,
-    removed and counted, and every other line adds the multiple of it that
-    zeroes its own first entry mod p.  Reduction is lazy: the pivot line is
-    reduced mod p once, the other lines are updated by x + c * y with c and
-    y below p, and only a first entry, which decides the next pivot, is
-    taken mod p.  Every entry grows by less than p**2 per pivot.
+    shorter side.  Each line is one int, its entries reduced mod p in 64-bit
+    lanes (_pack), and the columns are cleared left to right, each dropped
+    once cleared by a shift of every line.  The first line whose low lane is
+    nonzero mod p is the pivot, removed and counted.  Its tail is unpacked
+    once, scaled by minus the inverse of its low lane mod p, reduced and
+    packed again, so every other line, with c its low lane mod p, becomes
+    (x >> 64) + c * tail in one big-int operation.  Lanes are reduced
+    lazily: every lane stays below p + r * (p - 1)**2 after r pivots, so no
+    lane carries into the next while r is at most _lane_capacity(p), and
+    each time that many pivots have passed every lane of every line is
+    reduced mod p.
     """
     if rows and len(rows[0]) < len(rows):
-        rows = zip(*rows)
-    lines = list(rows)
+        rows = list(zip(*rows))
+    width = len(rows[0]) if rows else 0
+    lines = [_pack(row, p) for row in rows]
+    capacity = _lane_capacity(p)
     rank = 0
-    while lines and lines[0]:
-        k = next((k for k, line in enumerate(lines) if line[0] % p), None)
+    while lines and width:
+        width -= 1
+        k = next((k for k, x in enumerate(lines) if (x & _LANE) % p), None)
         if k is None:
-            lines = [line[1:] for line in lines]
+            lines = [x >> 64 for x in lines]
             continue
         pivot = lines.pop(k)
         rank += 1
-        scale = p - pow(pivot[0], -1, p)
-        tail = [y * scale % p for y in pivot[1:]]
-        updated = []
-        for line in lines:
-            c = line[0] % p
-            updated.append([x + c * y for x, y in zip(line[1:], tail)] if c else line[1:])
-        lines = updated
+        scale = p - pow(pivot & _LANE, -1, p)
+        tail = _pack([y * scale for y in _lanes(pivot >> 64, width)], p)
+        lines = [(x >> 64) + (x & _LANE) % p * tail for x in lines]
+        if rank % capacity == 0:
+            lines = [_pack(_lanes(x, width), p) for x in lines]
     return rank
 
 

@@ -13,14 +13,23 @@ contains exactly one copy of its own Specht module and the position action
 permutes the word basis, the orthogonal complement is again a submodule, so
 this projection agrees with the module-theoretic projection wherever this
 package uses it; no character theory is needed.
+
+The module morphisms theta_t, one per filled tableau t, carry the Specht
+module of shape(t) into the word space of t's content.  Everything about
+theta_t but the coefficients it is applied to is cached: per shape, one
+position gather for every word of that evaluation (_position_gathers), and
+per tableau, the indices of every such word's images among the words of
+the content (_image_table).  Pushing a vector then costs one list addition
+per image, with no sorting and no image word built or hashed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
+from itertools import compress, permutations, product
 from operator import itemgetter
+from typing import Callable
 
 from .combinatorics import (
     Partition,
@@ -32,7 +41,7 @@ from .combinatorics import (
     tableau_shape,
 )
 from .linalg import ExactMatrix
-from .words import Scalar, Word, WordVector, evaluation_of
+from .words import Scalar, Word, WordVector, enumerate_words, evaluation_of
 
 
 def word_of_tableau(t: Tableau) -> Word:
@@ -142,11 +151,41 @@ def project_onto_specht(shape: Partition, v: WordVector) -> WordVector:
 
 
 @cache
-def _row_fills(t: Tableau) -> tuple[Word, ...]:
-    """Every choice of one distinct arrangement per row of t, concatenated."""
-    return tuple(
-        sum(combo, ()) for combo in product(*(multiset_arrangements(row) for row in t))
-    )
+def _position_gathers(shape: Partition) -> dict[Word, Callable[[Word], Word]]:
+    """For every word of evaluation shape, the gather that lays a fill over it.
+
+    A fill lists its letters row by row, so the letters that overwrite the
+    occurrences of r sit where r sits in the word sorted stably.  With
+    rank[k] the place of position k in that sorted order, the image of the
+    word under a fill is itemgetter(*rank)(fill).
+    """
+    n = sum(shape)
+    gathers = {}
+    for word in enumerate_words(shape):
+        order = sorted(range(n), key=word.__getitem__)
+        rank = sorted(range(n), key=order.__getitem__)
+        # a word of at most one letter is its own image; itemgetter(0) gives a letter
+        gathers[word] = itemgetter(*rank) if n > 1 else tuple
+    return gathers
+
+
+@cache
+def _image_table(t: Tableau) -> tuple[tuple[Word, ...], dict[Word, tuple[int, ...]]]:
+    """The words of the content of t, and for every word of evaluation
+    shape(t) the indices among them of its images under theta_t, one per
+    fill.
+
+    A fill is one choice of a distinct arrangement per row of t, the rows
+    laid end to end.  Distinct fills give distinct images of one word.
+    """
+    fills = [sum(combo, ()) for combo in product(*(multiset_arrangements(row) for row in t))]
+    targets = enumerate_words(evaluation_of(fills[0]))
+    index = {w: i for i, w in enumerate(targets)}
+    table = {
+        word: tuple([index[gather(fill)] for fill in fills])
+        for word, gather in _position_gathers(tableau_shape(t)).items()
+    }
+    return targets, table
 
 
 def theta_embedding(t: Tableau, v: WordVector) -> WordVector:
@@ -158,34 +197,28 @@ def theta_embedding(t: Tableau, v: WordVector) -> WordVector:
     the row-permuted concatenation sum, and the position action extends it
     to everything else.
 
-    Each choice is one fill of _row_fills(t), the rows' arrangements laid
-    end to end, so the letters of the fill line up with the letters of the
-    word sorted stably.  With rank[k] the place of position k in that
-    sorted order, every image of a word is one C-level gather
-    itemgetter(*rank)(fill), and the images are summed straight into one
-    dict, which becomes the vector as it is when every coefficient is an
+    Two caches hold everything but the coefficients.  _position_gathers
+    keeps, per shape, one position gather for every word of that evaluation,
+    and _image_table keeps, per tableau, every such word with the indices of
+    its images among the words of the tableau's content.  A push adds each
+    coefficient into one list over those words at the indices of its word,
+    and the list becomes the vector as it is when every coefficient is an
     int.
     """
     shape = tableau_shape(t)
     shape = check_partition(shape)
     if not v:
         return WordVector()
-    fills = _row_fills(tuple(map(tuple, t)))
-    n = sum(shape)
-    base = [r for r, length in enumerate(shape, 1) for _ in range(length)]
-    out: dict[Word, Scalar] = {}
+    targets, table = _image_table(tuple(map(tuple, t)))
+    out = [0] * len(targets)
     for word, coeff in v.items():
-        # a word outside the evaluation, of any length, makes _check_evaluation
-        # raise before its positions are sorted
-        if sorted(word) != base:
+        images = table.get(word)
+        if images is None:
+            # the table holds every word of the evaluation, so this raises
             _check_evaluation(shape, v)
-        order = sorted(range(n), key=word.__getitem__)
-        rank = sorted(range(n), key=order.__getitem__)
-        # a word of at most one letter is its own image; itemgetter(0) gives a letter
-        gather = itemgetter(*rank) if n > 1 else tuple
-        for fill in fills:
-            image = gather(fill)
-            out[image] = out.get(image, 0) + coeff
-    if all(type(c) is int for _, c in v.items()):
-        return WordVector._from_ints(out)
-    return WordVector(out)
+        for i in images:
+            out[i] += coeff
+    terms = dict(compress(zip(targets, out), out))
+    if {int}.issuperset(map(type, out)):
+        return WordVector._from_ints(terms)
+    return WordVector(terms)

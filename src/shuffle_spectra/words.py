@@ -192,7 +192,7 @@ class WordVector:
         return "WordVector(" + " + ".join(bits) + ")"
 
     def to_json(self) -> dict[str, str]:
-        return {word_to_text(w): str(c) for w, c in sorted(self._terms.items())}
+        return {_word_text(w): str(c) for w, c in sorted(self._terms.items())}
 
     @classmethod
     def from_json(cls, data: dict[str, str]) -> "WordVector":
@@ -382,11 +382,18 @@ def enumerate_words(evaluation) -> tuple[Word, ...]:
     """All words with the given evaluation, in deck order.
 
     Words are sorted by their reversal, descending, which reads decks from
-    bottom card to top card.
+    bottom card to top card.  Each word space is built once per process and
+    the same tuple returned after.
     """
     evaluation = tuple(evaluation)
     if any(not isinstance(x, int) or x < 0 for x in evaluation):
         raise ValueError(f"bad evaluation: {evaluation}")
+    return _enumerate_words(evaluation)
+
+
+@cache
+def _enumerate_words(evaluation: tuple[int, ...]) -> tuple[Word, ...]:
+    # one eigenbasis --evaluation command asks for the same word spaces dozens of times
     letters = [i + 1 for i, mult in enumerate(evaluation) for _ in range(mult)]
     words = multiset_arrangements(letters)
     return tuple(sorted(words, key=lambda w: tuple(reversed(w)), reverse=True))

@@ -6,7 +6,7 @@ from functools import cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shuffle_spectra import lifting, words
+from shuffle_spectra import lifting, specht, words
 from shuffle_spectra.combinatorics import (
     desarrangement_count,
     horizontal_strip_inners,
@@ -326,6 +326,20 @@ def test_eigenbasis_for_evaluation_single_row():
     _, entry = pairs[0]
     assert entry.eigenvalue == 16
     assert entry.vectors == (WordVector.unit((1, 1, 1, 1)),)
+
+
+def test_eigenbasis_for_evaluation_builds_one_image_table_per_tableau():
+    specht._image_table.cache_clear()
+    specht._position_gathers.cache_clear()
+    pairs = eigenbasis_for_evaluation((2, 2, 1, 1))
+    pushes = sum(len(entry.vectors) for _, entry in pairs)
+    tableaux = {tab for tab, _ in pairs}
+    assert (len(tableaux), pushes) == (20, len(enumerate_words((2, 2, 1, 1))))
+    info = specht._image_table.cache_info()
+    assert (info.misses, info.hits) == (len(tableaux), pushes - len(tableaux))
+    # one set of position gathers per shape that has a tableau
+    shapes = {tuple(map(len, t)) for t in tableaux}
+    assert specht._position_gathers.cache_info().misses == len(shapes)
 
 
 def test_eigenbasis_for_evaluation_rejects_a_pushed_non_eigenvector(monkeypatch):

@@ -1,10 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shuffle_spectra import linalg
 from shuffle_spectra.linalg import (
     ExactMatrix,
     IntPolynomial,
@@ -293,6 +295,66 @@ def test_lazy_rank_mod_counts_the_pivots_of_a_matrix_of_known_rank(p, rows, cols
     assert _rank_mod([list(col) for col in zip(*lifted)], p) == expected
     # the certified rank of the lifted matrix is its exact rank
     assert _rank(lifted) == len(_echelon(lifted)[1])
+
+
+# The largest prime below 2**32, the largest that 64-bit lanes take: one
+# pivot of it can bring a lane to p * (p - 1), just below 2**64, so its lane
+# capacity is 1 and a second pivot without the lanewise reduction carries.
+_LANE_PRIME = 4294967291
+
+
+def test_lane_capacity_bounds_every_lane_below_two_to_the_64():
+    for p in [2, 3, _RANK_PRIME, _LANE_PRIME]:
+        r = linalg._lane_capacity(p)
+        assert (p - 1) + r * (p - 1) ** 2 < 2**64 <= (p - 1) + (r + 1) * (p - 1) ** 2
+    assert linalg._lane_capacity(_RANK_PRIME) == 4096
+    assert linalg._lane_capacity(_LANE_PRIME) == 1
+
+
+def test_rank_mod_reduces_a_lane_before_it_carries():
+    # the third row is minus the sum of the other two; modulo _LANE_PRIME
+    # its last lane reaches (p - 2) + 2 * (p - 1)**2 > 2**64 over two pivots
+    # unless it is reduced after the first
+    rows = [[1, 0, 1], [0, 1, 1], [-1, -1, -2]]
+    assert _rank_mod(rows, _LANE_PRIME) == 2
+    assert _rank_mod([list(col) for col in zip(*rows)], _LANE_PRIME) == 2
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from([2, 3, _RANK_PRIME, _LANE_PRIME]),
+    st.sampled_from([1, 2]),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.data(),
+)
+def test_rank_mod_reduces_its_lanes_past_the_lane_capacity(p, cap, rows, cols, data):
+    # a matrix of rank r modulo every prime, as in the lazy test above but
+    # with its r ones in any rows and columns, so that the last lanes carry
+    # pivots too, plus p * K for K up to about 10**30 in size and of either
+    # sign; with the capacity cut to 1 or 2 pivots the lanewise reduction runs
+    r = data.draw(st.integers(0, min(rows, cols)))
+    row_order = data.draw(st.permutations(range(rows)))
+    col_order = data.draw(st.permutations(range(cols)))
+    m = [[int(row_order[i] == col_order[j] < r) for j in range(cols)] for i in range(rows)]
+    index = st.integers(0, 6)
+    for axis, a, b, c in data.draw(
+        st.lists(st.tuples(st.booleans(), index, index, st.integers(-9, 9)))
+    ):
+        size = rows if axis else cols
+        if a != b and max(a, b) < size:
+            if axis:
+                m[a] = [x + c * y for x, y in zip(m[a], m[b])]
+            else:
+                m = [row[:a] + [row[a] + c * row[b]] + row[a + 1 :] for row in m]
+    k = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+    lifted = [[x + p * data.draw(k) for x in row] for row in m]
+    expected = len(_echelon(m)[1])
+    assert expected == r
+    capacity = linalg._lane_capacity
+    with mock.patch.object(linalg, "_lane_capacity", lambda q: min(cap, capacity(q))):
+        assert _rank_mod(lifted, p) == expected
+        assert _rank_mod([list(col) for col in zip(*lifted)], p) == expected
 
 
 @settings(deadline=None, max_examples=150)

@@ -173,18 +173,32 @@ def _compositions(n):
 @pytest.mark.parametrize("n", range(6))
 def test_theta_embedding_matches_the_per_position_definition(n):
     # every semistandard tableau of every shape of size n, on every word of
-    # the shape and on one integer combination of all of them
+    # the shape and on three combinations of all of them: one with int
+    # coefficients, one with Fractions, some of them integral, and one that
+    # gives every other word an int and the rest a Fraction
     rng = random.Random(n)
     for shape in partitions_of(n):
         words = enumerate_words(shape)
         combination = WordVector((w, rng.choice([-3, -2, -1, 1, 2, 3])) for w in words)
+        fractions = WordVector(
+            (w, Fraction(rng.choice([-3, -1, 1, 2, 4]), rng.choice([1, 2, 3]))) for w in words
+        )
+        mixed = WordVector(
+            (w, rng.choice([-2, 1, 3]) if i % 2 else Fraction(rng.choice([-1, 5]), 2))
+            for i, w in enumerate(words)
+        )
+        assert len(words) < 2 or {type(c) for _, c in mixed.items()} == {int, Fraction}
         tableaux = [t for nu in _compositions(n) for t in semistandard_tableaux(shape, nu)]
         assert tableaux, shape
         for t in tableaux:
             for w in words:
                 unit = WordVector.unit(w)
                 assert theta_embedding(t, unit) == theta_by_positions(t, unit), (t, w)
-            assert theta_embedding(t, combination) == theta_by_positions(t, combination), t
+            for v in [combination, fractions, mixed]:
+                pushed = theta_embedding(t, v)
+                assert pushed == theta_by_positions(t, v), (t, v)
+                # an integral coefficient is a plain int, as WordVector keeps it
+                assert all(type(c) is int or c.denominator > 1 for _, c in pushed.items())
 
 
 def test_theta_embedding_rejects_words_outside_the_evaluation():

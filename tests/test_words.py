@@ -120,6 +120,14 @@ def test_enumerate_words_deck_order():
     assert enumerate_words((0, 2)) == ((2, 2),)
 
 
+def test_enumerate_words_checks_its_input_before_the_cache():
+    # a list is turned into the tuple key, and each space is built once
+    assert enumerate_words([2, 1]) is enumerate_words((2, 1))
+    for bad in [(-1,), [1, -2], (1.0,), ("2",)]:
+        with pytest.raises(ValueError, match="bad evaluation"):
+            enumerate_words(bad)
+
+
 def test_insertion_deletion_replacement_examples():
     aaba = W("aaba")
     assert apply_sh(1, aaba) == WordVector({W("aaaba"): 3, W("aabaa"): 2})
