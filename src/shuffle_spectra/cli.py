@@ -35,7 +35,7 @@ from itertools import accumulate
 from .combinatorics import partitions_of, standard_tableaux
 from .frobenius import frobenius_of_eigenspace
 from .injective import laplacian, laplacian_spectrum
-from .lifting import eigenbasis, eigenbasis_for_evaluation, kernel_basis
+from .lifting import eigenbasis, eigenbasis_columns, kernel_basis
 from .linalg import _MAX_DIM
 from .spectrum import SpectrumReport, eig_word_trace, spectrum_for_evaluation
 from .words import certify_r2r_spectra, transition_matrix, word_from_text, word_to_text
@@ -349,13 +349,22 @@ def cmd_eigenbasis(args, parser) -> int:
     else:
         evaluation = _parse_evaluation(args.evaluation, parser, "--evaluation")
         _refuse_many_words("eigenbasis", evaluation, parser)
-        pairs = eigenbasis_for_evaluation(evaluation)
+        words, lex, pushed = eigenbasis_columns(evaluation)
+        # WordVector.to_json of each column, read in lexicographic word order
+        texts = [word_to_text(words[i]) for i in lex]
         payload = {
             "schema": f"{SCHEMA_PREFIX}/eigenbasis-evaluation/1",
             "evaluation": list(evaluation),
             "entries": [
-                {"embedding": [list(row) for row in tab], **entry.to_json()}
-                for tab, entry in pairs
+                {
+                    "embedding": [list(row) for row in tab],
+                    **entry.strip_json(),
+                    "vectors": [
+                        {w: str(c) for w, c in zip(texts, map(col.__getitem__, lex)) if c}
+                        for col in columns
+                    ],
+                }
+                for tab, entry, columns in pushed
             ],
         }
     _write_json(payload, sys.stdout)
@@ -546,9 +555,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()
+        return code
     except AssertionError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # flush at exit fails no more, and exit 1 as on any EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

@@ -210,21 +210,23 @@ def desarrangement_count(shape: Partition) -> int:
 
 
 def multiset_arrangements(values) -> list[tuple[int, ...]]:
-    """Distinct orderings of a multiset, each exactly once, sorted: each
-    distinct value in turn leads the orderings of the rest, so the work
-    follows their number, not the factorial of the length."""
-
-    def orderings(pool: tuple[int, ...]):
-        if not pool:
-            yield ()
-            return
-        for x in sorted(set(pool)):
-            rest = list(pool)
-            rest.remove(x)
-            for tail in orderings(tuple(rest)):
-                yield (x,) + tail
-
-    return list(orderings(tuple(values)))
+    """Distinct orderings of a multiset, each exactly once, sorted: each is
+    the next permutation of the one before, so the work follows their
+    number, not the factorial of the length, and nothing recurses."""
+    word = sorted(values)
+    out = [tuple(word)]
+    while True:
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = word[:i:-1]
+        out.append(tuple(word))
 
 
 @cache

@@ -20,7 +20,7 @@ scalar normal form of an eigenvector cannot tell apart, so no eigenvector
 costs a division.  Pushing those through the module embeddings indexed by
 semistandard tableaux yields a full eigenbasis of any word space.
 
-Both eigenbases pass one checker, `_check_eigenbasis`, before they are
+Both eigenbases pass one check core, `_check_columns`, before they are
 returned.  It tests the whole eigenbasis as one matrix identity: with V the
 matrix whose rows are the words of the space and whose columns are the
 vectors, and Lambda the diagonal matrix of their eigenvalues, it checks
@@ -34,6 +34,12 @@ every vector of a block becomes one int with its coefficients mod a prime
 in 64-bit lanes, one lane per word, so the elimination modulo that prime
 updates a whole vector per big-int operation, and a block whose rank modulo
 the prime is its size is proven independent at once.
+
+The eigenbasis of a word space is int columns over its words from theta
+(specht.theta_column) to the output, checked once, on the word space.  Its
+Specht eigenbases are not checked on their own: theta_t is injective on a
+Specht module and commutes with r2r, and every Specht module pushed has a
+tableau, so a broken eigen-equation or a lost rank there shows in the images.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import compress
 from operator import lshift, mul, sub
 
 from .combinatorics import (
@@ -57,10 +64,11 @@ from .combinatorics import (
 )
 from .linalg import _clear_denominators, _rank
 from .spectrum import eig_strip, sort_evaluation
-from .specht import specht_basis, theta_embedding
+from .specht import specht_basis, theta_column
 from .words import (
     WordVector,
     _apply_moves,
+    _lex_order,
     _move_gathers,
     apply_sh,
     apply_theta,
@@ -73,15 +81,31 @@ from .words import (
 
 def normalize_vector(v: WordVector) -> WordVector:
     """Scalar normal form: integer coefficients with content one, and the
-    coefficient of the lexicographically first word positive."""
+    coefficient of the lexicographically first word positive.  A vector
+    already in normal form comes back as it is."""
     if not v:
         return v
-    terms = dict(v.items())
-    coeffs = _clear_denominators(list(terms.values()))
-    divisor = math.gcd(*coeffs)
-    if terms[min(terms)] < 0:
+    coeffs = [c for _, c in v.items()]
+    # _clear_denominators hands a list of ints back as it is
+    ints = _clear_denominators(coeffs)
+    divisor = math.gcd(*ints)
+    if v.coefficient(min(v.words())) < 0:
         divisor = -divisor
-    return WordVector._from_ints({w: c // divisor for w, c in zip(terms, coeffs)})
+    if divisor == 1 and ints is coeffs:
+        return v
+    return WordVector._from_ints({w: c // divisor for w, c in zip(v.words(), ints)})
+
+
+def _normal_column(column: list[int], lex) -> list[int]:
+    """normalize_vector of an int column over the words of one evaluation,
+    with lex = words._lex_order of that evaluation.  A zero column stays
+    zero, for the check to report."""
+    divisor = math.gcd(*column)
+    if not divisor:
+        return column
+    if column[next(i for i in lex if column[i])] < 0:
+        divisor = -divisor
+    return column if divisor == 1 else [c // divisor for c in column]
 
 
 def _added_rows(outer: Partition, inner: Partition) -> list[int]:
@@ -209,12 +233,23 @@ class EigenbasisEntry:
     eigenvalue: int
     vectors: tuple[WordVector, ...]
 
-    def to_json(self) -> dict:
+    def strip_json(self) -> dict:
+        """The JSON fields of the entry that precede its vectors."""
         return {
             "strip": {"outer": list(self.outer), "inner": list(self.inner)},
             "eigenvalue": self.eigenvalue,
-            "vectors": [v.to_json() for v in self.vectors],
         }
+
+    def to_json(self) -> dict:
+        return {**self.strip_json(), "vectors": [v.to_json() for v in self.vectors]}
+
+
+def _label(entries, j: int) -> str:
+    """Name of vector j of the entries, counted across them in order."""
+    for entry in entries:
+        if j < len(entry.vectors):
+            return f"vector {j} of strip {entry.outer}/{entry.inner}"
+        j -= len(entry.vectors)
 
 
 def _check_eigenbasis(entries: list[EigenbasisEntry], words, dimension: int, space: str) -> None:
@@ -222,72 +257,92 @@ def _check_eigenbasis(entries: list[EigenbasisEntry], words, dimension: int, spa
     eigenvectors for their entries' eigenvalues and form a basis of the span
     of words, a space of the given dimension.
 
-    words must be all the words of one evaluation, and a vector with any
-    other word fails.  V holds the vectors as int columns over words, each
-    with its Fraction coefficients cleared by linalg._clear_denominators,
-    which changes neither its eigen-equation nor any rank; Lambda holds
-    their eigenvalues.  With n the word length and B = max |V| *
-    max(n**2, max |Lambda|), every entry of r2r V and of V Lambda is at most
-    B in absolute value, since r2r sums n**2 entries of a column.  Each row w
-    of V is packed into P[w] = sum over j of V[w][j] * 2**(b*j), and of
-    V Lambda into S[w], where 2**b > 2B.  `_apply_moves` maps P to the
-    packed rows of r2r V, so D = r2r P - S packs the digits d_j of
-    r2r V - V Lambda, each with |d_j| <= 2B < 2**b.  A packed int with such
-    digits is zero only when every digit is, and its lowest set bit lies in
-    the digit of its first nonzero one: D == 0 is every eigen-equation, and
-    the first failing vector is the least (lowest set bit of d) // b over the
-    nonzero entries d of D.  Once every eigen-equation holds, vectors of
-    distinct eigenvalues are independent, so rank V is the sum of the ranks
-    of its blocks of one eigenvalue each.  linalg._rank ranks each block,
-    its vectors as int rows packed into 64-bit lanes: full at once when its
-    rank modulo a prime says so, else by exact elimination.  Everything runs
-    in plain ints, so nothing rounds or overflows.  Each message names the
-    first failing vector.
+    The word-vector entry point of _check_columns: words must be all the
+    words of one evaluation, and a vector with any other word fails.  Each
+    vector becomes an int column over words, its Fraction coefficients
+    cleared by linalg._clear_denominators, which changes neither its
+    eigen-equation nor any rank.  The eigenbasis of a word space skips this
+    and its Specht eigenbases, and is checked once, as columns, on the word
+    space (module docstring).
     """
-    columns = [(entry, index) for entry in entries for index in range(len(entry.vectors))]
-    vectors = [v for entry in entries for v in entry.vectors]
-
-    def label(j: int) -> str:
-        entry, index = columns[j]
-        return f"vector {index} of strip {entry.outer}/{entry.inner}"
-
     index = {w: i for i, w in enumerate(words)}
-    coords = []
-    for j, v in enumerate(vectors):
+    columns = []
+    for j, v in enumerate(v for entry in entries for v in entry.vectors):
         col = [0] * len(words)
         for w, c in v.items():
             i = index.get(w)
             if i is None:
-                raise AssertionError(f"{label(j)} has word {word_to_text(w)}, not in {space}")
+                label = _label(entries, j)
+                raise AssertionError(f"{label} has word {word_to_text(w)}, not in {space}")
             col[i] = c
-        coords.append(_clear_denominators(col))
+        columns.append(_clear_denominators(col))
+    _check_columns(entries, columns, words, dimension, space)
 
-    eigenvalues = [entry.eigenvalue for entry, _ in columns]
+
+def _check_columns(entries, columns: list[list[int]], words, dimension: int, space: str) -> None:
+    """The check of _check_eigenbasis on int columns over words, one per
+    vector of the entries, in order; only the strips, the eigenvalues and
+    the number of vectors of each entry are read.
+
+    V holds the columns and Lambda their eigenvalues.  With n the word
+    length and B = max |V| * max(n**2, max |Lambda|), every entry of r2r V
+    and of V Lambda is at most B in absolute value, since r2r sums n**2
+    entries of a column.  Each row w of V is packed into
+    P[w] = sum over j of V[w][j] * 2**(b*j), and of V Lambda into S[w],
+    where 2**b > 2B.  `_apply_moves` maps P to the packed rows of r2r V, so
+    D = r2r P - S packs the digits d_j of r2r V - V Lambda, each with
+    |d_j| <= 2B < 2**b.  A packed int with such digits is zero only when
+    every digit is, and its lowest set bit lies in the digit of its first
+    nonzero one: D == 0 is every eigen-equation, and the first failing
+    vector is the least (lowest set bit of d) // b over the nonzero entries
+    d of D.  Once every eigen-equation holds, vectors of distinct
+    eigenvalues are independent, so rank V is the sum of the ranks of its
+    blocks of one eigenvalue each.  linalg._rank ranks each block, its
+    vectors as int rows packed into 64-bit lanes: full at once when its
+    rank modulo a prime says so, else by exact elimination.  Everything
+    runs in plain ints, so nothing rounds or overflows.  Each message names
+    the first failing vector.
+    """
+    eigenvalues = [entry.eigenvalue for entry in entries for _ in entry.vectors]
     n = len(words[0])
-    top = max((max(map(abs, col)) for col in coords), default=0)
+    top = max((max(map(abs, col)) for col in columns), default=0)
     b = (2 * top * max([n * n, *map(abs, eigenvalues)])).bit_length()
-    shifts = [b * j for j in range(len(vectors))]
+    shifts = [b * j for j in range(len(columns))]
     # the rows of V, packed; with no vectors, every word packs to 0
-    packed = [sum(map(lshift, row, shifts)) for row in zip(*coords)] or [0] * len(words)
+    packed = [sum(map(lshift, row, shifts)) for row in zip(*columns)] or [0] * len(words)
     scaled = [
-        sum(map(lshift, map(mul, row, eigenvalues), shifts)) for row in zip(*coords)
+        sum(map(lshift, map(mul, row, eigenvalues), shifts)) for row in zip(*columns)
     ] or packed
     image = _apply_moves(_move_gathers(words), packed)
     failing = min(
         (((d & -d).bit_length() - 1) // b for d in map(sub, image, scaled) if d),
-        default=len(vectors),
+        default=len(columns),
     )
-    zero = next((j for j, v in enumerate(vectors) if not v), len(vectors))
+    zero = next((j for j, col in enumerate(columns) if not any(col)), len(columns))
     if zero < failing:
-        raise AssertionError(f"zero {label(zero)} in {space}")
-    if failing < len(vectors):
-        raise AssertionError(f"eigen-equation failed for {label(failing)} in {space}")
+        raise AssertionError(f"zero {_label(entries, zero)} in {space}")
+    if failing < len(columns):
+        raise AssertionError(f"eigen-equation failed for {_label(entries, failing)} in {space}")
 
     blocks: dict[int, list] = {}
-    for lam, col in zip(eigenvalues, coords):
+    for lam, col in zip(eigenvalues, columns):
         blocks.setdefault(lam, []).append(col)
-    if len(vectors) != dimension or sum(map(_rank, blocks.values())) != dimension:
+    if len(columns) != dimension or sum(map(_rank, blocks.values())) != dimension:
         raise AssertionError(f"eigenvectors do not span {space}")
+
+
+def _lifted_entries(shape: Partition) -> list[EigenbasisEntry]:
+    """The entries of eigenbasis(shape), unchecked."""
+    entries: list[EigenbasisEntry] = []
+    for inner in sorted(horizontal_strip_inners(shape), key=lambda m: (sum(m), m)):
+        kernel = kernel_basis(inner)
+        if not kernel:
+            continue
+        # the normal form is the same for every nonzero multiple, so the
+        # integral lift needs no division
+        vectors = tuple(normalize_vector(_scaled_lift_chain(shape, inner, u)[0]) for u in kernel)
+        entries.append(EigenbasisEntry(shape, inner, eig_strip(shape, inner), vectors))
+    return entries
 
 
 @cache
@@ -300,15 +355,7 @@ def eigenbasis(shape: Partition) -> tuple[EigenbasisEntry, ...]:
     a failure would falsify the construction rather than the input.
     """
     shape = check_partition(shape)
-    entries: list[EigenbasisEntry] = []
-    for inner in sorted(horizontal_strip_inners(shape), key=lambda m: (sum(m), m)):
-        kernel = kernel_basis(inner)
-        if not kernel:
-            continue
-        # the normal form is the same for every nonzero multiple, so the
-        # integral lift needs no division
-        vectors = tuple(normalize_vector(_scaled_lift_chain(shape, inner, u)[0]) for u in kernel)
-        entries.append(EigenbasisEntry(shape, inner, eig_strip(shape, inner), vectors))
+    entries = _lifted_entries(shape)
     _check_eigenbasis(
         entries,
         enumerate_words(shape),
@@ -318,6 +365,33 @@ def eigenbasis(shape: Partition) -> tuple[EigenbasisEntry, ...]:
     return tuple(entries)
 
 
+def eigenbasis_columns(evaluation):
+    """The eigenbasis of eigenbasis_for_evaluation as checked int columns.
+
+    Returns words = enumerate_words(evaluation), lex = _lex_order of it,
+    and one (tableau, entry, columns) triple per tableau and unchecked
+    Specht entry, columns holding the normal forms of its pushes.
+    """
+    evaluation = tuple(evaluation)
+    words = enumerate_words(evaluation)
+    lex = _lex_order(evaluation)
+    pushed = []
+    for outer in _dominating_partitions(sort_evaluation(evaluation)):
+        entries = _lifted_entries(outer)
+        for tab in semistandard_tableaux(outer, evaluation):
+            for entry in entries:
+                columns = [_normal_column(theta_column(tab, v), lex) for v in entry.vectors]
+                pushed.append((tab, entry, columns))
+    _check_columns(
+        [entry for _, entry, _ in pushed],
+        [col for *_, columns in pushed for col in columns],
+        words,
+        len(words),
+        f"the word space of {evaluation}",
+    )
+    return words, lex, pushed
+
+
 def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
     """Full eigenbasis of the word space of an evaluation.
 
@@ -325,18 +399,14 @@ def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
     tableau with this content; yields (tableau, entry) pairs whose vectors
     jointly form an eigenbasis of the whole word space.
     """
-    evaluation = tuple(evaluation)
-    words = enumerate_words(evaluation)
-    results = []
-    for outer in _dominating_partitions(sort_evaluation(evaluation)):
-        for tab in semistandard_tableaux(outer, evaluation):
-            for entry in eigenbasis(outer):
-                pushed = (normalize_vector(theta_embedding(tab, v)) for v in entry.vectors)
-                results.append((tab, replace(entry, vectors=tuple(pushed))))
-    _check_eigenbasis(
-        [entry for _, entry in results], words, len(words), f"the word space of {evaluation}"
+    words, _, pushed = eigenbasis_columns(evaluation)
+
+    def vector(column: list[int]) -> WordVector:
+        return WordVector._from_ints(dict(compress(zip(words, column), column)))
+
+    return tuple(
+        (tab, replace(entry, vectors=tuple(map(vector, columns)))) for tab, entry, columns in pushed
     )
-    return tuple(results)
 
 
 def _dominating_partitions(nu: Partition) -> list[Partition]:

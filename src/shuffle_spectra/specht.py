@@ -20,7 +20,9 @@ theta_t but the coefficients it is applied to is cached: per shape, one
 position gather for every word of that evaluation (_position_gathers), and
 per tableau, the indices of every such word's images among the words of
 the content (_image_table).  Pushing a vector then costs one list addition
-per image, with no sorting and no image word built or hashed.
+per image, with no sorting and no image word built or hashed.  The push,
+theta_column, returns one list of coefficients over the words of t's
+content, which theta_embedding wraps as a WordVector.
 """
 
 from __future__ import annotations
@@ -188,6 +190,22 @@ def _image_table(t: Tableau) -> tuple[tuple[Word, ...], dict[Word, tuple[int, ..
     return targets, table
 
 
+def theta_column(t: Tableau, v: WordVector) -> list[Scalar]:
+    """theta_t(v) as a list of coefficients over enumerate_words of t's
+    content, with or without its trailing zeros (the same words in the same
+    order); t must be a tuple of tuples."""
+    targets, table = _image_table(t)
+    out = [0] * len(targets)
+    for word, coeff in v.items():
+        images = table.get(word)
+        if images is None:
+            # the table holds every word of the evaluation, so this raises
+            _check_evaluation(tableau_shape(t), v)
+        for i in images:
+            out[i] += coeff
+    return out
+
+
 def theta_embedding(t: Tableau, v: WordVector) -> WordVector:
     """Module morphism attached to a filled tableau.
 
@@ -197,28 +215,16 @@ def theta_embedding(t: Tableau, v: WordVector) -> WordVector:
     the row-permuted concatenation sum, and the position action extends it
     to everything else.
 
-    Two caches hold everything but the coefficients.  _position_gathers
-    keeps, per shape, one position gather for every word of that evaluation,
-    and _image_table keeps, per tableau, every such word with the indices of
-    its images among the words of the tableau's content.  A push adds each
-    coefficient into one list over those words at the indices of its word,
-    and the list becomes the vector as it is when every coefficient is an
-    int.
+    theta_column pushes v through the cached tables (see the module
+    docstring), and its list becomes the vector as it is when every
+    coefficient is an int.
     """
-    shape = tableau_shape(t)
-    shape = check_partition(shape)
+    check_partition(tableau_shape(t))
     if not v:
         return WordVector()
-    targets, table = _image_table(tuple(map(tuple, t)))
-    out = [0] * len(targets)
-    for word, coeff in v.items():
-        images = table.get(word)
-        if images is None:
-            # the table holds every word of the evaluation, so this raises
-            _check_evaluation(shape, v)
-        for i in images:
-            out[i] += coeff
-    terms = dict(compress(zip(targets, out), out))
+    t = tuple(map(tuple, t))
+    out = theta_column(t, v)
+    terms = dict(compress(zip(_image_table(t)[0], out), out))
     if {int}.issuperset(map(type, out)):
         return WordVector._from_ints(terms)
     return WordVector(terms)

@@ -399,6 +399,14 @@ def _enumerate_words(evaluation: tuple[int, ...]) -> tuple[Word, ...]:
     return tuple(sorted(words, key=lambda w: tuple(reversed(w)), reverse=True))
 
 
+@cache
+def _lex_order(evaluation: tuple[int, ...]) -> tuple[int, ...]:
+    """Indices of the words of enumerate_words(evaluation) in lexicographic
+    word order, the order of sorted word vectors."""
+    words = enumerate_words(evaluation)
+    return tuple(sorted(range(len(words)), key=words.__getitem__))
+
+
 SHUFFLES = {
     "r2r": (r2r, 2),
     "r2t": (r2t, 1),

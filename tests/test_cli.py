@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -167,6 +168,67 @@ def test_cli_output_matches_reference_digest(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 
 
+# Exit code and stdout SHA-256 of eigenbasis commands, recorded before the
+# evaluation eigenbasis moved to int columns: every evaluation and shape of
+# size at most 5, and evaluations that are not partitions, trailing zeros
+# among them.
+EIGENBASIS_DIGESTS = [
+    ("--evaluation", "1", 0, "2f9a34aed92118d83052bb65d2272df28c55fa7a3fa8e67108c8591cbc805507"),
+    ("--evaluation", "2", 0, "19dbda184bccc481dbd5b93889e15646f8a8dba9009686ce5f8daa6bd27627f2"),
+    ("--evaluation", "1,1", 0, "9af3e13058d64c2524774c5c99cc953ea1084b5df5b5cd5b6394dffe560a0a58"),
+    ("--evaluation", "3", 0, "de78cc2fbd75770007f9c7db3d7627b456cb1d4f8667647660b59a9a7b77dc5a"),
+    ("--evaluation", "2,1", 0, "4fa0119517b5a2593ced8bc7f5daa4ed9d545bb2aa1d73415430281a9aa68abe"),
+    ("--evaluation", "1,1,1", 0, "81adc8a04b89185ca86375e8323ae55690a0b8d9fcb85f7ad6049fdd74cf715c"),
+    ("--evaluation", "4", 0, "dbe4ca190312cb39aee3d40cf762a5c9aa9f819875a0a94666d26db7aec75ad0"),
+    ("--evaluation", "3,1", 0, "c7d49dcefc6c846f058d1c00c97b50aa7ce62387d9b0c59afd0b5e1484c34d30"),
+    ("--evaluation", "2,2", 0, "45448b097614a3c29e5ddb26a16532f1b565e1d15dca8cf5ae32793d8ea5267d"),
+    ("--evaluation", "2,1,1", 0, "34731027b104cb4b3a8e7482878b03197d9a54ece722955827846293101c9a1c"),
+    ("--evaluation", "1,1,1,1", 0, "6d9dea6adad71742b2262f7a3266acf206c24d3f7e64cd27cd0b7a22dc566852"),
+    ("--evaluation", "5", 0, "db9ba9b8c862daf2bae37d7f677b5104c273eb18d8934a076c5bda69c1d4c35b"),
+    ("--evaluation", "4,1", 0, "d3f73d9078397d94d63e725d911d6fe4a3c209f3b2120868fae4bc363365d24b"),
+    ("--evaluation", "3,2", 0, "9516ee0f1f7568b5fd4a78c52b529d2c181700c01208c6d892ccb0ec851136fd"),
+    ("--evaluation", "3,1,1", 0, "da7f514199d7cc9afb0f0c45f554e9e58d7e2e0c786aae4d8492bff551478426"),
+    ("--evaluation", "2,2,1", 0, "9eedcfbce7ab8e6efb57747adffa1f08246df5d63cb62500af2c351cf7013881"),
+    ("--evaluation", "2,1,1,1", 0, "39d0070fa839398672ac05622f1754d2f4deb7f5be2b84185d5efe52498baf5f"),
+    ("--evaluation", "1,1,1,1,1", 0, "1dfa20729cea7dac36d29fbabca29f79e03b85a6cc94aab614338603c8383fe6"),
+    ("--evaluation", "1,2", 0, "44624d3e547ed5eb12f4862b86154ca4a576ffbde607ecaf6223d5a3b9ff4513"),
+    ("--evaluation", "0,2", 0, "0b9a0c0640977073171a39a006fe685a5dc7bd5b79a4c57934d2e07c37baace4"),
+    ("--evaluation", "2,0", 0, "68dd7343ddb25864dabd7df572f216144c1a3f0e51c51d155259c4b23efa3363"),
+    ("--evaluation", "2,1,0", 0, "67a6a34c918e7fcbab9038ebb118f44155978c45e3b1c6ff955c4212a502f95f"),
+    ("--evaluation", "1,3,1", 0, "af482dc46c53c1c53f6730f119c5cc120fdbaa876320f8dee5a214d61486724e"),
+    ("--evaluation", "2,1,2", 0, "9a1edd5417000e07fe603537105f8cd14a201c05af8b2f586b300cf378ffe416"),
+    ("--partition", "1", 0, "b3565fb98102bff10a545412bd219451182a3a7ac6d1ee17034d4982c798b523"),
+    ("--partition", "2", 0, "c7ddfb72e1c1126ace10d9410cc28001e2975948cbdf813ddff02c8e84e3d0bc"),
+    ("--partition", "1,1", 0, "8513a362a03d481a540d8d7cd1cefe1f2adcabb5085d63e9997fe20662fbaafd"),
+    ("--partition", "3", 0, "06661f4e36089c190993d2e0f3f59dd94b28ce530effb9dd7b2828468d1141c0"),
+    ("--partition", "2,1", 0, "d470efbd486fa0e969e5de1c653d19b6d23091f2a77d58823308e6cb3a1d0602"),
+    ("--partition", "1,1,1", 0, "30631073f8e8b20a73253e45df2f7838870d316f39c8f85bb9aef37e4e56fa3e"),
+    ("--partition", "4", 0, "7c4edfa9a6efd4f4a376e3604a6e13fdcb14536e3111497600148c8ae88d37a9"),
+    ("--partition", "3,1", 0, "d360e2e696118047f927bf6150c4b08a7bb908bb25a8998ac999004813eae7ed"),
+    ("--partition", "2,2", 0, "4dac808c25043f98259db43d4124369da815e1e78b4cea04e305e60338673142"),
+    ("--partition", "2,1,1", 0, "64978beaaa08570d87c17c1620eb633b8a3c9028f5ce15709e521435c8c09265"),
+    ("--partition", "1,1,1,1", 0, "f1ef771d68ad9c19d4a853e1f81676ac040835127f4414eea4c74001dec69cd6"),
+    ("--partition", "5", 0, "07cff885f72da7ea6251fb44a3d6d73fcfd4e0bbcb3fa6de2197414b8618cf71"),
+    ("--partition", "4,1", 0, "235634a1aaba84f4fc23ad380505e5e995b59265b29d68858ed4f042d356b000"),
+    ("--partition", "3,2", 0, "318120791959882b1fad3aa6c91dade6618ccc02618565b1b19c31bfa181fdf4"),
+    ("--partition", "3,1,1", 0, "b30a6ee556e6e4b0c54c1b1c36ad7d3e95248007524b4795f3cc37fcfb2b3655"),
+    ("--partition", "2,2,1", 0, "ff66da29ab259fdeaa742b1d6f1de329eb88d72e4099354c523302534cff411b"),
+    ("--partition", "2,1,1,1", 0, "b83b80f5772194d1c6326d9f8ceb34d63fff6668ee6663ca4a7d428d2d45f3ba"),
+    ("--partition", "1,1,1,1,1", 0, "83725f08a93e4ff36d38506191fcf17bcf64ffd7c0bfa0a6993033c30ee32d46"),
+]
+
+
+@pytest.mark.parametrize(
+    "option, value, exit_code, sha256",
+    EIGENBASIS_DIGESTS,
+    ids=[f"{option[2:]}-{value}" for option, value, _, _ in EIGENBASIS_DIGESTS],
+)
+def test_eigenbasis_output_matches_its_recorded_digest(capsys, option, value, exit_code, sha256):
+    code, out = run_cli(capsys, "eigenbasis", option, value)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_eigenbasis_verify_failure_exits_one(capsys, monkeypatch):
     # A wrong strip eigenvalue inside the library must fail its own check,
     # whether or not --verify is given.
@@ -308,7 +370,7 @@ def test_usage_errors_exit_code_two(capsys, monkeypatch):
     assert "R2R_MAX_N must be an integer" in capsys.readouterr().err
     # evaluations with more words than linalg._MAX_DIM are refused before any
     # library call; a broken guard raises here instead of starting the work
-    for name in ("eigenbasis", "eigenbasis_for_evaluation", "kernel_basis", "transition_matrix"):
+    for name in ("eigenbasis", "eigenbasis_columns", "kernel_basis", "transition_matrix"):
         monkeypatch.setattr(cli, name, _never_called)
     for argv in [
         ["eigenbasis", "--partition", "9,9"],
@@ -378,6 +440,30 @@ def test_the_word_count_refusal_compares_the_multinomial_with_the_cap(evaluation
     # exactly _MAX_DIM passes, one more does not
     assert not cli._over_max_dim([(_MAX_DIM, 1)])
     assert cli._over_max_dim([(_MAX_DIM + 1, 1)])
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_stdout_exits_one_without_a_traceback(unbuffered):
+    # the reader of the pipe is gone before the command writes anything;
+    # buffered, the write fails only when stdout is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "shuffle_spectra.cli", "eigenbasis", "--evaluation", "0,2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""
 
 
 def test_console_script_entry_point():

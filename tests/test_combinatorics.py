@@ -2,7 +2,7 @@ import itertools
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shuffle_spectra import combinatorics
 from shuffle_spectra.combinatorics import (
@@ -245,6 +245,9 @@ def test_entry_positions_roundtrip():
 
 @settings(deadline=None, max_examples=100)
 @given(st.lists(st.integers(min_value=1, max_value=3), max_size=7))
+@example([])
+@example([3, 1, 2, 1])
+@example([2, 2, 2])
 def test_multiset_arrangements_are_the_sorted_distinct_permutations(values):
     assert multiset_arrangements(values) == sorted(set(itertools.permutations(values)))
 

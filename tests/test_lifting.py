@@ -31,6 +31,7 @@ from shuffle_spectra.specht import project_onto_specht, specht_basis, specht_coo
 from shuffle_spectra.spectrum import eig_strip, spectrum_for_evaluation
 from shuffle_spectra.words import (
     WordVector,
+    _lex_order,
     apply_sh,
     apply_theta,
     enumerate_words,
@@ -57,6 +58,16 @@ def test_normalize_vector():
     v = WordVector({W("ab"): Fraction(-10, 3), W("ba"): Fraction(10, 3)})
     assert normalize_vector(v) == WordVector({W("ab"): 1, W("ba"): -1})
     assert normalize_vector(WordVector()) == WordVector()
+
+
+def test_normalize_vector_returns_a_vector_in_normal_form_as_it_is():
+    v = WordVector({W("ba"): -6, W("ab"): 5, W("bb"): 3})
+    assert normalize_vector(v) is v
+    # each of: a common factor, a negative first coefficient, a Fraction
+    for other in (2 * v, -v, WordVector({W("ab"): Fraction(5, 2), W("ba"): -3})):
+        normal = normalize_vector(other)
+        assert normal is not other
+        assert normalize_vector(normal) is normal
 
 
 def test_kernel_bases_of_small_shapes():
@@ -343,19 +354,78 @@ def test_eigenbasis_for_evaluation_builds_one_image_table_per_tableau():
 
 
 def test_eigenbasis_for_evaluation_rejects_a_pushed_non_eigenvector(monkeypatch):
-    original = lifting.theta_embedding
+    original = lifting.theta_column
     calls = []
 
     def corrupt_first(tab, v):
-        pushed = original(tab, v)
+        column = original(tab, v)
         calls.append(tab)
         if len(calls) == 1:
-            pushed = pushed + WordVector.unit(min(pushed.words()))
-        return pushed
+            # the unit of the least word of the push, added to it
+            targets = specht._image_table(tab)[0]
+            column[min((w, i) for i, w in enumerate(targets) if column[i])[1]] += 1
+        return column
 
-    monkeypatch.setattr(lifting, "theta_embedding", corrupt_first)
+    monkeypatch.setattr(lifting, "theta_column", corrupt_first)
     with pytest.raises(AssertionError, match="eigen-equation failed"):
         eigenbasis_for_evaluation((2, 1))
+
+
+def test_eigenbasis_for_evaluation_reports_a_zero_push(monkeypatch):
+    # the normal form leaves a zero column as it is, for the check to name
+    original = lifting.theta_column
+    calls = []
+
+    def zero_second(tab, v):
+        calls.append(tab)
+        return [0] * len(original(tab, v)) if len(calls) == 2 else original(tab, v)
+
+    monkeypatch.setattr(lifting, "theta_column", zero_second)
+    message = r"^zero vector 0 of strip \(2, 1\)/\(1, 1\) in the word space of \(2, 1\)$"
+    with pytest.raises(AssertionError, match=message):
+        eigenbasis_for_evaluation((2, 1))
+
+
+def test_eigenbasis_for_evaluation_checks_the_specht_vectors_through_their_images(monkeypatch):
+    # the Specht eigenbases of the word space are not checked on their own;
+    # a broken lift must still fail the one check on the word space
+    original = lifting._scaled_lift_chain
+    calls = []
+
+    def perturb_third(outer, inner, v):
+        lifted, scale = original(outer, inner, v)
+        calls.append((outer, inner))
+        if len(calls) == 3:
+            lifted = lifted + WordVector.unit(max(lifted.words()))
+        return lifted, scale
+
+    monkeypatch.setattr(lifting, "_scaled_lift_chain", perturb_third)
+    with pytest.raises(
+        AssertionError,
+        match=r"eigen-equation failed for vector \d+ of strip .* in the word space of \(2, 1, 1\)",
+    ):
+        eigenbasis_for_evaluation((2, 1, 1))
+    assert len(calls) >= 3
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from([(2, 1, 1), (1, 2, 1), (3, 1), (2, 0, 2)]),
+    st.lists(st.integers(-4, 4), min_size=12, max_size=12),
+    st.sampled_from([1, -1, 2, -6, 2**70, -(3**50)]),
+)
+@example((2, 1, 1), [0] * 12, 5)
+@example((3, 1), [0] * 12, -1)
+@example((2, 1, 1), [0] * 11 + [-3], 2)
+def test_normal_column_is_normalize_vector_on_int_columns(nu, entries, scale):
+    # a column of either sign with a common factor, or the zero column
+    words = enumerate_words(nu)
+    column = [scale * c for c in entries[: len(words)]]
+    normal = lifting._normal_column(list(column), _lex_order(nu))
+    assert all(type(c) is int for c in normal)
+    assert WordVector(zip(words, normal)) == normalize_vector(WordVector(zip(words, column)))
+    if not any(column):
+        assert normal == column
 
 
 def test_eigenbasis_vectors_verify_by_operator_application():

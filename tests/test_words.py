@@ -128,6 +128,14 @@ def test_enumerate_words_checks_its_input_before_the_cache():
             enumerate_words(bad)
 
 
+def test_enumerate_words_of_a_long_evaluation_does_not_recurse():
+    # one recursion level per letter passed the interpreter's recursion limit
+    words = enumerate_words((1100, 1))
+    assert len(words) == 1101
+    assert words[0] == (1,) * 1100 + (2,)
+    assert words[-1] == (2,) + (1,) * 1100
+
+
 def test_insertion_deletion_replacement_examples():
     aaba = W("aaba")
     assert apply_sh(1, aaba) == WordVector({W("aaaba"): 3, W("aabaa"): 2})
