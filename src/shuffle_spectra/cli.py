@@ -106,13 +106,18 @@ def _strip_text(outer, inner) -> str:
     return f"{_partition_text(outer)}/{_partition_text(inner)}"
 
 
+class _Members(list):
+    """The members of a nonempty JSON object, each rendered as '"key": value'."""
+
+
 def _write_json(payload, out) -> None:
     """json.dumps(payload, indent=2) and a newline, written piece by piece.
 
     An indent makes json use its pure-Python encoder, so each container that
     holds no container goes through the C encoder in one call instead, with
     a line break and the indent of its items as the item separator.  Only
-    containers of containers are walked here.
+    containers of containers are walked here, and a _Members object is
+    joined with that separator as it is.
     """
     _write_json_value(payload, out, "\n")
     out.write("\n")
@@ -120,6 +125,10 @@ def _write_json(payload, out) -> None:
 
 def _write_json_value(value, out, newline: str) -> None:
     # newline is a line break and the indent of value's own line
+    if type(value) is _Members:
+        inner = newline + "  "
+        out.write("{" + inner + ("," + inner).join(value) + newline + "}")
+        return
     containers = (dict, list, tuple)
     if not isinstance(value, containers) or not value:
         out.write(json.dumps(value))
@@ -350,8 +359,9 @@ def cmd_eigenbasis(args, parser) -> int:
         evaluation = _parse_evaluation(args.evaluation, parser, "--evaluation")
         _refuse_many_words("eigenbasis", evaluation, parser)
         words, lex, pushed = eigenbasis_columns(evaluation)
-        # WordVector.to_json of each column, read in lexicographic word order
-        texts = [word_to_text(words[i]) for i in lex]
+        # the members of WordVector.to_json of each column, in lexicographic
+        # word order; a checked column is never zero
+        keys = [json.dumps(word_to_text(words[i])) + ': "' for i in lex]
         payload = {
             "schema": f"{SCHEMA_PREFIX}/eigenbasis-evaluation/1",
             "evaluation": list(evaluation),
@@ -360,7 +370,7 @@ def cmd_eigenbasis(args, parser) -> int:
                     "embedding": [list(row) for row in tab],
                     **entry.strip_json(),
                     "vectors": [
-                        {w: str(c) for w, c in zip(texts, map(col.__getitem__, lex)) if c}
+                        _Members([f'{k}{c}"' for k, c in zip(keys, map(col.__getitem__, lex)) if c])
                         for col in columns
                     ],
                 }

@@ -132,23 +132,6 @@ def tableau_shape(t: Tableau) -> Partition:
     return tuple(len(row) for row in t)
 
 
-def is_standard(t: Tableau) -> bool:
-    shape = tableau_shape(t)
-    if not is_partition(shape) and shape != ():
-        return False
-    n = sum(shape)
-    entries = [x for row in t for x in row]
-    if sorted(entries) != list(range(1, n + 1)):
-        return False
-    for row in t:
-        if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
-            return False
-    for i in range(len(t) - 1):
-        if any(t[i][j] >= t[i + 1][j] for j in range(len(t[i + 1]))):
-            return False
-    return True
-
-
 @cache
 def standard_tableaux(shape: Partition) -> tuple[Tableau, ...]:
     """All standard tableaux of the shape, ordered by row reading word."""
@@ -271,12 +254,6 @@ def semistandard_tableaux(shape: Partition, content: tuple[int, ...]) -> tuple[T
 def kostka(shape: Partition, content) -> int:
     """Number of semistandard tableaux of the shape with the given content."""
     return len(semistandard_tableaux(check_partition(shape), tuple(content)))
-
-
-def tableau_content(t: Tableau) -> tuple[int, ...]:
-    entries = [x for row in t for x in row]
-    top = max(entries) if entries else 0
-    return tuple(entries.count(v) for v in range(1, top + 1))
 
 
 # -- RSK correspondence ------------------------------------------------------

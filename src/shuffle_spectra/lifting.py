@@ -7,6 +7,15 @@ a sum over chains of rows evaluated by one integer recursion over the rows;
 the tests check it against the chain sum itself and against insertion
 followed by orthogonal projection.
 
+The recursion runs on int columns over the words of one evaluation: sh_b
+and theta_{a->b} are 0/1 maps between word spaces, each a cached table of n
+per-position gathers (_lift_gathers), so an image is n C-level gathers,
+summed.  All kernel vectors of one inner shape go through their chain of
+lifts together, packed into one int per word with signed digits (Kronecker
+substitution).  lifted_b sums g_b sh_b(v) and w_ab theta_{a->b}(lifted_a)
+over a < b, and an image sums at most n entries, so if M and M_a bound the
+entries of v and lifted_a, M_b <= |g_b| n M + sum over a of |w_ab| n M_a.
+
 Kernel bases are nullspaces taken in word coordinates: the matrix whose
 columns are the images of the Specht basis vectors under random-to-top, over
 the words of the shape.  Random-to-random is top-to-random after
@@ -20,23 +29,13 @@ scalar normal form of an eigenvector cannot tell apart, so no eigenvector
 costs a division.  Pushing those through the module embeddings indexed by
 semistandard tableaux yields a full eigenbasis of any word space.
 
-Both eigenbases pass one check core, `_check_columns`, before they are
-returned.  It tests the whole eigenbasis as one matrix identity: with V the
-matrix whose rows are the words of the space and whose columns are the
-vectors, and Lambda the diagonal matrix of their eigenvalues, it checks
-r2r V == V Lambda and rank V == dim of the space, in exact integers.  r2r V
-needs neither a words-by-words matrix nor a pass per vector: each row of V
-is packed into one int, its entries the digits in base 2**b (Kronecker
-substitution), and one gather per distinct move of positions applies r2r to
-that one column.  Rank V is the sum of the ranks of its per-eigenvalue
-blocks, which the eigen-equations make exact, each certified by linalg._rank:
-every vector of a block becomes one int with its coefficients mod a prime
-in 64-bit lanes, one lane per word, so the elimination modulo that prime
-updates a whole vector per big-int operation, and a block whose rank modulo
-the prime is its size is proven independent at once.
+Both eigenbases pass one check core, `_check_columns`, as int columns and
+before any WordVector is built: with V the matrix of their vectors over the
+words of the space and Lambda that of their eigenvalues, r2r V == V Lambda
+and rank V == dim of the space, exactly, on the rows of V packed into one
+int each by one int.from_bytes of their biased digits.
 
-The eigenbasis of a word space is int columns over its words from theta
-(specht.theta_column) to the output, checked once, on the word space.  Its
+The eigenbasis of a word space is checked once, on the word space.  Its
 Specht eigenbases are not checked on their own: theta_t is injective on a
 Specht module and commutes with r2r, and every Specht module pushed has a
 tableau, so a broken eigen-equation or a lost rank there shows in the images.
@@ -47,18 +46,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import compress
-from operator import lshift, mul, sub
+from itertools import combinations, repeat
+from operator import add, itemgetter, mul, sub
 
 from .combinatorics import (
     Partition,
     check_partition,
     check_skew,
     desarrangement_count,
-    dominates,
     horizontal_strip_inners,
+    is_partition,
     part,
-    partitions_of,
     semistandard_tableaux,
     standard_tableaux,
 )
@@ -68,14 +66,14 @@ from .specht import specht_basis, theta_column
 from .words import (
     WordVector,
     _apply_moves,
+    _column,
     _lex_order,
     _move_gathers,
-    apply_sh,
-    apply_theta,
+    _word_index,
     enumerate_words,
+    evaluation_of,
     operator_matrix,
     r2t,
-    word_to_text,
 )
 
 
@@ -111,10 +109,7 @@ def _normal_column(column: list[int], lex) -> list[int]:
 def _added_rows(outer: Partition, inner: Partition) -> list[int]:
     """Rows gaining a cell, weakly increasing, with multiplicity."""
     outer, inner = check_skew(outer, inner)
-    rows: list[int] = []
-    for i in range(1, len(outer) + 1):
-        rows.extend([i] * (outer[i - 1] - part(inner, i)))
-    return rows
+    return [i for i in range(1, len(outer) + 1) for _ in range(outer[i - 1] - part(inner, i))]
 
 
 def _check_lift_target(shape: Partition, row: int) -> Partition:
@@ -123,10 +118,9 @@ def _check_lift_target(shape: Partition, row: int) -> Partition:
         raise ValueError(f"cannot add a cell in row {row} of {shape}")
     target = list(shape) + [0] * (row - len(shape))
     target[row - 1] += 1
-    target_partition = tuple(target)
     if not (row == 1 or target[row - 2] >= target[row - 1]):
         raise ValueError(f"{shape} plus a cell in row {row} is not a partition")
-    return target_partition
+    return tuple(target)
 
 
 def lift(shape: Partition, row: int, v: WordVector) -> WordVector:
@@ -138,27 +132,10 @@ def lift(shape: Partition, row: int, v: WordVector) -> WordVector:
     inverse gaps of the adjusted part lengths; the empty chain is the plain
     insertion of the row's letter.  The input must lie in the source Specht
     module for the output to land in the target one.  The sum is evaluated
-    row by row in integers, with one division at the end.
+    row by row in integers, on the column of v (_lift_columns), with one
+    division at the end.
     """
-    lifted, scale = _scaled_lift(shape, row, v)
-    return lifted / scale
-
-
-def _scaled_lift(shape: Partition, row: int, v: WordVector) -> tuple[WordVector, int]:
-    """(g * lift(shape, row, v), g), with g the product of the gaps above row."""
-    _check_lift_target(shape, row)
-    # gap of each row b above row; at most b - row < 0, as part(shape, b) >= part(shape, row)
-    gaps = [(part(shape, row) - row) - (part(shape, b) - b) for b in range(1, row)]
-    # lifted[b - 1] is the sum over the chains ending in b, times the product of the gaps above b
-    lifted: list[WordVector] = []
-    for b in range(1, row + 1):
-        scale = math.prod(gaps[: b - 1])
-        terms = [(w, scale * c) for w, c in apply_sh(b, v).items()]
-        for a in range(1, b):
-            weight = math.prod(gaps[a : b - 1])
-            terms.extend((w, weight * c) for w, c in apply_theta(a, b, lifted[a - 1]).items())
-        lifted.append(WordVector(terms))
-    return lifted[-1], math.prod(gaps)
+    return lift_chain(_check_lift_target(shape, row), shape, v)
 
 
 def lift_chain(outer: Partition, inner: Partition, v: WordVector) -> WordVector:
@@ -167,24 +144,70 @@ def lift_chain(outer: Partition, inner: Partition, v: WordVector) -> WordVector:
     The weakly increasing order is what makes deferring all projections to
     the closed form valid; the composite is identically zero whenever the
     skew shape has two cells in one column.  It divides once, at the end.
+    The words of v must have the evaluation inner: this and lift are the
+    WordVector form of _lift_columns, which the eigenbases call.
     """
-    lifted, scale = _scaled_lift_chain(outer, inner, v)
-    return lifted / scale
-
-
-def _scaled_lift_chain(
-    outer: Partition, inner: Partition, v: WordVector
-) -> tuple[WordVector, int]:
-    """(g * lift_chain(outer, inner, v), g), with g the product of the gaps
-    of every lift along the chain; g is never zero, as every gap is
-    negative."""
     outer, inner = check_skew(outer, inner)
-    current, scale = inner, 1
+    column = _column(v, inner)
+    # lift d * v in ints, d the lcm of the denominators
+    d = math.lcm(*(c.denominator for c in column))
+    (lifted,), scale = _lift_columns(outer, inner, [[int(c * d) for c in column]])
+    return WordVector(zip(enumerate_words(outer), lifted)) / (scale * d)
+
+
+@cache
+def _lift_gathers(shape: Partition, a: int, b: int) -> tuple[itemgetter, ...]:
+    """Per-position gathers of sh_b (a == 0) or theta_{a->b}, from the words
+    of shape + e_a to those of shape + e_b: gather j reads, for each target
+    word w with w[j] == b, the index of w with position j removed (sh_b) or
+    set to a (theta), and at every other word, and once more at its end,
+    the index of a trailing 0.  The gathers of a column followed by one 0
+    sum to its image in the same form; put replaces b at position j."""
+    put, word = (a,) if a else (), enumerate_words(shape)[0]
+    index = _word_index(evaluation_of(word + put))
+    targets, end = enumerate_words(evaluation_of(word + (b,))), len(index)
+    return tuple(
+        itemgetter(*[index[w[:j] + put + w[j + 1 :]] if w[j] == b else end for w in targets], end)
+        for j in range(len(targets[0]))
+    )
+
+
+def _lift_columns(outer: Partition, inner: Partition, columns: list[list[int]]) -> tuple[list, int]:
+    """([g * lift_chain(outer, inner, u) for u in columns], g) for int
+    columns over the words of inner, lifted to the words of outer, with g
+    the product of the gaps along the chain, never zero as every gap is
+    negative.  The columns are lifted packed, under the module's bound."""
+    steps, shape = [], inner
+    bound = max(max(map(abs, col)) for col in columns)
     for row in _added_rows(outer, inner):
-        v, gaps = _scaled_lift(current, row, v)
-        scale *= gaps
-        current = _check_lift_target(current, row)
-    return v, scale
+        # gap of each row b above row; at most b - row < 0, as part(shape, b) >= part(shape, row)
+        gaps = [(part(shape, row) - row) - (part(shape, b) - b) for b in range(1, row)]
+        # weights[b - 1][a]: the weight of sh_b(v) (a == 0) or theta_{a->b}(lifted_a) in lifted_b
+        weights = [[math.prod(gaps[a : b - 1]) for a in range(b)] for b in range(1, row + 1)]
+        sizes = [bound]
+        for ws in weights:
+            sizes.append((sum(shape) + 1) * sum(abs(w) * m for w, m in zip(ws, sizes)))
+        bound = sizes[-1]
+        steps.append((shape, weights))
+        shape = _check_lift_target(shape, row)
+    nbytes = bound.bit_length() // 8 + 1
+    rows, bias = _biased_rows(columns, nbytes)
+    packed = [r - bias for r in rows] + [0]
+    for shape, weights in steps:
+        lifted = [packed]
+        for b, ws in enumerate(weights, 1):
+            images = []
+            for a, (w, x) in enumerate(zip(ws, lifted)):
+                x = x if w == 1 else list(map(mul, x, repeat(w)))
+                images.extend(gather(x) for gather in _lift_gathers(shape, a, b))
+            lifted.append(list(map(sum, zip(*images))))
+        packed = lifted[-1]
+    # each digit, biased by half, is one slice of nbytes bytes of its row
+    half = 1 << (8 * nbytes - 1)
+    rows = [(p + bias).to_bytes(nbytes * len(columns), "little") for p in packed[:-1]]
+    digits = range(0, len(rows[0]), nbytes)
+    lifted = [[int.from_bytes(r[i : i + nbytes], "little") - half for r in rows] for i in digits]
+    return lifted, math.prod(weights[-1][0] for _, weights in steps)
 
 
 @cache
@@ -212,10 +235,8 @@ def kernel_basis(shape: Partition) -> tuple[WordVector, ...]:
         v = WordVector((w, c * x) for c, u in zip(coeffs, basis) if c for w, x in u.items())
         vectors.append(normalize_vector(v))
     if len(vectors) != desarrangement_count(shape):
-        raise AssertionError(
-            f"kernel of {shape} has dimension {len(vectors)}, "
-            f"expected {desarrangement_count(shape)}"
-        )
+        expected = desarrangement_count(shape)
+        raise AssertionError(f"kernel of {shape} has dimension {len(vectors)}, expected {expected}")
     return tuple(vectors)
 
 
@@ -225,7 +246,7 @@ class EigenbasisEntry:
 
     vectors are normalized lifts of the kernel basis of the inner shape, in
     the order of that basis.  Every vector satisfies r2r(v) = eigenvalue * v
-    exactly.
+    exactly.  Before its check an entry has no vectors, only int columns.
     """
 
     outer: Partition
@@ -244,75 +265,63 @@ class EigenbasisEntry:
         return {**self.strip_json(), "vectors": [v.to_json() for v in self.vectors]}
 
 
-def _label(entries, j: int) -> str:
-    """Name of vector j of the entries, counted across them in order."""
-    for entry in entries:
-        if j < len(entry.vectors):
-            return f"vector {j} of strip {entry.outer}/{entry.inner}"
-        j -= len(entry.vectors)
+def _biased_rows(columns: list[list[int]], nbytes: int) -> tuple[list[int], int]:
+    """(rows, bias): row i sums (columns[j][i] + half) * 2**(8 * nbytes * j)
+    over j, half = 2**(8 * nbytes - 1) being above every |entry|, and bias
+    sums half alone; each row is read at once from nbytes bytes per entry."""
+    half = 1 << (8 * nbytes - 1)
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * len(columns), "little")
+    # map stops at the end of the row, so the endless repeats serve every row
+    halves, sizes, order = repeat(half), repeat(nbytes), repeat("little")
+    rows = zip(*columns)
+    data = (b"".join(map(int.to_bytes, map(add, row, halves), sizes, order)) for row in rows)
+    return [int.from_bytes(row, "little") for row in data], bias
 
 
-def _check_eigenbasis(entries: list[EigenbasisEntry], words, dimension: int, space: str) -> None:
-    """Raise AssertionError unless the vectors of the entries are nonzero
-    eigenvectors for their entries' eigenvalues and form a basis of the span
-    of words, a space of the given dimension.
+def _check_columns(groups, words, dimension: int, space: str) -> None:
+    """Raise AssertionError unless the int columns of the (entry, columns)
+    groups are nonzero eigenvectors for their entries' eigenvalues and form
+    a basis of the span of words, a space of the given dimension.
 
-    The word-vector entry point of _check_columns: words must be all the
-    words of one evaluation, and a vector with any other word fails.  Each
-    vector becomes an int column over words, its Fraction coefficients
-    cleared by linalg._clear_denominators, which changes neither its
-    eigen-equation nor any rank.  The eigenbasis of a word space skips this
-    and its Specht eigenbases, and is checked once, as columns, on the word
-    space (module docstring).
-    """
-    index = {w: i for i, w in enumerate(words)}
-    columns = []
-    for j, v in enumerate(v for entry in entries for v in entry.vectors):
-        col = [0] * len(words)
-        for w, c in v.items():
-            i = index.get(w)
-            if i is None:
-                label = _label(entries, j)
-                raise AssertionError(f"{label} has word {word_to_text(w)}, not in {space}")
-            col[i] = c
-        columns.append(_clear_denominators(col))
-    _check_columns(entries, columns, words, dimension, space)
-
-
-def _check_columns(entries, columns: list[list[int]], words, dimension: int, space: str) -> None:
-    """The check of _check_eigenbasis on int columns over words, one per
-    vector of the entries, in order; only the strips, the eigenvalues and
-    the number of vectors of each entry are read.
-
-    V holds the columns and Lambda their eigenvalues.  With n the word
-    length and B = max |V| * max(n**2, max |Lambda|), every entry of r2r V
-    and of V Lambda is at most B in absolute value, since r2r sums n**2
-    entries of a column.  Each row w of V is packed into
+    words must be all the words of one evaluation, each column lists the
+    coefficients of one vector over them, and only the strip and the
+    eigenvalue of each entry are read.  V holds the columns and Lambda their
+    eigenvalues.  With n the word length and
+    B = max |V| * max(n**2, max |Lambda|, 1), every entry of r2r V, of V and
+    of V Lambda is at most B in absolute value, since r2r sums n**2 entries
+    of a column.  Each row w of V is packed into
     P[w] = sum over j of V[w][j] * 2**(b*j), and of V Lambda into S[w],
-    where 2**b > 2B.  `_apply_moves` maps P to the packed rows of r2r V, so
-    D = r2r P - S packs the digits d_j of r2r V - V Lambda, each with
-    |d_j| <= 2B < 2**b.  A packed int with such digits is zero only when
-    every digit is, and its lowest set bit lies in the digit of its first
-    nonzero one: D == 0 is every eigen-equation, and the first failing
-    vector is the least (lowest set bit of d) // b over the nonzero entries
-    d of D.  Once every eigen-equation holds, vectors of distinct
-    eigenvalues are independent, so rank V is the sum of the ranks of its
-    blocks of one eigenvalue each.  linalg._rank ranks each block, its
-    vectors as int rows packed into 64-bit lanes: full at once when its
-    rank modulo a prime says so, else by exact elimination.  Everything
-    runs in plain ints, so nothing rounds or overflows.  Each message names
-    the first failing vector.
+    where 2**b > 2B and b is a whole number of bytes.  _biased_rows packs
+    the digits plus 2**(b-1) in linear time, and S[w] is the sum, over the
+    eigenvalues lam, of lam times the digits of lam's columns, masked out
+    of that biased row, less their bias.  `_apply_moves` maps P to the
+    packed rows of r2r V, so D = r2r P - S packs the digits d_j of
+    r2r V - V Lambda, each with |d_j| <= 2B < 2**b.  A packed int with such
+    digits is zero only when every digit is, and its lowest set bit lies in
+    the digit of its first nonzero one: D == 0 is every eigen-equation, and
+    the first failing vector is the least (lowest set bit of d) // b over
+    the nonzero entries d of D.  Once every eigen-equation holds, vectors of
+    distinct eigenvalues are independent, so rank V is the sum of the ranks
+    of its blocks of one eigenvalue each, by linalg._rank.  Everything runs
+    in plain ints, so nothing rounds or overflows.  Each message names the
+    first failing vector.
     """
-    eigenvalues = [entry.eigenvalue for entry in entries for _ in entry.vectors]
+    columns = [col for _, cols in groups for col in cols]
+    labels = [f"vector {j} of strip {e.outer}/{e.inner}" for e, c in groups for j in range(len(c))]
+    blocks: dict[int, list[int]] = {}  # the vectors of each eigenvalue
+    for j, lam in enumerate(entry.eigenvalue for entry, cols in groups for _ in cols):
+        blocks.setdefault(lam, []).append(j)
     n = len(words[0])
     top = max((max(map(abs, col)) for col in columns), default=0)
-    b = (2 * top * max([n * n, *map(abs, eigenvalues)])).bit_length()
-    shifts = [b * j for j in range(len(columns))]
-    # the rows of V, packed; with no vectors, every word packs to 0
-    packed = [sum(map(lshift, row, shifts)) for row in zip(*columns)] or [0] * len(words)
-    scaled = [
-        sum(map(lshift, map(mul, row, eigenvalues), shifts)) for row in zip(*columns)
-    ] or packed
+    nbytes = (2 * top * max([n * n, 1, *map(abs, blocks)])).bit_length() // 8 + 1
+    b = 8 * nbytes
+    # the rows of V packed, and those of V Lambda from their biased digits, of
+    # one eigenvalue at a time; with no vectors, every word packs to 0
+    biased, bias = _biased_rows(columns, nbytes)
+    masks = [sum(((1 << b) - 1) << (b * j) for j in js) for js in blocks.values()]
+    parts = [(lam, m, bias & m) for lam, m in zip(blocks, masks)]
+    packed = [q - bias for q in biased] or [0] * len(words)
+    scaled = [sum(lam * ((q & m) - o) for lam, m, o in parts) for q in biased] or packed
     image = _apply_moves(_move_gathers(words), packed)
     failing = min(
         (((d & -d).bit_length() - 1) // b for d in map(sub, image, scaled) if d),
@@ -320,29 +329,35 @@ def _check_columns(entries, columns: list[list[int]], words, dimension: int, spa
     )
     zero = next((j for j, col in enumerate(columns) if not any(col)), len(columns))
     if zero < failing:
-        raise AssertionError(f"zero {_label(entries, zero)} in {space}")
+        raise AssertionError(f"zero {labels[zero]} in {space}")
     if failing < len(columns):
-        raise AssertionError(f"eigen-equation failed for {_label(entries, failing)} in {space}")
-
-    blocks: dict[int, list] = {}
-    for lam, col in zip(eigenvalues, columns):
-        blocks.setdefault(lam, []).append(col)
-    if len(columns) != dimension or sum(map(_rank, blocks.values())) != dimension:
+        raise AssertionError(f"eigen-equation failed for {labels[failing]} in {space}")
+    ranks = (_rank([columns[j] for j in js]) for js in blocks.values())
+    if len(columns) != dimension or sum(ranks) != dimension:
         raise AssertionError(f"eigenvectors do not span {space}")
 
 
-def _lifted_entries(shape: Partition) -> list[EigenbasisEntry]:
-    """The entries of eigenbasis(shape), unchecked."""
-    entries: list[EigenbasisEntry] = []
+def _lifted_entries(shape: Partition) -> list[tuple[EigenbasisEntry, list[list[int]]]]:
+    """The strips of eigenbasis(shape), unchecked: one (entry, columns) pair
+    per inner shape with a nonzero kernel, the entry still without vectors
+    and the columns the normal forms of the lifts of its kernel basis, over
+    enumerate_words(shape)."""
+    lex = _lex_order(shape)
+    lifted = []
     for inner in sorted(horizontal_strip_inners(shape), key=lambda m: (sum(m), m)):
-        kernel = kernel_basis(inner)
-        if not kernel:
-            continue
-        # the normal form is the same for every nonzero multiple, so the
-        # integral lift needs no division
-        vectors = tuple(normalize_vector(_scaled_lift_chain(shape, inner, u)[0]) for u in kernel)
-        entries.append(EigenbasisEntry(shape, inner, eig_strip(shape, inner), vectors))
-    return entries
+        kernel = [_column(u, inner) for u in kernel_basis(inner)]
+        if kernel:
+            # the normal form is the same for every nonzero multiple, so the
+            # integral lift needs no division
+            columns = _lift_columns(shape, inner, kernel)[0]
+            entry = EigenbasisEntry(shape, inner, eig_strip(shape, inner), ())
+            lifted.append((entry, [_normal_column(col, lex) for col in columns]))
+    return lifted
+
+
+def _vectors(words, columns) -> tuple[WordVector, ...]:
+    """The vectors of int columns over words."""
+    return tuple(WordVector._from_ints(dict(zip(words, col))) for col in columns)
 
 
 @cache
@@ -355,40 +370,29 @@ def eigenbasis(shape: Partition) -> tuple[EigenbasisEntry, ...]:
     a failure would falsify the construction rather than the input.
     """
     shape = check_partition(shape)
-    entries = _lifted_entries(shape)
-    _check_eigenbasis(
-        entries,
-        enumerate_words(shape),
-        len(standard_tableaux(shape)),
-        f"the Specht module of {shape}",
-    )
-    return tuple(entries)
+    lifted = _lifted_entries(shape)
+    words = enumerate_words(shape)
+    _check_columns(lifted, words, len(standard_tableaux(shape)), f"the Specht module of {shape}")
+    return tuple(replace(entry, vectors=_vectors(words, columns)) for entry, columns in lifted)
 
 
 def eigenbasis_columns(evaluation):
     """The eigenbasis of eigenbasis_for_evaluation as checked int columns.
 
     Returns words = enumerate_words(evaluation), lex = _lex_order of it,
-    and one (tableau, entry, columns) triple per tableau and unchecked
-    Specht entry, columns holding the normal forms of its pushes.
+    and one (tableau, entry, columns) triple per tableau and Specht entry,
+    the entry without vectors and the columns the normal forms of its pushes.
     """
     evaluation = tuple(evaluation)
-    words = enumerate_words(evaluation)
-    lex = _lex_order(evaluation)
-    pushed = []
+    words, lex, pushed = enumerate_words(evaluation), _lex_order(evaluation), []
     for outer in _dominating_partitions(sort_evaluation(evaluation)):
-        entries = _lifted_entries(outer)
+        lifted = _lifted_entries(outer)
         for tab in semistandard_tableaux(outer, evaluation):
-            for entry in entries:
-                columns = [_normal_column(theta_column(tab, v), lex) for v in entry.vectors]
-                pushed.append((tab, entry, columns))
-    _check_columns(
-        [entry for _, entry, _ in pushed],
-        [col for *_, columns in pushed for col in columns],
-        words,
-        len(words),
-        f"the word space of {evaluation}",
-    )
+            for entry, cols in lifted:
+                pushes = [_normal_column(theta_column(tab, c), lex) for c in cols]
+                pushed.append((tab, entry, pushes))
+    space = f"the word space of {evaluation}"
+    _check_columns([(entry, columns) for _, entry, columns in pushed], words, len(words), space)
     return words, lex, pushed
 
 
@@ -400,14 +404,20 @@ def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
     jointly form an eigenbasis of the whole word space.
     """
     words, _, pushed = eigenbasis_columns(evaluation)
-
-    def vector(column: list[int]) -> WordVector:
-        return WordVector._from_ints(dict(compress(zip(words, column), column)))
-
-    return tuple(
-        (tab, replace(entry, vectors=tuple(map(vector, columns)))) for tab, entry, columns in pushed
-    )
+    return tuple((tab, replace(e, vectors=_vectors(words, cols))) for tab, e, cols in pushed)
 
 
 def _dominating_partitions(nu: Partition) -> list[Partition]:
-    return [p for p in partitions_of(sum(nu)) if dominates(p, nu)]
+    """The partitions that dominate nu, in the order of partitions_of: the
+    closure of nu under moving one cell to an earlier row where the result
+    is a partition, as every cover of the dominance order is such a move."""
+    found, todo = {nu}, [nu]
+    while todo:
+        p = todo.pop()
+        for j, i in combinations(range(len(p)), 2):
+            q = [*p[:j], p[j] + 1, *p[j + 1 : i], p[i] - 1, *p[i + 1 :]]
+            q = tuple(q if q[-1] else q[:-1])
+            if is_partition(q) and q not in found:
+                found.add(q)
+                todo.append(q)
+    return sorted(found, reverse=True)

@@ -15,21 +15,21 @@ this projection agrees with the module-theoretic projection wherever this
 package uses it; no character theory is needed.
 
 The module morphisms theta_t, one per filled tableau t, carry the Specht
-module of shape(t) into the word space of t's content.  Everything about
-theta_t but the coefficients it is applied to is cached: per shape, one
-position gather for every word of that evaluation (_position_gathers), and
-per tableau, the indices of every such word's images among the words of
-the content (_image_table).  Pushing a vector then costs one list addition
-per image, with no sorting and no image word built or hashed.  The push,
-theta_column, returns one list of coefficients over the words of t's
-content, which theta_embedding wraps as a WordVector.
+module of shape(t) into the word space of t's content.  All of theta_t but
+the coefficients it is applied to is cached: per shape, one position gather
+for every word of that evaluation (_position_gathers), and per tableau, the
+indices of every such word's images among the words of the content
+(_image_table).  The push, theta_column, reads an int column over the words
+of shape(t), as lifting leaves it, and costs one list addition per image,
+with no image word built or hashed; theta_embedding wraps it for
+WordVectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, permutations, product
+from itertools import permutations, product
 from operator import itemgetter
 from typing import Callable
 
@@ -43,7 +43,7 @@ from .combinatorics import (
     tableau_shape,
 )
 from .linalg import ExactMatrix
-from .words import Scalar, Word, WordVector, enumerate_words, evaluation_of
+from .words import Scalar, Word, WordVector, _column, _word_index, enumerate_words, evaluation_of
 
 
 def word_of_tableau(t: Tableau) -> Word:
@@ -115,18 +115,10 @@ def gram_matrix(shape: Partition) -> ExactMatrix:
     )
 
 
-def _check_evaluation(shape: Partition, v: WordVector) -> None:
-    for word in v.words():
-        if evaluation_of(word) != shape:
-            raise ValueError(
-                f"word {word} has evaluation {evaluation_of(word)}, expected {shape}"
-            )
-
-
 def _gram_projection(shape: Partition, v: WordVector) -> tuple[tuple[Scalar, ...], WordVector]:
     """Coordinates in the w_t basis of the orthogonal projection of v, and
     the projection itself, by one Gram solve."""
-    _check_evaluation(shape, v)
+    _column(v, shape)  # raises ValueError for a word of another evaluation
     basis = specht_basis(shape).vectors
     coords = gram_matrix(shape).solve([w.inner(v) for w in basis])
     if coords is None:
@@ -153,8 +145,9 @@ def project_onto_specht(shape: Partition, v: WordVector) -> WordVector:
 
 
 @cache
-def _position_gathers(shape: Partition) -> dict[Word, Callable[[Word], Word]]:
-    """For every word of evaluation shape, the gather that lays a fill over it.
+def _position_gathers(shape: Partition) -> tuple[Callable[[Word], Word], ...]:
+    """For every word of enumerate_words(shape), in order, the gather that
+    lays a fill over it.
 
     A fill lists its letters row by row, so the letters that overwrite the
     occurrences of r sit where r sits in the word sorted stably.  With
@@ -162,47 +155,45 @@ def _position_gathers(shape: Partition) -> dict[Word, Callable[[Word], Word]]:
     word under a fill is itemgetter(*rank)(fill).
     """
     n = sum(shape)
-    gathers = {}
+    gathers = []
     for word in enumerate_words(shape):
         order = sorted(range(n), key=word.__getitem__)
         rank = sorted(range(n), key=order.__getitem__)
         # a word of at most one letter is its own image; itemgetter(0) gives a letter
-        gathers[word] = itemgetter(*rank) if n > 1 else tuple
-    return gathers
+        gathers.append(itemgetter(*rank) if n > 1 else tuple)
+    return tuple(gathers)
 
 
 @cache
-def _image_table(t: Tableau) -> tuple[tuple[Word, ...], dict[Word, tuple[int, ...]]]:
-    """The words of the content of t, and for every word of evaluation
-    shape(t) the indices among them of its images under theta_t, one per
-    fill.
+def _image_table(t: Tableau) -> tuple[tuple[Word, ...], tuple[tuple[int, ...], ...]]:
+    """The words of the content of t, and for the i-th word of
+    enumerate_words(shape(t)) the indices among them of its images under
+    theta_t, one per fill.
 
     A fill is one choice of a distinct arrangement per row of t, the rows
     laid end to end.  Distinct fills give distinct images of one word.
     """
     fills = [sum(combo, ()) for combo in product(*(multiset_arrangements(row) for row in t))]
-    targets = enumerate_words(evaluation_of(fills[0]))
-    index = {w: i for i, w in enumerate(targets)}
-    table = {
-        word: tuple([index[gather(fill)] for fill in fills])
-        for word, gather in _position_gathers(tableau_shape(t)).items()
-    }
-    return targets, table
+    content = evaluation_of(fills[0])
+    index = _word_index(content)
+    table = tuple(
+        tuple([index[gather(fill)] for fill in fills])
+        for gather in _position_gathers(tableau_shape(t))
+    )
+    return enumerate_words(content), table
 
 
-def theta_column(t: Tableau, v: WordVector) -> list[Scalar]:
-    """theta_t(v) as a list of coefficients over enumerate_words of t's
+def theta_column(t: Tableau, column: list[Scalar]) -> list[Scalar]:
+    """theta_t of the vector whose coefficients over enumerate_words(shape(t))
+    are column, as a list of coefficients over enumerate_words of t's
     content, with or without its trailing zeros (the same words in the same
     order); t must be a tuple of tuples."""
     targets, table = _image_table(t)
     out = [0] * len(targets)
-    for word, coeff in v.items():
-        images = table.get(word)
-        if images is None:
-            # the table holds every word of the evaluation, so this raises
-            _check_evaluation(tableau_shape(t), v)
-        for i in images:
-            out[i] += coeff
+    for coeff, images in zip(column, table):
+        if coeff:
+            for i in images:
+                out[i] += coeff
     return out
 
 
@@ -215,16 +206,9 @@ def theta_embedding(t: Tableau, v: WordVector) -> WordVector:
     the row-permuted concatenation sum, and the position action extends it
     to everything else.
 
-    theta_column pushes v through the cached tables (see the module
-    docstring), and its list becomes the vector as it is when every
-    coefficient is an int.
+    theta_column pushes the column of v through the cached tables (see the
+    module docstring).
     """
-    check_partition(tableau_shape(t))
-    if not v:
-        return WordVector()
     t = tuple(map(tuple, t))
-    out = theta_column(t, v)
-    terms = dict(compress(zip(_image_table(t)[0], out), out))
-    if {int}.issuperset(map(type, out)):
-        return WordVector._from_ints(terms)
-    return WordVector(terms)
+    out = theta_column(t, _column(v, check_partition(tableau_shape(t))))
+    return WordVector(zip(_image_table(t)[0], out))

@@ -400,6 +400,23 @@ def _enumerate_words(evaluation: tuple[int, ...]) -> tuple[Word, ...]:
 
 
 @cache
+def _word_index(evaluation: tuple[int, ...]) -> dict[Word, int]:
+    """The index of every word in enumerate_words(evaluation)."""
+    return {w: i for i, w in enumerate(enumerate_words(evaluation))}
+
+
+def _column(v: WordVector, evaluation: tuple[int, ...]) -> list[Scalar]:
+    """The coefficients of v over enumerate_words(evaluation), in order."""
+    index = _word_index(evaluation)
+    column = [0] * len(index)
+    for w, c in v.items():
+        if w not in index:
+            raise ValueError(f"word {w} has evaluation {evaluation_of(w)}, expected {evaluation}")
+        column[index[w]] = c
+    return column
+
+
+@cache
 def _lex_order(evaluation: tuple[int, ...]) -> tuple[int, ...]:
     """Indices of the words of enumerate_words(evaluation) in lexicographic
     word order, the order of sorted word vectors."""

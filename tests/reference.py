@@ -1,9 +1,9 @@
 """Second definitions that the tests check the library against.
 
-Nothing in the package calls these; they exist so that lifts, embeddings,
-the position action and every proved spectrum can be checked by an
-independent route, with the matrix and polynomial arithmetic that only
-these checks need.
+Nothing in the package calls these; they exist so that tableaux, lifts,
+embeddings, eigenbases, the position action and every proved spectrum can
+be checked by an independent route, with the matrix and polynomial
+arithmetic that only these checks need.
 """
 
 import math
@@ -12,8 +12,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from shuffle_spectra.combinatorics import multiset_arrangements, part
-from shuffle_spectra.linalg import ExactMatrix, IntPolynomial, _entry
+from shuffle_spectra.combinatorics import is_partition, multiset_arrangements, part, tableau_shape
+from shuffle_spectra.lifting import _check_columns
+from shuffle_spectra.linalg import ExactMatrix, IntPolynomial, _clear_denominators, _entry
 from shuffle_spectra.words import (
     Permutation,
     WordVector,
@@ -23,7 +24,34 @@ from shuffle_spectra.words import (
     apply_theta,
     evaluation_of,
     operator_matrix,
+    word_to_text,
 )
+
+
+def is_standard(t) -> bool:
+    """Whether t is a standard tableau: entries 1..n, increasing along rows
+    and down columns, on a partition shape."""
+    shape = tableau_shape(t)
+    if not is_partition(shape) and shape != ():
+        return False
+    n = sum(shape)
+    entries = [x for row in t for x in row]
+    if sorted(entries) != list(range(1, n + 1)):
+        return False
+    for row in t:
+        if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
+            return False
+    for i in range(len(t) - 1):
+        if any(t[i][j] >= t[i + 1][j] for j in range(len(t[i + 1]))):
+            return False
+    return True
+
+
+def tableau_content(t) -> tuple[int, ...]:
+    """The multiplicity of each entry 1..max of t."""
+    entries = [x for row in t for x in row]
+    top = max(entries) if entries else 0
+    return tuple(entries.count(v) for v in range(1, top + 1))
 
 
 def word_rank(vectors: list[WordVector]) -> int:
@@ -133,6 +161,49 @@ def chain_lift(shape, row: int, v: WordVector) -> WordVector:
                 term = apply_theta(b_from, b_to, term)
             terms.extend((w, coeff * c) for w, c in term.items())
     return WordVector(terms)
+
+
+def row_lift(shape, row: int, v: WordVector) -> WordVector:
+    """The lift by its recursion over the rows, on word vectors: lifted_b is
+    the product of the gaps above b times sh_b(v), plus, for every a < b,
+    the product of the gaps from a to b times theta_{a->b}(lifted_a); the
+    lift is lifted_row over the product of all the gaps."""
+    gaps = [(part(shape, row) - row) - (part(shape, b) - b) for b in range(1, row)]
+    lifted = []
+    for b in range(1, row + 1):
+        terms = [(w, math.prod(gaps[: b - 1]) * c) for w, c in apply_sh(b, v).items()]
+        for a in range(1, b):
+            weight = math.prod(gaps[a : b - 1])
+            terms.extend((w, weight * c) for w, c in apply_theta(a, b, lifted[a - 1]).items())
+        lifted.append(WordVector(terms))
+    return lifted[-1] / math.prod(gaps)
+
+
+def check_eigenbasis(entries, words, dimension: int, space: str) -> None:
+    """Raise AssertionError unless the vectors of the entries are nonzero
+    eigenvectors for their entries' eigenvalues and form a basis of the span
+    of words, a space of the given dimension.
+
+    The word-vector entry point of lifting._check_columns: words must be all
+    the words of one evaluation, and a vector with any other word fails.
+    Each vector becomes an int column over words, its Fraction coefficients
+    cleared by linalg._clear_denominators, which changes neither its
+    eigen-equation nor any rank.
+    """
+    index = {w: i for i, w in enumerate(words)}
+    groups = []
+    for entry in entries:
+        columns = []
+        for j, v in enumerate(entry.vectors):
+            col = [0] * len(words)
+            for w, c in v.items():
+                if w not in index:
+                    label = f"vector {j} of strip {entry.outer}/{entry.inner}"
+                    raise AssertionError(f"{label} has word {word_to_text(w)}, not in {space}")
+                col[index[w]] = c
+            columns.append(_clear_denominators(col))
+        groups.append((entry, columns))
+    _check_columns(groups, words, dimension, space)
 
 
 def theta_by_positions(t, v: WordVector) -> WordVector:

@@ -62,6 +62,26 @@ def test_write_json_matches_indented_dumps(payload):
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
+def _as_members(value):
+    """value with every nonempty dict of leaves rendered as cli._Members."""
+    if isinstance(value, list):
+        return [_as_members(x) for x in value]
+    if not isinstance(value, dict):
+        return value
+    if value and not any(isinstance(x, (dict, list)) for x in value.values()):
+        return cli._Members(json.dumps(k) + ": " + json.dumps(x) for k, x in value.items())
+    return {k: _as_members(x) for k, x in value.items()}
+
+
+@settings(deadline=None, max_examples=200)
+@given(json_payloads)
+@example({"vectors": [{"1122": "3", "2211": "-3"}], "strip": {"outer": [2, 1]}})
+def test_write_json_writes_pre_rendered_members_at_their_indent(payload):
+    out = io.StringIO()
+    cli._write_json(_as_members(payload), out)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
 def test_eigenvalues_table_matches_golden_bytes(capsys):
     code, out = run_cli(capsys, "eigenvalues", "--evaluation", "1,1,1")
     assert code == 0
@@ -215,6 +235,29 @@ EIGENBASIS_DIGESTS = [
     ("--partition", "2,2,1", 0, "ff66da29ab259fdeaa742b1d6f1de329eb88d72e4099354c523302534cff411b"),
     ("--partition", "2,1,1,1", 0, "b83b80f5772194d1c6326d9f8ceb34d63fff6668ee6663ca4a7d428d2d45f3ba"),
     ("--partition", "1,1,1,1,1", 0, "83725f08a93e4ff36d38506191fcf17bcf64ffd7c0bfa0a6993033c30ee32d46"),
+    # recorded before the lifts moved to packed int columns: every shape of
+    # size 6, and evaluations of size 6, one with two-digit letters
+    ("--partition", "6", 0, "6a66f179c3071a0f1dc901edb635e670d649ab2d913319d98bdcfc982ccb2af4"),
+    ("--partition", "5,1", 0, "3158a13ca5a56a53ad4cf0c72e746f789080eb28c3a58a44207c9c6cff01143d"),
+    ("--partition", "4,2", 0, "e356787ea5a31d640f8accfd06bfedff12cf831e49ed99cce8f34bb0b2994192"),
+    ("--partition", "4,1,1", 0, "93aa1abfee6d5de9a57cccc8a8933964abc4ef716aa4239e4218428819d2f4f6"),
+    ("--partition", "3,3", 0, "e0670e442e977242053b58faccf020d7573fdcdf80443a107effd80d1870ade6"),
+    ("--partition", "3,2,1", 0, "191c01382ef56b102e04596c33a25dacfc0a6692614a42318f2598521e8cca7e"),
+    ("--partition", "3,1,1,1", 0, "d94527a17bf1bf25a3f78cea1f0c4532ecb215fcb0640cb70c54401fba9552aa"),
+    ("--partition", "2,2,2", 0, "48e7aff2ad47cd2f91e802afa6011157e25a3a82ff9b0964384cebea067395d6"),
+    ("--partition", "2,2,1,1", 0, "0d360dfa17ad04a297aae2ea738b7626011c2991da02dac5d48bf2438d34d17c"),
+    ("--partition", "2,1,1,1,1", 0, "7a3090b241155a09ea934b97878befd4407e4c0f0acb73c7f7d8055440af1c43"),
+    ("--partition", "1,1,1,1,1,1", 0, "4a75bc9022a058cc371b1713faf076d079fed823d381f3abb1664cc3825b852f"),
+    ("--evaluation", "2,2,1,1", 0, "4834708528741707231d6104f7de7c3134ec5dee9902c984e24e5399bca8a8e6"),
+    ("--evaluation", "3,2,1", 0, "a9d3a0f014d36709189bd7c5293273cc68b5047cb692c78dfbd66e920af4540a"),
+    ("--evaluation", "2,2,2", 0, "3f4cbc46b476b5e9c4ec99cb46d9b49ccb8e9cf9bd07570ecc0345a549f485d4"),
+    ("--evaluation", "4,1,1", 0, "5573090a0e7d4996b5d8fda5efdc444ad39ae161c3dc40ef1f93427d84d7f1b7"),
+    (
+        "--evaluation",
+        "0,0,0,0,0,0,0,0,0,1,2",
+        0,
+        "726ed3cd640f0c0c7ab1b334b2a410e6e3cde5d9144d318ee6116956df193587",
+    ),
 ]
 
 

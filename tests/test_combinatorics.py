@@ -15,7 +15,6 @@ from shuffle_spectra.combinatorics import (
     horizontal_strip_inners,
     is_desarrangement,
     is_horizontal_strip,
-    is_standard,
     kostka,
     multiset_arrangements,
     partitions_of,
@@ -23,12 +22,12 @@ from shuffle_spectra.combinatorics import (
     semistandard_tableaux,
     smallest_ascent,
     standard_tableaux,
-    tableau_content,
     tableau_shape,
 )
 from shuffle_spectra.words import word_from_text
 
 from golden_tables import FIGURE_LENGTH3
+from reference import is_standard, tableau_content
 
 words_st = st.lists(st.integers(min_value=1, max_value=4), max_size=8).map(tuple)
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from shuffle_spectra import lifting, specht, words
 from shuffle_spectra.combinatorics import (
     desarrangement_count,
+    dominates,
     horizontal_strip_inners,
     is_horizontal_strip,
     partitions_of,
@@ -16,9 +17,9 @@ from shuffle_spectra.combinatorics import (
 )
 from shuffle_spectra.lifting import (
     EigenbasisEntry,
-    _check_eigenbasis,
     _check_lift_target,
-    _scaled_lift_chain,
+    _dominating_partitions,
+    _lift_columns,
     eigenbasis,
     eigenbasis_for_evaluation,
     kernel_basis,
@@ -31,6 +32,7 @@ from shuffle_spectra.specht import project_onto_specht, specht_basis, specht_coo
 from shuffle_spectra.spectrum import eig_strip, spectrum_for_evaluation
 from shuffle_spectra.words import (
     WordVector,
+    _column,
     _lex_order,
     apply_sh,
     apply_theta,
@@ -40,7 +42,7 @@ from shuffle_spectra.words import (
     word_from_text,
 )
 
-from reference import chain_lift, word_rank
+from reference import chain_lift, check_eigenbasis as _check_eigenbasis, row_lift, word_rank
 
 W = word_from_text
 
@@ -168,6 +170,8 @@ def test_lift_rejects_bad_rows():
         lift((2, 2), 2, WordVector())  # target (2,3) is not a partition
     with pytest.raises(ValueError):
         lift((1, 1), 4, WordVector())  # row beyond the first empty one
+    with pytest.raises(ValueError, match="has evaluation"):
+        lift((2, 1), 1, WordVector.unit(W("ab")))  # a word outside the evaluation (2, 1)
 
 
 def test_lift_of_kernel_vector_reaches_worked_eigenvector():
@@ -204,17 +208,65 @@ def test_lift_chain_worked_values():
     assert lift_chain((3, 2), (1, 1), WordVector({W("ab"): 1, W("ba"): -1})) == WordVector()
 
 
-def test_scaled_lift_chain_is_an_integral_multiple_of_lift_chain():
+def test_lift_columns_are_integral_multiples_of_lift_chain():
+    # every kernel basis lifted at once, packed, against each vector on its own
     for n in range(0, 7):
         for outer in partitions_of(n):
+            words = enumerate_words(outer)
             for inner in horizontal_strip_inners(outer):
-                for u in kernel_basis(inner):
-                    lifted, g = _scaled_lift_chain(outer, inner, u)
+                kernel = kernel_basis(inner)
+                if not kernel:
+                    continue
+                columns, g = _lift_columns(outer, inner, [_column(u, inner) for u in kernel])
+                assert g != 0
+                assert len(columns) == len(kernel)
+                for u, column in zip(kernel, columns):
+                    assert all(type(c) is int for c in column), (outer, inner)
+                    lifted = WordVector(zip(words, column))
                     exact = lift_chain(outer, inner, u)
-                    assert g != 0
-                    assert all(type(c) is int for _, c in lifted.items()), (outer, inner)
                     assert lifted == g * exact, (outer, inner)
                     assert normalize_vector(lifted) == normalize_vector(exact), (outer, inner)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_column_lift_of_every_kernel_vector_matches_the_chain_sum_and_row_recursion(n):
+    # the packed column lift of a whole kernel basis, against the paper's
+    # chain sum and the row recursion on word vectors, vector by vector
+    for shape, row in ((shape, row) for shape in partitions_of(n) for row in valid_lift_rows(shape)):
+        kernel = kernel_basis(shape)
+        if not kernel:
+            continue
+        target = _check_lift_target(shape, row)
+        columns, g = _lift_columns(target, shape, [_column(u, shape) for u in kernel])
+        words = enumerate_words(target)
+        for u, column in zip(kernel, columns):
+            exact = row_lift(shape, row, u)
+            assert WordVector(zip(words, column)) == g * exact, (shape, row)
+            assert lift(shape, row, u) == exact, (shape, row)
+            assert exact == chain_lift(shape, row, u), (shape, row)
+
+
+def test_column_lift_is_exact_for_coefficients_beyond_64_bits():
+    # the digit width follows the bound carried through the chain, so huge
+    # coefficients of either sign lift exactly next to small ones
+    chains = [((3, 2), (2, 1)), ((3, 2, 1), (2, 1)), ((4, 2), (3, 1)), ((3, 1, 1), (1, 1))]
+    for outer, inner in chains:
+        (u, *_) = kernel_basis(inner)
+        column = _column(u, inner)
+        scales = [2**70, -(3**50), 1, -1]
+        lifted, g = _lift_columns(outer, inner, [[s * c for c in column] for s in scales])
+        exact = lift_chain(outer, inner, u)
+        assert exact, (outer, inner)
+        words = enumerate_words(outer)
+        for s, col in zip(scales, lifted):
+            assert WordVector(zip(words, col)) == (s * g) * exact, (outer, inner, s)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 12).flatmap(lambda n: st.sampled_from(partitions_of(n))))
+def test_dominating_partitions_are_the_dominance_filter_in_partition_order(nu):
+    expected = [p for p in partitions_of(sum(nu)) if dominates(p, nu)]
+    assert _dominating_partitions(nu) == expected
 
 
 def test_lift_matches_projection_form():
@@ -389,17 +441,20 @@ def test_eigenbasis_for_evaluation_reports_a_zero_push(monkeypatch):
 def test_eigenbasis_for_evaluation_checks_the_specht_vectors_through_their_images(monkeypatch):
     # the Specht eigenbases of the word space are not checked on their own;
     # a broken lift must still fail the one check on the word space
-    original = lifting._scaled_lift_chain
+    original = lifting._lift_columns
     calls = []
 
-    def perturb_third(outer, inner, v):
-        lifted, scale = original(outer, inner, v)
+    def perturb_third(outer, inner, columns):
+        lifted, scale = original(outer, inner, columns)
         calls.append((outer, inner))
         if len(calls) == 3:
-            lifted = lifted + WordVector.unit(max(lifted.words()))
+            # the unit of the greatest word of the first lift, added to it
+            words = enumerate_words(outer)
+            first = lifted[0]
+            first[max((words[i], i) for i, c in enumerate(first) if c)[1]] += 1
         return lifted, scale
 
-    monkeypatch.setattr(lifting, "_scaled_lift_chain", perturb_third)
+    monkeypatch.setattr(lifting, "_lift_columns", perturb_third)
     with pytest.raises(
         AssertionError,
         match=r"eigen-equation failed for vector \d+ of strip .* in the word space of \(2, 1, 1\)",
