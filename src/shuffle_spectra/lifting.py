@@ -16,18 +16,23 @@ substitution).  lifted_b sums g_b sh_b(v) and w_ab theta_{a->b}(lifted_a)
 over a < b, and an image sums at most n entries, so if M and M_a bound the
 entries of v and lifted_a, M_b <= |g_b| n M + sum over a of |w_ab| n M_a.
 
-Kernel bases are nullspaces taken in word coordinates: the matrix whose
-columns are the images of the Specht basis vectors under random-to-top, over
-the words of the shape.  Random-to-random is top-to-random after
-random-to-top, and top-to-random is the transpose of random-to-top in the
-word basis, so the two operators have the same kernel and random-to-top
-costs n images per word where random-to-random costs n^2.  Composing lifts
-along the rows of a horizontal strip, smallest row first, and feeding in
-those kernel bases of the smaller shapes produces a complete eigenbasis of
-every Specht module; each lift is kept as an integer multiple, which the
-scalar normal form of an eigenvector cannot tell apart, so no eigenvector
-costs a division.  Pushing those through the module embeddings indexed by
-semistandard tableaux yields a full eigenbasis of any word space.
+Kernel bases are nullspaces of B, the images of the Specht basis vectors
+under random-to-top over the words of the shape, taken on int columns
+(_kernel_columns).  Random-to-random is top-to-random after random-to-top,
+the transpose of random-to-top in the word basis, so both have one kernel,
+and random-to-top costs n images per word where random-to-random costs n^2.
+The basis, packed one int per word, goes through n position gathers, and
+the distinct rows of B up to sign are the distinct absolute values of those
+ints.  The nullspace of rows among them picked independent modulo a prime
+contains ker B; random-to-top of every one of its vectors, packed, must be
+exactly zero, else it is taken again over all the distinct rows.
+
+Composing lifts along the rows of a horizontal strip, smallest row first,
+and feeding in those kernel bases of the smaller shapes produces a complete
+eigenbasis of every Specht module; each lift is kept as an integer multiple,
+which the scalar normal form of an eigenvector cannot tell apart, so no
+eigenvector costs a division.  Pushing those through the module embeddings
+indexed by semistandard tableaux yields a full eigenbasis of any word space.
 
 Both eigenbases pass one check core, `_check_columns`, as int columns and
 before any WordVector is built: with V the matrix of their vectors over the
@@ -60,22 +65,20 @@ from .combinatorics import (
     semistandard_tableaux,
     standard_tableaux,
 )
-from .linalg import _clear_denominators, _rank
+from .linalg import _clear_denominators, _nullspace, _rank
 from .spectrum import eig_strip, sort_evaluation
-from .specht import specht_basis, theta_column
+from .specht import _polytabloid_terms, theta_column
 from .words import (
     WordVector,
     _apply_moves,
     _column,
     _lex_order,
     _move_gathers,
+    _r2t_moves,
     _word_index,
     enumerate_words,
     evaluation_of,
-    operator_matrix,
-    r2t,
 )
-
 
 def normalize_vector(v: WordVector) -> WordVector:
     """Scalar normal form: integer coefficients with content one, and the
@@ -202,11 +205,7 @@ def _lift_columns(outer: Partition, inner: Partition, columns: list[list[int]]) 
                 images.extend(gather(x) for gather in _lift_gathers(shape, a, b))
             lifted.append(list(map(sum, zip(*images))))
         packed = lifted[-1]
-    # each digit, biased by half, is one slice of nbytes bytes of its row
-    half = 1 << (8 * nbytes - 1)
-    rows = [(p + bias).to_bytes(nbytes * len(columns), "little") for p in packed[:-1]]
-    digits = range(0, len(rows[0]), nbytes)
-    lifted = [[int.from_bytes(r[i : i + nbytes], "little") - half for r in rows] for i in digits]
+    lifted = list(map(list, zip(*_digits(packed[:-1], nbytes, len(columns)))))
     return lifted, math.prod(weights[-1][0] for _, weights in steps)
 
 
@@ -215,29 +214,58 @@ def kernel_basis(shape: Partition) -> tuple[WordVector, ...]:
     """Basis of the kernel of the random-to-random operator on the Specht
     module of the shape, in the deterministic nullspace normal form.
 
-    The nullspace is that of random-to-top, taken over the words of the
-    shape, so every returned combination is annihilated exactly.  It is the
-    same subspace: r2r = t2r o r2t with t2r the transpose of r2t in the word
-    basis, so r2r(v) = 0 gives |r2t(v)|^2 = <v, r2r(v)> = 0 over the
-    rationals, and the reduced nullspace basis depends only on the subspace.
-    The dimension always equals the number of desarrangement tableaux of the
-    shape, and `eigenbasis` checks these vectors again against r2r itself,
-    as the strip of eigenvalue 0.
+    It is the kernel of random-to-top over the words (_kernel_columns): the
+    nullspace of distinct rows picked modulo a prime, checked exactly, else
+    of all distinct rows.  r2r = t2r o r2t with t2r the transpose of r2t, so
+    r2r(v) = 0 gives |r2t(v)|^2 = <v, r2r(v)> = 0, and the reduced basis
+    depends only on the subspace.  Its dimension is checked against the
+    desarrangement count, and `eigenbasis` checks it again against r2r.
     """
     shape = check_partition(shape)
-    basis = specht_basis(shape).vectors
-    matrix = operator_matrix(r2t, basis, enumerate_words(shape))
-    vectors = []
-    for coeffs in matrix.nullspace():
-        # the normal form is the same for every nonzero multiple: clear the
-        # denominators first and combine in ints
-        coeffs = _clear_denominators(coeffs)
-        v = WordVector((w, c * x) for c, u in zip(coeffs, basis) if c for w, x in u.items())
-        vectors.append(normalize_vector(v))
-    if len(vectors) != desarrangement_count(shape):
-        expected = desarrangement_count(shape)
-        raise AssertionError(f"kernel of {shape} has dimension {len(vectors)}, expected {expected}")
-    return tuple(vectors)
+    return _vectors(enumerate_words(shape), _lex_order(shape), _kernel_columns(shape))
+
+
+def _scatter(terms, coeffs, size: int) -> list[int]:
+    """The rows over size words of sum over j of coeffs[j] w_j, with terms
+    = _polytabloid_terms of the shape; a coefficient may pack vectors."""
+    rows = [0] * size
+    for table, q in zip(terms, coeffs):
+        for i, s in table if q else ():
+            rows[i] += s * q
+    return rows
+
+
+def _kernel_rows(terms, null, n: int, size: int) -> tuple[list[int], int]:
+    """(rows, nbytes): each nullspace vector c, cleared of denominators, as
+    sum over j of c[j] w_j packed one int per word, nbytes bytes per digit:
+    max(n, 1) * sum |c[j]| bounds each entry and each of its r2t image."""
+    null = [_clear_denominators(c) for c in null]
+    nbytes = (max(n, 1) * max((sum(map(abs, c)) for c in null), default=0)).bit_length() // 8 + 1
+    coeffs = [sum(c[j] << (8 * nbytes * i) for i, c in enumerate(null)) for j in range(len(terms))]
+    return _scatter(terms, coeffs, size), nbytes
+
+
+@cache
+def _kernel_columns(shape: Partition) -> tuple[list[int], ...]:
+    """kernel_basis(shape) as normalized int columns over enumerate_words, by
+    the row pick and exact check of the module docstring; |B| <= n."""
+    words, terms, n = enumerate_words(shape), _polytabloid_terms(shape), sum(shape)
+    gathers, nbytes = _move_gathers(words, _r2t_moves(n)), n.bit_length() // 8 + 1
+    basis = _scatter(terms, [1 << (8 * nbytes * j) for j in range(len(terms))], len(words))
+    distinct = [x for x in dict.fromkeys(map(abs, _apply_moves(gathers, basis))) if x]
+    rows = _digits(distinct, nbytes, len(terms))
+    for pick in (True, False):
+        null = _nullspace(rows, len(terms), pick)
+        packed, nbytes = _kernel_rows(terms, null, n, len(words))
+        if not any(_apply_moves(gathers, packed)):
+            break
+    else:
+        raise AssertionError(f"r2t does not annihilate the kernel of {shape}")
+    lex = _lex_order(shape)
+    columns = tuple(_normal_column(list(c), lex) for c in zip(*_digits(packed, nbytes, len(null))))
+    if len(columns) != (expected := desarrangement_count(shape)):
+        raise AssertionError(f"kernel of {shape} has dimension {len(columns)}, expected {expected}")
+    return columns
 
 
 @dataclass(frozen=True)
@@ -276,6 +304,17 @@ def _biased_rows(columns: list[list[int]], nbytes: int) -> tuple[list[int], int]
     rows = zip(*columns)
     data = (b"".join(map(int.to_bytes, map(add, row, halves), sizes, order)) for row in rows)
     return [int.from_bytes(row, "little") for row in data], bias
+
+
+def _digits(packed: list[int], nbytes: int, count: int) -> list:
+    """The count signed digits of nbytes bytes, lowest first, of each int of
+    packed, all below half = 2**(8 * nbytes - 1) in absolute value: biased by
+    half (_biased_rows), a digit with its top bit flipped is itself in two's
+    complement."""
+    bias = int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, "little") * count, "little")
+    data = [((p + bias) ^ bias).to_bytes(nbytes * count, "little") for p in packed]
+    at = range(0, nbytes * count, nbytes)
+    return [[int.from_bytes(r[i : i + nbytes], "little", signed=True) for i in at] for r in data]
 
 
 def _check_columns(groups, words, dimension: int, space: str) -> None:
@@ -345,7 +384,7 @@ def _lifted_entries(shape: Partition) -> list[tuple[EigenbasisEntry, list[list[i
     lex = _lex_order(shape)
     lifted = []
     for inner in sorted(horizontal_strip_inners(shape), key=lambda m: (sum(m), m)):
-        kernel = [_column(u, inner) for u in kernel_basis(inner)]
+        kernel = _kernel_columns(inner)
         if kernel:
             # the normal form is the same for every nonzero multiple, so the
             # integral lift needs no division
@@ -355,9 +394,10 @@ def _lifted_entries(shape: Partition) -> list[tuple[EigenbasisEntry, list[list[i
     return lifted
 
 
-def _vectors(words, columns) -> tuple[WordVector, ...]:
-    """The vectors of int columns over words."""
-    return tuple(WordVector._from_ints(dict(zip(words, col))) for col in columns)
+def _vectors(words, lex, columns) -> tuple[WordVector, ...]:
+    """The vectors of int columns over words, their terms in lexicographic
+    word order (lex = _lex_order), which WordVector.to_json sorts fastest."""
+    return tuple(WordVector._from_ints({words[i]: col[i] for i in lex}) for col in columns)
 
 
 @cache
@@ -371,9 +411,9 @@ def eigenbasis(shape: Partition) -> tuple[EigenbasisEntry, ...]:
     """
     shape = check_partition(shape)
     lifted = _lifted_entries(shape)
-    words = enumerate_words(shape)
+    words, lex = enumerate_words(shape), _lex_order(shape)
     _check_columns(lifted, words, len(standard_tableaux(shape)), f"the Specht module of {shape}")
-    return tuple(replace(entry, vectors=_vectors(words, columns)) for entry, columns in lifted)
+    return tuple(replace(entry, vectors=_vectors(words, lex, cols)) for entry, cols in lifted)
 
 
 def eigenbasis_columns(evaluation):
@@ -403,8 +443,8 @@ def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
     tableau with this content; yields (tableau, entry) pairs whose vectors
     jointly form an eigenbasis of the whole word space.
     """
-    words, _, pushed = eigenbasis_columns(evaluation)
-    return tuple((tab, replace(e, vectors=_vectors(words, cols))) for tab, e, cols in pushed)
+    words, lex, pushed = eigenbasis_columns(evaluation)
+    return tuple((tab, replace(e, vectors=_vectors(words, lex, cols))) for tab, e, cols in pushed)
 
 
 def _dominating_partitions(nu: Partition) -> list[Partition]:

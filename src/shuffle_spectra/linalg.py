@@ -13,17 +13,17 @@ the eigenbasis check of lifting share: a rank modulo _RANK_PRIME, the
 largest prime below 2**26, equal to the smaller dimension proves full rank,
 since a nonzero minor mod p is a nonzero integer minor; otherwise it counts
 the pivots of _echelon.  That fraction-free Gauss-Jordan (Bareiss)
-elimination of int rows also gives nullspace and solve: each pivot column is
-cleared above and below, every update divides exactly by the previous
-pivot, and all pivots end equal, so a row over its pivot is a row of the
-reduced echelon form.
+elimination of int rows also gives solve and the one nullspace normal form,
+_nullspace: each pivot column is cleared above and below, every update
+divides exactly by the previous pivot, and all pivots end equal, so a row
+over its pivot is a row of the reduced echelon form.
 
-The rank mod p (_rank_mod) eliminates over the shorter side with each line
-packed into one int, one entry mod p per 64-bit lane, so clearing a column
-costs one big-int operation per line.  A lane stays below
-p + r * (p - 1)**2 after r pivots, which is below 2**64 for r up to 4096 at
-_RANK_PRIME (_lane_capacity), and after every 4096 pivots each lane is
-reduced mod p again.
+_independent_rows picks rows independent mod p, for the rank mod p
+(_rank_mod, over the shorter side) and for a nullspace of fewer rows, with
+each line packed into one int, one entry mod p per 64-bit lane, so clearing
+a column costs one big-int operation per line.  A lane stays below
+p + r * (p - 1)**2 after r pivots, below 2**64 for r up to 4096 at
+_RANK_PRIME (_lane_capacity); every 4096 pivots each lane is reduced again.
 
 No command computes a characteristic polynomial.  Both spectra the package
 prints share one Krylov core, in plain ints.  For an operator M given as a
@@ -259,23 +259,8 @@ class ExactMatrix:
         return _rank(self._integerized_rows())
 
     def nullspace(self) -> tuple[Vector, ...]:
-        """Basis of the right kernel, in reduced normal form.
-
-        Each free column yields one basis vector carrying 1 in that column
-        and zeros in every other free column, so the output is unique for a
-        given matrix and usable in golden-file comparisons.
-        """
-        m, pivots = _echelon(self._integerized_rows())
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [0] * self.cols
-            v[f] = 1
-            for r, c in enumerate(pivots):
-                v[c] = _quotient(-m[r][f], m[r][c])
-            basis.append(tuple(v))
-        return tuple(basis)
+        """Basis of the right kernel, in reduced normal form (_nullspace)."""
+        return _nullspace(self._integerized_rows(), self.cols)
 
     def solve(self, b: Sequence) -> Vector | None:
         """Some x with self @ x = b, or None when the system is inconsistent.
@@ -349,29 +334,26 @@ def _lanes(x: int, width: int) -> tuple[int, ...]:
     return struct.unpack(f"<{width}Q", x.to_bytes(8 * width, "little"))
 
 
-def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of an integer matrix modulo a prime p < 2**32, by Gaussian
-    elimination on packed lines.
+def _independent_rows(rows: Sequence[Sequence[int]], p: int) -> list[int]:
+    """Indices, increasing, of rows independent modulo a prime p < 2**32
+    that span every row modulo p, by Gaussian elimination on packed lines.
 
-    Rank is invariant under transposition, so the elimination runs over the
-    shorter side.  Each line is one int, its entries reduced mod p in 64-bit
-    lanes (_pack), and the columns are cleared left to right, each dropped
-    once cleared by a shift of every line.  The first line whose low lane is
-    nonzero mod p is the pivot, removed and counted.  Its tail is unpacked
-    once, scaled by minus the inverse of its low lane mod p, reduced and
-    packed again, so every other line, with c its low lane mod p, becomes
-    (x >> 64) + c * tail in one big-int operation.  Lanes are reduced
-    lazily: every lane stays below p + r * (p - 1)**2 after r pivots, so no
-    lane carries into the next while r is at most _lane_capacity(p), and
-    each time that many pivots have passed every lane of every line is
-    reduced mod p.
+    Each line is one int, its entries reduced mod p in 64-bit lanes (_pack),
+    and the columns are cleared left to right, each dropped once cleared by
+    a shift of every line.  The first line whose low lane is nonzero mod p
+    is the pivot, removed and picked.  Its tail is unpacked once, scaled by
+    minus the inverse of its low lane mod p, reduced and packed again, so
+    every other line, with c its low lane mod p, becomes (x >> 64) + c * tail
+    in one big-int operation.  Lanes are reduced lazily: every lane stays below
+    p + r * (p - 1)**2 after r pivots, so no lane carries into the next
+    while r is at most _lane_capacity(p), and each time that many pivots
+    have passed every lane of every line is reduced mod p.  Rows independent
+    mod p are independent over the rationals, as a nonzero minor mod p is a
+    nonzero integer minor.
     """
-    if rows and len(rows[0]) < len(rows):
-        rows = list(zip(*rows))
     width = len(rows[0]) if rows else 0
-    lines = [_pack(row, p) for row in rows]
+    lines, ids, picked = [_pack(row, p) for row in rows], list(range(len(rows))), []
     capacity = _lane_capacity(p)
-    rank = 0
     while lines and width:
         width -= 1
         k = next((k for k, x in enumerate(lines) if (x & _LANE) % p), None)
@@ -379,13 +361,22 @@ def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
             lines = [x >> 64 for x in lines]
             continue
         pivot = lines.pop(k)
-        rank += 1
+        picked.append(ids.pop(k))
         scale = p - pow(pivot & _LANE, -1, p)
         tail = _pack([y * scale for y in _lanes(pivot >> 64, width)], p)
         lines = [(x >> 64) + (x & _LANE) % p * tail for x in lines]
-        if rank % capacity == 0:
+        if len(picked) % capacity == 0:
             lines = [_pack(_lanes(x, width), p) for x in lines]
-    return rank
+    return sorted(picked)
+
+
+def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of an integer matrix modulo a prime p < 2**32: the number of
+    _independent_rows, over the shorter side, as rank is invariant under
+    transposition."""
+    if rows and len(rows[0]) < len(rows):
+        rows = list(zip(*rows))
+    return len(_independent_rows(rows, p))
 
 
 def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
@@ -425,3 +416,24 @@ def _rank(rows: Sequence[Sequence[int]]) -> int:
     if full and _rank_mod(rows, _RANK_PRIME) == full:
         return full
     return len(_echelon(rows)[1])
+
+
+def _nullspace(rows: Sequence[Sequence[int]], cols: int, pick: bool = False) -> tuple[Vector, ...]:
+    """Basis of the right kernel of int rows of length cols, in reduced
+    normal form: one vector per free column, 1 there and 0 in every other
+    free column, read off _echelon.  It depends only on the kernel.  With
+    pick, only the _independent_rows mod _RANK_PRIME go to _echelon: their
+    kernel contains that of all rows, and a caller checks that it is not
+    larger, else takes the kernel again without pick."""
+    if pick:
+        rows = [rows[i] for i in _independent_rows(rows, _RANK_PRIME)]
+    m, pivots = _echelon(rows)
+    pivot_set = set(pivots)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivot_set):
+        v = [0] * cols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = _quotient(-m[r][f], m[r][c])
+        basis.append(tuple(v))
+    return tuple(basis)

@@ -107,6 +107,25 @@ def specht_basis(shape: Partition) -> SpechtBasis:
 
 
 @cache
+def _polytabloid_terms(shape: Partition) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The (index in enumerate_words(shape), sign) terms of w_t for every
+    standard tableau t of the shape, in tableau order.  polytabloid of the
+    row-reading tableau is taken once: with the same column rearrangements,
+    a word of w_t takes letter i from the position of the row-reading entry
+    in the cell where t holds i, one gather per tableau."""
+    n, index = sum(shape), _word_index(shape)
+    reading = [tuple(range(sum(shape[:r]) + 1, sum(shape[: r + 1]) + 1)) for r in range(len(shape))]
+    first, signs = zip(*polytabloid(tuple(reading)).items())
+    table = []
+    for t in standard_tableaux(shape):
+        cells = [x for row in t for x in row]
+        # a word of at most one letter is its own image; itemgetter(0) gives a letter
+        gather = itemgetter(*sorted(range(n), key=cells.__getitem__)) if n > 1 else tuple
+        table.append(tuple(zip(map(index.__getitem__, map(gather, first)), signs)))
+    return tuple(table)
+
+
+@cache
 def gram_matrix(shape: Partition) -> ExactMatrix:
     """Gram matrix of the basis vectors in the orthonormal word inner product."""
     vectors = specht_basis(shape).vectors

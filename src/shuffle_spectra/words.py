@@ -339,15 +339,23 @@ def _r2r_moves(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(counts.items())
 
 
-def _move_gathers(words) -> list[tuple[list[int], int]]:
-    """For each r2r move (sigma, m), the index in words of w o sigma for every w.
+@cache
+def _r2t_moves(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The inverses of the moves of r2t on words of length n: the last
+    letter moved to position j, sigma = (0, ..., j - 1, n - 1, j, ..., n - 2)."""
+    return tuple(((*range(j), n - 1, *range(j, n - 1)), 1) for j in range(n))
+
+
+def _move_gathers(words, moves=None) -> list[tuple[list[int], int]]:
+    """For each move (sigma, m) of the table (default _r2r_moves), the index
+    in words of w o sigma for every w.
 
     words must be all the words of one evaluation, in any order; this is the
-    one place where the move table is applied to a list of words.
+    one place where a move table is applied to a list of words.
     """
     index = {w: i for i, w in enumerate(words)}
     gathers = []
-    for sigma, m in _r2r_moves(len(words[0])):
+    for sigma, m in _r2r_moves(len(words[0])) if moves is None else moves:
         # one position has only the identity move; itemgetter(0) gives a letter
         image = itemgetter(*sigma) if len(sigma) > 1 else tuple
         gathers.append(([index[image(w)] for w in words], m))
@@ -355,11 +363,12 @@ def _move_gathers(words) -> list[tuple[list[int], int]]:
 
 
 def _apply_moves(gathers, column: list) -> list:
-    """r2r of one column over words, given gathers = _move_gathers(words).
+    """r2r of one column over words, given gathers = _move_gathers(words),
+    or r2t given the inverse moves _r2t_moves.
 
-    Entry i of column is the coefficient of words[i].  The moves are closed
-    under inverses (delete at j and insert at k undoes delete at k and
-    insert at j), so the coefficient of w in r2r(v) is the sum over the
+    Entry i of column is the coefficient of words[i].  The r2r moves are
+    closed under inverses (delete at j and insert at k undoes delete at k
+    and insert at j), so the coefficient of w in r2r(v) is the sum over the
     moves of m * v[w o sigma]: one C-level gather of the column per move,
     summed per word, with the moves of equal multiplicity added up first.
     Entries stay Python ints or Fractions, so nothing can overflow.

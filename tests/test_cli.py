@@ -272,6 +272,65 @@ def test_eigenbasis_output_matches_its_recorded_digest(capsys, option, value, ex
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# kernel --partition for every shape of size 1 to 7, recorded before the kernels
+# moved to packed int columns; 2,1,1,1,1,1 and 1,1,1,1,1,1,1 exceed the word cap
+KERNEL_DIGESTS = [
+    ("1", 0, "504b1f0ccf47f97b4ef17f1af9e26f2c1b048adab6ef0e00896a1446970c9f17"),
+    ("2", 0, "75488e247ae04ed0ab47fd127939a15e71a0d384632bf0e946f58ccde6a013ba"),
+    ("1,1", 0, "998bf3952595cf7954743b5a9ff16d0ed192feb9131eac63f7ec82228963ce8b"),
+    ("3", 0, "fedef3516b0c1e7b1f62301d7a597c61ff40c282f7683691da4feb416e5ce0ee"),
+    ("2,1", 0, "d993ad4a7c21b3466a97d2cfdd93881e0a5b8a089ab077a8eb3a95ce6117c072"),
+    ("1,1,1", 0, "fdc42465748c65602b376ae1fe2e8e3c90de820c30d4ca9444ea74fedcb60105"),
+    ("4", 0, "2ba91c7bea59b5377e73ee9dc82c292dc68ccef6b2cd3d9da0a0b913f7f4aa6b"),
+    ("3,1", 0, "11be92de268fc926bc99177afc8d2871bd968cbf9e261142e2c819247b3d11bc"),
+    ("2,2", 0, "e08e2d81eef8188e5def350eda34e010358e45b67a4a9a6c4085cc219e5ac475"),
+    ("2,1,1", 0, "dd534e5ee317320faf870a14b771d92211c60db9d1e7010a2ba80ef8fca864e7"),
+    ("1,1,1,1", 0, "fcdea76aa815b1a6070bc26d5140ec4928e8e3500ee55b73975bc44e47a2cd3a"),
+    ("5", 0, "00caa15cfcf41858f508bd2dd48b80ae9c3142593ef646a4fc548d930f95d63e"),
+    ("4,1", 0, "119728c917b11a9fce6f585c2456f2cc6821997097b557bce07519eaeca5bf35"),
+    ("3,2", 0, "84c69e07fbfc270a0b1f13d7b5d583d4b36ba07204f0a2e07ed844309276a88a"),
+    ("3,1,1", 0, "dc6109ccf5a2070e6f220cebad302d248a44f1e8edd47b354d752de76f11eb0c"),
+    ("2,2,1", 0, "4c798ff45c9e2b9f4b0c5ad28641a117fe0362d1408160427ffe953d19d4d8fc"),
+    ("2,1,1,1", 0, "2bfc40e3d00fdac3d52babf8aa62a9e3ff56c3e8be90e3fdac1eee63c19e20a5"),
+    ("1,1,1,1,1", 0, "8d68587c0b4a4c2c6c1864a8d14c7d413ceae7170f8b6e06d56d5fa8e84325fc"),
+    ("6", 0, "0cd6231a4cbf321d9d20fdb30a5066bea119387e80ede99b15998f44382c3acb"),
+    ("5,1", 0, "8bdc0d4747e7a9a14a2a75357d5864af03ff81b31551a339a41784d48cf20b56"),
+    ("4,2", 0, "a68fbff9584ea475c171a3493cb8de1492109513a68b092da10d1afa47dac419"),
+    ("4,1,1", 0, "c0f9c4e5e0a268aba767caa9e4ae493efb8c27d531db3a2f0b1326b79849834a"),
+    ("3,3", 0, "991efc44ffff81e58b87e4a4dafca287369a2946b0e9f17f6ee30b614d4c9c24"),
+    ("3,2,1", 0, "f9235d36a68e27f36c743c8be8244d76761efb24b15180d16f1bfe89088c19a2"),
+    ("3,1,1,1", 0, "cd55c6ed6ebafaa4f54c012fa9834263d7e1f08622ea79af4c2c594885eeae7f"),
+    ("2,2,2", 0, "4913c342a14d82fb16c180e2475f6f22327d944c50fe6bf28877296035cd707e"),
+    ("2,2,1,1", 0, "42bb2d7f23d30836ea62431e2a075cb8037300bdcf60f84d0b6d4d6b10471124"),
+    ("2,1,1,1,1", 0, "137755aee8387fc3b732e16cf1ddac4fa565bd07572da4594a0a7f0e7a45506f"),
+    ("1,1,1,1,1,1", 0, "287d611fa5fa0a94b325a936443ad6f800831773cd5e1f80992e52679d729100"),
+    ("7", 0, "be7ce1c16d98ba8738780428f9b297a827639d9b62f647056f975704ba665d87"),
+    ("6,1", 0, "3f765833ce295d758887438e403084d7c26bb2824e2814654955feae6331de27"),
+    ("5,2", 0, "08f82b93000231b4f3617169ec620be517ff931bcd83d68719e23454d33bead9"),
+    ("5,1,1", 0, "bb4e7570d8ed453a5d231cfb4d6967961f6142cdfcb198672867463312d3ea0f"),
+    ("4,3", 0, "2ad687a76daf416186dded2b026e2c0e9fa18f1e9086b1446b746d364ff25339"),
+    ("4,2,1", 0, "c6ea8c1a1871ccf2697f10e89ebe056bd93708fcff5b7e3ba5daaaeb4655dbed"),
+    ("4,1,1,1", 0, "a89b2d715e0026f68882f626dcaf001ae4b43aca1afda81e99826492bb1d9a62"),
+    ("3,3,1", 0, "b169a29412090cb0abe42629a6936aa533e26bf6ba1298f5bee02d7a008cf967"),
+    ("3,2,2", 0, "5f5d9ede867181fcbf075e0e9ad63ed902544fe02e3c9fbd059d919084e6ef02"),
+    ("3,2,1,1", 0, "2966b32d6f8122c3142cfc03827e8d451f1a61a7ab1a8386fdc95641a341d580"),
+    ("3,1,1,1,1", 0, "64d08ef1a17b0c70ec500b59e80ca25049fdc9a799b18c061c73d723f6f46746"),
+    ("2,2,2,1", 0, "54530c7d13a5129139b4766431be3127df3efe229f510dc1084eed310e9df020"),
+    ("2,2,1,1,1", 0, "6e94105484e7950e292822e75a2fc29a426b6503c2bfcb44aece0e2cd00642ed"),
+    ("2,1,1,1,1,1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("1,1,1,1,1,1,1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("value, exit_code, sha256", KERNEL_DIGESTS, ids=[v for v, *_ in KERNEL_DIGESTS])
+def test_kernel_output_matches_its_recorded_digest(capsys, value, exit_code, sha256):
+    try:
+        code, out = run_cli(capsys, "kernel", "--partition", value)
+    except SystemExit as exc:
+        code, out = exc.code, capsys.readouterr().out
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
 def test_eigenbasis_verify_failure_exits_one(capsys, monkeypatch):
     # A wrong strip eigenvalue inside the library must fail its own check,
     # whether or not --verify is given.

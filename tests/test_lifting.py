@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -6,7 +8,7 @@ from functools import cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shuffle_spectra import lifting, specht, words
+from shuffle_spectra import lifting, linalg, specht, words
 from shuffle_spectra.combinatorics import (
     desarrangement_count,
     dominates,
@@ -116,6 +118,53 @@ def test_kernel_basis_applies_no_random_to_random(monkeypatch):
     if hasattr(lifting, "r2r"):
         monkeypatch.setattr(lifting, "r2r", refuse)
     assert kernel_basis.__wrapped__((3, 2, 1)) == expected
+
+
+# two kernels of shapes over the word cap, recorded before the kernels moved to
+# packed int columns: the SHA-256 of the JSON list of their vectors
+OVER_CAP_KERNELS = {
+    (2, 1, 1, 1, 1, 1, 1): "e55b38e6dcf4936318b0ba3c60d93e0ec7a888bdd27d5a01ab35650391bb1cc0",
+    (3, 1, 1, 1, 1, 1): "9d6a05a3106d10529285a0b2a306590048a8aea338c5fe01a341f718d934d968",
+}
+
+
+@pytest.mark.parametrize("shape", list(OVER_CAP_KERNELS))
+def test_kernel_over_the_word_cap_builds_no_dense_matrix(monkeypatch, shape):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel_basis built an ExactMatrix")
+
+    # transpose builds its result without __init__, through _set_rows
+    monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+    monkeypatch.setattr(ExactMatrix, "_set_rows", refuse)
+    monkeypatch.setattr(lifting, "_kernel_columns", lifting._kernel_columns.__wrapped__)
+    text = json.dumps([v.to_json() for v in kernel_basis.__wrapped__(shape)])
+    assert hashlib.sha256(text.encode()).hexdigest() == OVER_CAP_KERNELS[shape]
+
+
+def test_kernel_falls_back_to_all_rows_when_the_row_pick_misses(monkeypatch):
+    # a pick that loses one of its rows leaves a kernel too large: the exact
+    # r2t check of the kernel vectors catches it, and the nullspace taken
+    # again over all the distinct rows gives the same kernel
+    shape = (3, 2, 1)
+    expected = lifting._kernel_columns.__wrapped__(shape)
+    independent, nullspace, calls = linalg._independent_rows, linalg._nullspace, []
+
+    def drop_first(rows, p):
+        return independent(rows, p)[1:]
+
+    def spy(rows, cols, pick=False):
+        calls.append(pick)
+        return nullspace(rows, cols, pick)
+
+    monkeypatch.setattr(linalg, "_independent_rows", drop_first)
+    monkeypatch.setattr(lifting, "_nullspace", spy)
+    assert lifting._kernel_columns.__wrapped__(shape) == expected
+    assert calls == [True, False]
+    # the rows picked without the patch give the kernel at once
+    monkeypatch.setattr(linalg, "_independent_rows", independent)
+    calls.clear()
+    assert lifting._kernel_columns.__wrapped__(shape) == expected
+    assert calls == [True]
 
 
 def test_kernel_general_hook_pattern():

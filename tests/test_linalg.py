@@ -1,10 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shuffle_spectra import linalg
 from shuffle_spectra.linalg import (
@@ -14,7 +15,9 @@ from shuffle_spectra.linalg import (
     _annihilating_krylov,
     _clear_denominators,
     _echelon,
+    _independent_rows,
     _multiplicities,
+    _nullspace,
     _rank,
     _rank_mod,
 )
@@ -295,6 +298,64 @@ def test_lazy_rank_mod_counts_the_pivots_of_a_matrix_of_known_rank(p, rows, cols
     assert _rank_mod([list(col) for col in zip(*lifted)], p) == expected
     # the certified rank of the lifted matrix is its exact rank
     assert _rank(lifted) == len(_echelon(lifted)[1])
+
+
+def _rank_modulo(rows, p):
+    """Rank mod p by plain Gaussian elimination on reduced entries."""
+    m, rank = [[x % p for x in row] for row in rows], 0
+    for col in range(len(m[0]) if m else 0):
+        k = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if k is None:
+            continue
+        m[rank], m[k] = m[k], m[rank]
+        inverse = pow(m[rank][col], -1, p)
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] * inverse
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda cols: st.lists(
+            st.lists(
+                st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                min_size=cols,
+                max_size=cols,
+            ),
+            max_size=7,
+        )
+    )
+)
+# independent over the rationals, dependent mod p: the determinant is p
+@example([[(1, 0), (1, 0)], [(1, 0), (1, 1)]])
+# a row that is zero mod p only
+@example([[(0, 1), (0, -2)], [(2, 0), (1, 0)]])
+def test_independent_rows_are_a_basis_mod_p_checked_against_echelon(pairs):
+    # entries x + p * y, so some rows are dependent only modulo p
+    p = _RANK_PRIME
+    rows = [[x + p * y for x, y in row] for row in pairs]
+    cols = len(pairs[0]) if pairs else 0
+    picked = _independent_rows(rows, p)
+    assert picked == sorted(set(picked))
+    chosen = [rows[i] for i in picked]
+    # a basis of the rows mod p, and independent over the rationals
+    assert _rank_modulo(chosen, p) == len(picked) == _rank_modulo(rows, p)
+    assert len(_echelon(chosen)[1]) == len(picked)
+    exact = len(_echelon(rows)[1])
+    assert len(picked) <= exact
+    # the kernel of the picked rows contains the kernel of all rows, and is
+    # that kernel exactly when no rank is lost mod p
+    full, shortcut = _nullspace(rows, cols), _nullspace(rows, cols, pick=True)
+    assert len(shortcut) == cols - len(picked)
+    assert all(not sum(map(mul, row, v)) for row in chosen for v in shortcut)
+    if len(picked) == exact:
+        assert shortcut == full
+    else:
+        assert any(sum(map(mul, row, v)) for row in rows for v in shortcut)
 
 
 # The largest prime below 2**32, the largest that 64-bit lanes take: one

@@ -151,7 +151,7 @@ def test_the_package_has_no_numpy_import():
     assert _numpy_imports(ast.parse(source)) == [2, 4]
 
 
-_RANK_INTERNALS = {"_rank_mod", "_RANK_PRIME", "_echelon"}
+_RANK_INTERNALS = {"_rank_mod", "_RANK_PRIME", "_echelon", "_independent_rows"}
 
 
 def _rank_internal_uses(tree) -> list[int]:
