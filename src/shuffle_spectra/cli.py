@@ -10,7 +10,9 @@ one size has the characteristic polynomial the horizontal strips predict
 laplacian --spectrum proves its spectrum the same way
 (injective.laplacian_spectrum): both proofs share the Krylov core of linalg,
 and what each keeps of its own is the move check and fixing-permutation
-traces for r2r, the relabelling check for the Laplacian.
+traces for r2r, the relabelling check for the Laplacian.  Every vector of an
+eigenbasis or a kernel is printed from its checked int columns (lifting), and
+every spectrum format from one tuple of values per strip (_spectrum_values).
 
 Exit codes: 0 on success, 1 when any exact check fails, 2 on usage errors.
 A failed library check (an eigen-equation, a span or a kernel dimension)
@@ -31,14 +33,22 @@ import os
 import sys
 from fractions import Fraction
 from itertools import accumulate
+from operator import attrgetter
 
 from .combinatorics import partitions_of, standard_tableaux
 from .frobenius import frobenius_of_eigenspace
 from .injective import laplacian, laplacian_spectrum
-from .lifting import eigenbasis, eigenbasis_columns, kernel_basis
+from .lifting import _kernel_columns, eigenbasis_columns, specht_eigenbasis_columns
 from .linalg import _MAX_DIM
 from .spectrum import SpectrumReport, eig_word_trace, spectrum_for_evaluation
-from .words import certify_r2r_spectra, transition_matrix, word_from_text, word_to_text
+from .words import (
+    _lex_order,
+    certify_r2r_spectra,
+    enumerate_words,
+    transition_matrix,
+    word_from_text,
+    word_to_text,
+)
 
 SCHEMA_PREFIX = "shuffle-spectra"
 
@@ -102,10 +112,6 @@ def _partition_text(p) -> str:
     return ",".join(str(x) for x in p) if p else "-"
 
 
-def _strip_text(outer, inner) -> str:
-    return f"{_partition_text(outer)}/{_partition_text(inner)}"
-
-
 class _Members(list):
     """The members of a nonempty JSON object, each rendered as '"key": value'."""
 
@@ -163,68 +169,34 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
 # -- eigenvalues ----------------------------------------------------------
 
 
-def _spectrum_rows(report: SpectrumReport, probability: bool) -> list[list[str]]:
-    n2 = report.size**2
-    rows = []
+# the fields of a spectrum entry in output order, each a StripEigenvalue
+# attribute; the table joins outer and inner in one column
+_SPECTRUM_FIELDS = tuple(
+    "outer inner desarrangements kostka multiplicity outer_binomial inner_binomial diag eig".split()
+)
+
+
+def _spectrum_values(report: SpectrumReport, probability: bool):
+    """The values of each entry of nonzero multiplicity in _SPECTRUM_FIELDS
+    order, the last, with probability and n > 0, the text of eig / n**2."""
+    n2, values = report.size**2, attrgetter(*_SPECTRUM_FIELDS)
     for e in report.entries:
-        if e.multiplicity == 0:
-            continue
-        value = str(Fraction(e.eig, n2)) if probability and n2 else str(e.eig)
-        rows.append(
-            [
-                _strip_text(e.outer, e.inner),
-                str(e.desarrangements),
-                str(e.kostka),
-                str(e.multiplicity),
-                str(e.outer_binomial),
-                str(e.inner_binomial),
-                str(e.diag),
-                value,
-            ]
-        )
-    return rows
-
-
-def _spectrum_headers(report: SpectrumReport) -> list[str]:
-    is_permutations = report.partition == (1,) * report.size
-    return [
-        "lambda/mu",
-        "d^mu",
-        "f^lambda" if is_permutations else "K",
-        "mult",
-        "C(|lambda|+1,2)",
-        "C(|mu|+1,2)",
-        "diag",
-        "eig",
-    ]
+        if e.multiplicity:
+            *head, eig = values(e)
+            yield (*head, str(Fraction(eig, n2)) if probability and n2 else eig)
 
 
 def _spectrum_json(report: SpectrumReport, probability: bool) -> dict:
-    n2 = report.size**2
-    entries = []
-    for e in report.entries:
-        if e.multiplicity == 0:
-            continue
-        entries.append(
-            {
-                "outer": list(e.outer),
-                "inner": list(e.inner),
-                "desarrangements": e.desarrangements,
-                "kostka": e.kostka,
-                "multiplicity": e.multiplicity,
-                "outer_binomial": e.outer_binomial,
-                "inner_binomial": e.inner_binomial,
-                "diag": e.diag,
-                "eig": str(Fraction(e.eig, n2)) if probability and n2 else e.eig,
-            }
-        )
     return {
         "schema": f"{SCHEMA_PREFIX}/spectrum/1",
         "evaluation": list(report.evaluation),
         "partition": list(report.partition),
         "dimension": report.dimension,
         "totals": {str(k): v for k, v in sorted(report.totals.items(), reverse=True)},
-        "entries": entries,
+        "entries": [
+            dict(zip(_SPECTRUM_FIELDS, (list(o), list(i), *rest)))
+            for o, i, *rest in _spectrum_values(report, probability)
+        ],
     }
 
 
@@ -232,28 +204,16 @@ def _emit_spectrum(report: SpectrumReport, fmt: str, probability: bool, out) -> 
     if fmt == "json":
         _write_json(_spectrum_json(report, probability), out)
         return
-    rows = _spectrum_rows(report, probability)
+    values = _spectrum_values(report, probability)
+    rows = [[_partition_text(o), _partition_text(i), *map(str, rest)] for o, i, *rest in values]
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        fields = [
-            "outer",
-            "inner",
-            "desarrangements",
-            "kostka",
-            "multiplicity",
-            "outer_binomial",
-            "inner_binomial",
-            "diag",
-            "eig",
-        ]
-        writer.writerow(fields)
-        for row in rows:
-            outer, inner = row[0].split("/")
-            writer.writerow([outer, inner] + row[1:])
+        csv.writer(out, lineterminator="\n").writerows([_SPECTRUM_FIELDS, *rows])
         return
+    kostka = "f^lambda" if report.partition == (1,) * report.size else "K"
+    headers = ["lambda/mu", "d^mu", kostka, "mult", "C(|lambda|+1,2)", "C(|mu|+1,2)", "diag", "eig"]
     out.write(f"evaluation {_partition_text(report.evaluation)}")
     out.write(f"  (n = {report.size}, dimension {report.dimension})\n")
-    out.write(_render_table(_spectrum_headers(report), rows))
+    out.write(_render_table(headers, [[f"{o}/{i}", *rest] for o, i, *rest in rows]))
     out.write("\n")
 
 
@@ -343,38 +303,47 @@ def cmd_transition_matrix(args, parser) -> int:
 # -- eigenbasis and kernel ------------------------------------------------
 
 
+def _column_members(words, lex):
+    """The renderer of a checked int column over words, never zero, as the
+    JSON object of its vector: one '"word": "coefficient"' member per nonzero
+    entry, in lexicographic word order (lex = words._lex_order)."""
+    keys = [json.dumps(word_to_text(words[i])) + ': "' for i in lex]
+    return lambda col: _Members([f'{k}{c}"' for k, c in zip(keys, map(col.__getitem__, lex)) if c])
+
+
+def _strip_json(members, outer, inner, eigenvalue, columns) -> dict:
+    return {
+        "strip": {"outer": list(outer), "inner": list(inner)},
+        "eigenvalue": eigenvalue,
+        "vectors": list(map(members, columns)),
+    }
+
+
 def cmd_eigenbasis(args, parser) -> int:
     if (args.partition is None) == (args.evaluation is None):
         parser.error("eigenbasis: provide exactly one of --partition / --evaluation")
     if args.partition is not None:
         shape = _parse_partition(args.partition, parser, "--partition")
         _refuse_many_words("eigenbasis", shape, parser)
+        words, lex, strips = specht_eigenbasis_columns(shape)
+        members = _column_members(words, lex)
         payload = {
             "schema": f"{SCHEMA_PREFIX}/eigenbasis/1",
             "partition": list(shape),
             "dimension": len(standard_tableaux(shape)),
-            "entries": [e.to_json() for e in eigenbasis(shape)],
+            "entries": [_strip_json(members, *strip) for strip in strips],
         }
     else:
         evaluation = _parse_evaluation(args.evaluation, parser, "--evaluation")
         _refuse_many_words("eigenbasis", evaluation, parser)
         words, lex, pushed = eigenbasis_columns(evaluation)
-        # the members of WordVector.to_json of each column, in lexicographic
-        # word order; a checked column is never zero
-        keys = [json.dumps(word_to_text(words[i])) + ': "' for i in lex]
+        members = _column_members(words, lex)
         payload = {
             "schema": f"{SCHEMA_PREFIX}/eigenbasis-evaluation/1",
             "evaluation": list(evaluation),
             "entries": [
-                {
-                    "embedding": [list(row) for row in tab],
-                    **entry.strip_json(),
-                    "vectors": [
-                        _Members([f'{k}{c}"' for k, c in zip(keys, map(col.__getitem__, lex)) if c])
-                        for col in columns
-                    ],
-                }
-                for tab, entry, columns in pushed
+                {"embedding": [list(row) for row in tab], **_strip_json(members, *strip)}
+                for tab, strip in pushed
             ],
         }
     _write_json(payload, sys.stdout)
@@ -384,12 +353,12 @@ def cmd_eigenbasis(args, parser) -> int:
 def cmd_kernel(args, parser) -> int:
     shape = _parse_partition(args.partition, parser, "--partition")
     _refuse_many_words("kernel", shape, parser)
-    basis = kernel_basis(shape)
+    columns = _kernel_columns(shape)
     payload = {
         "schema": f"{SCHEMA_PREFIX}/kernel/1",
         "partition": list(shape),
-        "dimension": len(basis),
-        "vectors": [v.to_json() for v in basis],
+        "dimension": len(columns),
+        "vectors": list(map(_column_members(enumerate_words(shape), _lex_order(shape)), columns)),
     }
     _write_json(payload, sys.stdout)
     return 0
@@ -455,11 +424,10 @@ def _verify_size(n: int, failures: list[str]) -> None:
     for nu in certify_r2r_spectra(n, predicted):
         failures.append(f"charpoly mismatch on evaluation {nu}: predicted roots {predicted[nu]}")
     for shape in partitions_of(n):
-        # eigenbasis checks every kernel dimension, eigen-equation and span
-        entries = eigenbasis(shape)
+        # the columns are checked for every kernel dimension, eigen-equation and span
         got = {}
-        for e in entries:
-            got[e.eigenvalue] = got.get(e.eigenvalue, 0) + len(e.vectors)
+        for _, _, eigenvalue, columns in specht_eigenbasis_columns(shape)[2]:
+            got[eigenvalue] = got.get(eigenvalue, 0) + len(columns)
         want = {}
         for e in spectrum_for_evaluation(shape).entries:
             if e.outer == shape and e.multiplicity:

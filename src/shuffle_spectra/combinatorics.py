@@ -10,6 +10,7 @@ reproducible run to run.
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -123,6 +124,22 @@ def dominates(a: Partition, b: Partition) -> bool:
         if total_a < total_b:
             return False
     return True
+
+
+def _dominating_partitions(nu: Partition) -> list[Partition]:
+    """The partitions that dominate nu, in the order of partitions_of: the
+    closure of nu under moving one cell to an earlier row where the result
+    is a partition, as every cover of the dominance order is such a move."""
+    found, todo = {nu}, [nu]
+    while todo:
+        p = todo.pop()
+        for j, i in combinations(range(len(p)), 2):
+            q = [*p[:j], p[j] + 1, *p[j + 1 : i], p[i] - 1, *p[i + 1 :]]
+            q = tuple(q if q[-1] else q[:-1])
+            if is_partition(q) and q not in found:
+                found.add(q)
+                todo.append(q)
+    return sorted(found, reverse=True)
 
 
 # -- tableaux ---------------------------------------------------------------

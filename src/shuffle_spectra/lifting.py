@@ -34,11 +34,12 @@ which the scalar normal form of an eigenvector cannot tell apart, so no
 eigenvector costs a division.  Pushing those through the module embeddings
 indexed by semistandard tableaux yields a full eigenbasis of any word space.
 
-Both eigenbases pass one check core, `_check_columns`, as int columns and
-before any WordVector is built: with V the matrix of their vectors over the
-words of the space and Lambda that of their eigenvalues, r2r V == V Lambda
-and rank V == dim of the space, exactly, on the rows of V packed into one
-int each by one int.from_bytes of their biased digits.
+Both eigenbases pass one check core, `_check_columns`, as strips (outer,
+inner, eigenvalue, columns) of int columns: with V the matrix of their
+vectors over the words of the space and Lambda that of their eigenvalues,
+r2r V == V Lambda and rank V == dim of the space, exactly, on the rows of V
+packed into one int each by one int.from_bytes of their biased digits.
+Each EigenbasisEntry is built once, with its vectors, from a checked strip.
 
 The eigenbasis of a word space is checked once, on the word space.  Its
 Specht eigenbases are not checked on their own: theta_t is injective on a
@@ -49,18 +50,18 @@ tableau, so a broken eigen-equation or a lost rank there shows in the images.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, repeat
+from itertools import repeat
 from operator import add, itemgetter, mul, sub
 
 from .combinatorics import (
     Partition,
+    _dominating_partitions,
     check_partition,
     check_skew,
     desarrangement_count,
     horizontal_strip_inners,
-    is_partition,
     part,
     semistandard_tableaux,
     standard_tableaux,
@@ -95,6 +96,12 @@ def normalize_vector(v: WordVector) -> WordVector:
     if divisor == 1 and ints is coeffs:
         return v
     return WordVector._from_ints({w: c // divisor for w, c in zip(v.words(), ints)})
+
+
+def _digit_bytes(bound: int) -> int:
+    """The least nbytes with 2**(8 * nbytes - 1) > bound: the bytes of a signed
+    digit of absolute value at most bound."""
+    return bound.bit_length() // 8 + 1
 
 
 def _normal_column(column: list[int], lex) -> list[int]:
@@ -193,7 +200,7 @@ def _lift_columns(outer: Partition, inner: Partition, columns: list[list[int]]) 
         bound = sizes[-1]
         steps.append((shape, weights))
         shape = _check_lift_target(shape, row)
-    nbytes = bound.bit_length() // 8 + 1
+    nbytes = _digit_bytes(bound)
     rows, bias = _biased_rows(columns, nbytes)
     packed = [r - bias for r in rows] + [0]
     for shape, weights in steps:
@@ -240,7 +247,7 @@ def _kernel_rows(terms, null, n: int, size: int) -> tuple[list[int], int]:
     sum over j of c[j] w_j packed one int per word, nbytes bytes per digit:
     max(n, 1) * sum |c[j]| bounds each entry and each of its r2t image."""
     null = [_clear_denominators(c) for c in null]
-    nbytes = (max(n, 1) * max((sum(map(abs, c)) for c in null), default=0)).bit_length() // 8 + 1
+    nbytes = _digit_bytes(max(n, 1) * max((sum(map(abs, c)) for c in null), default=0))
     coeffs = [sum(c[j] << (8 * nbytes * i) for i, c in enumerate(null)) for j in range(len(terms))]
     return _scatter(terms, coeffs, size), nbytes
 
@@ -250,7 +257,7 @@ def _kernel_columns(shape: Partition) -> tuple[list[int], ...]:
     """kernel_basis(shape) as normalized int columns over enumerate_words, by
     the row pick and exact check of the module docstring; |B| <= n."""
     words, terms, n = enumerate_words(shape), _polytabloid_terms(shape), sum(shape)
-    gathers, nbytes = _move_gathers(words, _r2t_moves(n)), n.bit_length() // 8 + 1
+    gathers, nbytes = _move_gathers(words, _r2t_moves(n)), _digit_bytes(n)
     basis = _scatter(terms, [1 << (8 * nbytes * j) for j in range(len(terms))], len(words))
     distinct = [x for x in dict.fromkeys(map(abs, _apply_moves(gathers, basis))) if x]
     rows = _digits(distinct, nbytes, len(terms))
@@ -274,23 +281,13 @@ class EigenbasisEntry:
 
     vectors are normalized lifts of the kernel basis of the inner shape, in
     the order of that basis.  Every vector satisfies r2r(v) = eigenvalue * v
-    exactly.  Before its check an entry has no vectors, only int columns.
+    exactly.  It is built once, from a checked strip of int columns.
     """
 
     outer: Partition
     inner: Partition
     eigenvalue: int
     vectors: tuple[WordVector, ...]
-
-    def strip_json(self) -> dict:
-        """The JSON fields of the entry that precede its vectors."""
-        return {
-            "strip": {"outer": list(self.outer), "inner": list(self.inner)},
-            "eigenvalue": self.eigenvalue,
-        }
-
-    def to_json(self) -> dict:
-        return {**self.strip_json(), "vectors": [v.to_json() for v in self.vectors]}
 
 
 def _biased_rows(columns: list[list[int]], nbytes: int) -> tuple[list[int], int]:
@@ -317,15 +314,15 @@ def _digits(packed: list[int], nbytes: int, count: int) -> list:
     return [[int.from_bytes(r[i : i + nbytes], "little", signed=True) for i in at] for r in data]
 
 
-def _check_columns(groups, words, dimension: int, space: str) -> None:
-    """Raise AssertionError unless the int columns of the (entry, columns)
-    groups are nonzero eigenvectors for their entries' eigenvalues and form
-    a basis of the span of words, a space of the given dimension.
+def _check_columns(strips, words, dimension: int, space: str) -> None:
+    """Raise AssertionError unless the int columns of the (outer, inner,
+    eigenvalue, columns) strips are nonzero eigenvectors for their strips'
+    eigenvalues and form a basis of the span of words, a space of the given
+    dimension.
 
-    words must be all the words of one evaluation, each column lists the
-    coefficients of one vector over them, and only the strip and the
-    eigenvalue of each entry are read.  V holds the columns and Lambda their
-    eigenvalues.  With n the word length and
+    words must be all the words of one evaluation, and each column lists the
+    coefficients of one vector over them.  V holds the columns and Lambda
+    their eigenvalues.  With n the word length and
     B = max |V| * max(n**2, max |Lambda|, 1), every entry of r2r V, of V and
     of V Lambda is at most B in absolute value, since r2r sums n**2 entries
     of a column.  Each row w of V is packed into
@@ -345,14 +342,14 @@ def _check_columns(groups, words, dimension: int, space: str) -> None:
     in plain ints, so nothing rounds or overflows.  Each message names the
     first failing vector.
     """
-    columns = [col for _, cols in groups for col in cols]
-    labels = [f"vector {j} of strip {e.outer}/{e.inner}" for e, c in groups for j in range(len(c))]
+    columns = [col for *_, cols in strips for col in cols]
+    labels = [f"vector {j} of strip {o}/{i}" for o, i, _, c in strips for j in range(len(c))]
     blocks: dict[int, list[int]] = {}  # the vectors of each eigenvalue
-    for j, lam in enumerate(entry.eigenvalue for entry, cols in groups for _ in cols):
+    for j, lam in enumerate(lam for _, _, lam, cols in strips for _ in cols):
         blocks.setdefault(lam, []).append(j)
     n = len(words[0])
     top = max((max(map(abs, col)) for col in columns), default=0)
-    nbytes = (2 * top * max([n * n, 1, *map(abs, blocks)])).bit_length() // 8 + 1
+    nbytes = _digit_bytes(2 * top * max([n * n, 1, *map(abs, blocks)]))
     b = 8 * nbytes
     # the rows of V packed, and those of V Lambda from their biased digits, of
     # one eigenvalue at a time; with no vectors, every word packs to 0
@@ -376,22 +373,21 @@ def _check_columns(groups, words, dimension: int, space: str) -> None:
         raise AssertionError(f"eigenvectors do not span {space}")
 
 
-def _lifted_entries(shape: Partition) -> list[tuple[EigenbasisEntry, list[list[int]]]]:
-    """The strips of eigenbasis(shape), unchecked: one (entry, columns) pair
-    per inner shape with a nonzero kernel, the entry still without vectors
-    and the columns the normal forms of the lifts of its kernel basis, over
+def _lifted_entries(shape: Partition) -> list[tuple]:
+    """The strips of eigenbasis(shape), unchecked: one (outer, inner,
+    eigenvalue, columns) strip per inner shape with a nonzero kernel, the
+    columns the normal forms of the lifts of its kernel basis, over
     enumerate_words(shape)."""
     lex = _lex_order(shape)
-    lifted = []
+    strips = []
     for inner in sorted(horizontal_strip_inners(shape), key=lambda m: (sum(m), m)):
         kernel = _kernel_columns(inner)
         if kernel:
             # the normal form is the same for every nonzero multiple, so the
             # integral lift needs no division
-            columns = _lift_columns(shape, inner, kernel)[0]
-            entry = EigenbasisEntry(shape, inner, eig_strip(shape, inner), ())
-            lifted.append((entry, [_normal_column(col, lex) for col in columns]))
-    return lifted
+            lifted = [_normal_column(col, lex) for col in _lift_columns(shape, inner, kernel)[0]]
+            strips.append((shape, inner, eig_strip(shape, inner), lifted))
+    return strips
 
 
 def _vectors(words, lex, columns) -> tuple[WordVector, ...]:
@@ -409,30 +405,37 @@ def eigenbasis(shape: Partition) -> tuple[EigenbasisEntry, ...]:
     inner shapes' desarrangement counts.  Raises if any of that fails, since
     a failure would falsify the construction rather than the input.
     """
+    words, lex, strips = specht_eigenbasis_columns(shape)
+    return tuple(EigenbasisEntry(o, i, lam, _vectors(words, lex, c)) for o, i, lam, c in strips)
+
+
+def specht_eigenbasis_columns(shape: Partition):
+    """The eigenbasis of eigenbasis(shape) as checked int columns: words =
+    enumerate_words(shape), lex = _lex_order of it, and the strips of
+    _lifted_entries."""
     shape = check_partition(shape)
-    lifted = _lifted_entries(shape)
-    words, lex = enumerate_words(shape), _lex_order(shape)
-    _check_columns(lifted, words, len(standard_tableaux(shape)), f"the Specht module of {shape}")
-    return tuple(replace(entry, vectors=_vectors(words, lex, cols)) for entry, cols in lifted)
+    words, lex, strips = enumerate_words(shape), _lex_order(shape), _lifted_entries(shape)
+    _check_columns(strips, words, len(standard_tableaux(shape)), f"the Specht module of {shape}")
+    return words, lex, strips
 
 
 def eigenbasis_columns(evaluation):
     """The eigenbasis of eigenbasis_for_evaluation as checked int columns.
 
     Returns words = enumerate_words(evaluation), lex = _lex_order of it,
-    and one (tableau, entry, columns) triple per tableau and Specht entry,
-    the entry without vectors and the columns the normal forms of its pushes.
+    and one (tableau, strip) pair per tableau and Specht strip, the strip
+    (outer, inner, eigenvalue, columns) with the normal forms of its pushes.
     """
     evaluation = tuple(evaluation)
     words, lex, pushed = enumerate_words(evaluation), _lex_order(evaluation), []
     for outer in _dominating_partitions(sort_evaluation(evaluation)):
-        lifted = _lifted_entries(outer)
+        strips = _lifted_entries(outer)
         for tab in semistandard_tableaux(outer, evaluation):
-            for entry, cols in lifted:
+            for *head, cols in strips:
                 pushes = [_normal_column(theta_column(tab, c), lex) for c in cols]
-                pushed.append((tab, entry, pushes))
+                pushed.append((tab, (*head, pushes)))
     space = f"the word space of {evaluation}"
-    _check_columns([(entry, columns) for _, entry, columns in pushed], words, len(words), space)
+    _check_columns([strip for _, strip in pushed], words, len(words), space)
     return words, lex, pushed
 
 
@@ -444,20 +447,7 @@ def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
     jointly form an eigenbasis of the whole word space.
     """
     words, lex, pushed = eigenbasis_columns(evaluation)
-    return tuple((tab, replace(e, vectors=_vectors(words, lex, cols))) for tab, e, cols in pushed)
+    return tuple(
+        (tab, EigenbasisEntry(o, i, lam, _vectors(words, lex, c))) for tab, (o, i, lam, c) in pushed
+    )
 
-
-def _dominating_partitions(nu: Partition) -> list[Partition]:
-    """The partitions that dominate nu, in the order of partitions_of: the
-    closure of nu under moving one cell to an earlier row where the result
-    is a partition, as every cover of the dominance order is such a move."""
-    found, todo = {nu}, [nu]
-    while todo:
-        p = todo.pop()
-        for j, i in combinations(range(len(p)), 2):
-            q = [*p[:j], p[j] + 1, *p[j + 1 : i], p[i] - 1, *p[i + 1 :]]
-            q = tuple(q if q[-1] else q[:-1])
-            if is_partition(q) and q not in found:
-                found.add(q)
-                todo.append(q)
-    return sorted(found, reverse=True)

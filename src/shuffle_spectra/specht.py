@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
-from operator import itemgetter
 from typing import Callable
 
 from .combinatorics import (
@@ -43,7 +42,16 @@ from .combinatorics import (
     tableau_shape,
 )
 from .linalg import ExactMatrix
-from .words import Scalar, Word, WordVector, _column, _word_index, enumerate_words, evaluation_of
+from .words import (
+    Scalar,
+    Word,
+    WordVector,
+    _column,
+    _gather,
+    _word_index,
+    enumerate_words,
+    evaluation_of,
+)
 
 
 def word_of_tableau(t: Tableau) -> Word:
@@ -119,8 +127,7 @@ def _polytabloid_terms(shape: Partition) -> tuple[tuple[tuple[int, int], ...], .
     table = []
     for t in standard_tableaux(shape):
         cells = [x for row in t for x in row]
-        # a word of at most one letter is its own image; itemgetter(0) gives a letter
-        gather = itemgetter(*sorted(range(n), key=cells.__getitem__)) if n > 1 else tuple
+        gather = _gather(sorted(range(n), key=cells.__getitem__))
         table.append(tuple(zip(map(index.__getitem__, map(gather, first)), signs)))
     return tuple(table)
 
@@ -178,8 +185,7 @@ def _position_gathers(shape: Partition) -> tuple[Callable[[Word], Word], ...]:
     for word in enumerate_words(shape):
         order = sorted(range(n), key=word.__getitem__)
         rank = sorted(range(n), key=order.__getitem__)
-        # a word of at most one letter is its own image; itemgetter(0) gives a letter
-        gathers.append(itemgetter(*rank) if n > 1 else tuple)
+        gathers.append(_gather(rank))
     return tuple(gathers)
 
 

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .combinatorics import (
     Partition,
+    _dominating_partitions,
     check_partition,
     check_skew,
     desarrangement_count,
@@ -30,8 +31,6 @@ from .combinatorics import (
     even_ascent_suffix,
     horizontal_strip_inners,
     kostka,
-    partitions_of,
-    dominates,
     rsk,
     tableau_shape,
 )
@@ -113,12 +112,9 @@ def spectrum_for_evaluation(evaluation) -> SpectrumReport:
     """Predicted spectrum on words with the given evaluation."""
     evaluation = tuple(evaluation)
     nu = sort_evaluation(evaluation)
-    n = sum(nu)
     entries: list[StripEigenvalue] = []
     totals: dict[int, int] = {}
-    for outer in partitions_of(n):
-        if not dominates(outer, nu):
-            continue
+    for outer in _dominating_partitions(nu):
         k = kostka(outer, nu)
         for inner in sorted(horizontal_strip_inners(outer), key=lambda m: (sum(m), m)):
             d = desarrangement_count(inner)

@@ -346,6 +346,12 @@ def _r2t_moves(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(((*range(j), n - 1, *range(j, n - 1)), 1) for j in range(n))
 
 
+def _gather(indices):
+    """itemgetter(*indices), which gathers a tuple; a sequence of at most one
+    entry is its own image, so tuple, as itemgetter(0) gives a bare entry."""
+    return itemgetter(*indices) if len(indices) > 1 else tuple
+
+
 def _move_gathers(words, moves=None) -> list[tuple[list[int], int]]:
     """For each move (sigma, m) of the table (default _r2r_moves), the index
     in words of w o sigma for every w.
@@ -356,8 +362,7 @@ def _move_gathers(words, moves=None) -> list[tuple[list[int], int]]:
     index = {w: i for i, w in enumerate(words)}
     gathers = []
     for sigma, m in _r2r_moves(len(words[0])) if moves is None else moves:
-        # one position has only the identity move; itemgetter(0) gives a letter
-        image = itemgetter(*sigma) if len(sigma) > 1 else tuple
+        image = _gather(sigma)
         gathers.append(([index[image(w)] for w in words], m))
     return gathers
 
@@ -375,9 +380,7 @@ def _apply_moves(gathers, column: list) -> list:
     """
     images: dict[int, list[tuple]] = {}
     for rows, m in gathers:
-        # a lone word is its own image; itemgetter(0) gives an entry, not a tuple
-        gather = itemgetter(*rows) if len(rows) > 1 else tuple
-        images.setdefault(m, []).append(gather(column))
+        images.setdefault(m, []).append(_gather(rows)(column))
     out = [0] * len(column)
     for m, terms in images.items():
         out = list(map(add, out, map(mul, repeat(m), map(sum, zip(*terms)))))

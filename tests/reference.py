@@ -191,7 +191,7 @@ def check_eigenbasis(entries, words, dimension: int, space: str) -> None:
     eigen-equation nor any rank.
     """
     index = {w: i for i, w in enumerate(words)}
-    groups = []
+    strips = []
     for entry in entries:
         columns = []
         for j, v in enumerate(entry.vectors):
@@ -202,8 +202,8 @@ def check_eigenbasis(entries, words, dimension: int, space: str) -> None:
                     raise AssertionError(f"{label} has word {word_to_text(w)}, not in {space}")
                 col[index[w]] = c
             columns.append(_clear_denominators(col))
-        groups.append((entry, columns))
-    _check_columns(groups, words, dimension, space)
+        strips.append((entry.outer, entry.inner, entry.eigenvalue, columns))
+    _check_columns(strips, words, dimension, space)
 
 
 def theta_by_positions(t, v: WordVector) -> WordVector:

@@ -188,6 +188,116 @@ def test_cli_output_matches_reference_digest(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 
 
+# Exit code and stdout SHA-256 of eigenvalues in every format, with and
+# without --probability, recorded before the spectrum output was rewritten;
+# --n 0 --probability takes the branch for n = 0, which has no n**2 to divide by.
+SPECTRUM_DIGESTS = {
+    "--n 0": [
+        ("table", False, 0, "d13b8bd6a908b7c6c2ae112c6277ab480f52cc013d58d8d40193be3b32a085c8"),
+        ("table", True, 0, "d13b8bd6a908b7c6c2ae112c6277ab480f52cc013d58d8d40193be3b32a085c8"),
+        ("csv", False, 0, "7c1c0992d78f3969992a35dc74914f6e5071c96df174e6f999a75fccf8594254"),
+        ("csv", True, 0, "7c1c0992d78f3969992a35dc74914f6e5071c96df174e6f999a75fccf8594254"),
+        ("json", False, 0, "db9a2654dcdf7795c3d424ea81839948399b2e4a91946ab06dc075125a8ea9d6"),
+        ("json", True, 0, "db9a2654dcdf7795c3d424ea81839948399b2e4a91946ab06dc075125a8ea9d6"),
+    ],
+    "--n 1": [
+        ("table", False, 0, "9c930a20a1dfe1f2e56bef82bb2a40e013d0466f53f09eb9ccb164aa780ae305"),
+        ("table", True, 0, "9c930a20a1dfe1f2e56bef82bb2a40e013d0466f53f09eb9ccb164aa780ae305"),
+        ("csv", False, 0, "2fc2576cc730575da8ee450a49c6f24df9b01fcde3d0ab7654d18cb48b7c79fa"),
+        ("csv", True, 0, "2fc2576cc730575da8ee450a49c6f24df9b01fcde3d0ab7654d18cb48b7c79fa"),
+        ("json", False, 0, "030cce1f114c443899d0062e9139ed78c1886e24442450f9155fc4ee7dbc6984"),
+        ("json", True, 0, "803e5be92cb7cd8c6fc96f6190f450e76c283eb15643906c38fc8a886bd5ce5a"),
+    ],
+    "--n 2": [
+        ("table", False, 0, "02e124b3eb45de088e45742c2e88af8065eca142201930b2251c92d2eebd204a"),
+        ("table", True, 0, "9cc5d02354a689d21a1ea27c6d12606897fffb2586032e38aac846f0af62d482"),
+        ("csv", False, 0, "0d452df7c17906c6d625929289dfb74c997e1d74d746002178799ab8d1ac9a6f"),
+        ("csv", True, 0, "833b1322b9c99d792c0cd7b020c16fdaddd29bed1da8909798d70d660f0ef09d"),
+        ("json", False, 0, "821b24f86e90650d394f1142ea205b97efd7d12e547479ba9b1f280c3dee4a51"),
+        ("json", True, 0, "36561602fa0d7c50dfc3060d54315e5d12ffc0268f673d52a3094cb7fd1681f2"),
+    ],
+    "--n 3": [
+        ("table", False, 0, "1ba85d9ac47200e842288ddee878522531a10567c4ba75dc7c734d882d16cdb0"),
+        ("table", True, 0, "d7a375d44deb41ae3ccf407a1317d99d479283c939d3396363fe31302c4706d4"),
+        ("csv", False, 0, "557ea7a75fb713fef735d6c6ebae637de02f4c0b4016b9f0c9e7e4b48f7a6274"),
+        ("csv", True, 0, "57f65ea3d775d9437287aebe3f628a3d840711f26af15b75cae1efa752c3cb53"),
+        ("json", False, 0, "bb5ae41034ce8d79af3e1e1172a1028aa768aa232ffd0e160dc840cd602e0763"),
+        ("json", True, 0, "b08f6a70ebe9caaae6691b1d079dad51b6e2a5c35d16accd7e99db5ad65c105c"),
+    ],
+    "--n 4": [
+        ("table", False, 0, "f12662c0ccc84244055fa306919df832052f69d3cd4134a1e101ce9a08d76091"),
+        ("table", True, 0, "2cbe40d8d251bc6ded45b41f1c738277d70a62d8dd6da40a33c5b978c3d2a7a8"),
+        ("csv", False, 0, "fe8676ec59b627a02c9aabef966ab37cf5fe96781154797ad16ee9591185bed3"),
+        ("csv", True, 0, "83eef65ffa358ad278e8083d423e85fb3c564e12a4e48dc0c6951c37065674cf"),
+        ("json", False, 0, "88e38a9e839f0e2500e81a5dd95f936acd2dbaf047315daa5adfda404aa1821f"),
+        ("json", True, 0, "dcaf65980a3515884fd76a913c9989b4cc57a3d1c327ee18ffc0cda11d22b3ff"),
+    ],
+    "--n 5": [
+        ("table", False, 0, "3995fbfe2b038704e16dc4bcae0da699469b33de11e972461d84249ca2a1ee82"),
+        ("table", True, 0, "274fc826d25eddf4508ac9967b4c2f1d52a18f5f79524aca76851cdf1a18c66e"),
+        ("csv", False, 0, "152df5c423b8a19b19c7b8934596afdbd1a74627dac426cab5a363d70c17b774"),
+        ("csv", True, 0, "5dc33bd78a8a690d387dfcfc23ffef5a5fe615070beff1642462035ea07e3768"),
+        ("json", False, 0, "541afd67d63f23a3453519ff6982f81e1654ce3fda3100b568d7c453a2351b73"),
+        ("json", True, 0, "79640ecf37446048d8390c6dccc68e625afd6e90a6aa34bad5e272694abe273a"),
+    ],
+    "--n 6": [
+        ("table", False, 0, "d2ac878a202e4684f517949da694eb182c437a87feda6fb035ad397d18cfb6e0"),
+        ("table", True, 0, "25feddb6e498e967c44c90c805f42a49a07acac9b7014852bc34acec691b9b91"),
+        ("csv", False, 0, "2d7ee268258e37e57a739c2e076fa2302c9a4dd776ca2a10aee43d602b239396"),
+        ("csv", True, 0, "c637721c8e4fec281f0a4aed1f4400478106816475bebaca32cd61ae064a89b3"),
+        ("json", False, 0, "525afa25998783f32bd85351f81c676e809dfefbbb91d99005f6220c97ee1000"),
+        ("json", True, 0, "4ab0d3565cc180006615080075e12d3b8844bfa563b26fb36a52ae84e4591257"),
+    ],
+    "--evaluation 1,1,1": [
+        ("table", False, 0, "a9229714fd5b0b6d3800c6323e3edbedcaa671f47a82dbb4036a7e0e3f853801"),
+        ("table", True, 0, "fef0661da8679217789c66406b463feb593b756fa792c295d6edd05651dea05c"),
+        ("csv", False, 0, "a899c9cd16a041219935017b5df94ec5a85df3c417014843d8faeb7da2556d57"),
+        ("csv", True, 0, "6bd04544e46aa26c875e3ad19e06ed8901060e21610393959c6d8ed8edacb747"),
+        ("json", False, 0, "164f35fd0e7b8102469489e7ba838e739e9fc61b7e77c3178442cff9e9ce0f8d"),
+        ("json", True, 0, "8f2ee55e454d67bd25b653df24ad2f1596e286c1e695da9216c0dfd09a074a9a"),
+    ],
+    "--evaluation 2,2": [
+        ("table", False, 0, "b96895193ab968654e9b1bcd8b28a7f1381e8380313cda097e876a5301848ad5"),
+        ("table", True, 0, "8a973c3f0cddef64baa55376a1cf7fdd7fd725efa839feb4459cffb85eb1853d"),
+        ("csv", False, 0, "852e174b529795982902d1b0d0da1c8989258fd9fa6811af8c30f7c7aab99518"),
+        ("csv", True, 0, "f625cb45893e63ada58e06d0b766879305bf0bd17abf185be84bba6b7293b0dc"),
+        ("json", False, 0, "b868127f45acd4632a38a6a535f15579ca6950bcd3f43e8897ed91800a779184"),
+        ("json", True, 0, "0f1835d5c6f21d91ff4c7409ab444c595b228b7fe74db28809fc196f4be1fa6a"),
+    ],
+    "--evaluation 0,2,1": [
+        ("table", False, 0, "762a11d2e176484627528270eeae73c1e11633247bbed81d37944cd52b8e9e23"),
+        ("table", True, 0, "dfb7e92b71595fccd11ae2d293c89803711f58ddb0f7dcb4c664284579cbcbf9"),
+        ("csv", False, 0, "38592dc239065ac2f0743a30bebc49bc67d6d5e3829e41cad12527c366afb03b"),
+        ("csv", True, 0, "2cf61d56b978e7bbb7f60dba09b4daca8ce3afc8ce6e1d0f5e41a261156b34a8"),
+        ("json", False, 0, "81b2b1221dcdf16dc2057417c39daf8b1b9a9360f5ec2a3bf34ff781e63ba934"),
+        ("json", True, 0, "b1abc15c2d7aaf6380272bae6d3725f04ad2fed0d35f4d24eb8b2635875d74f2"),
+    ],
+    "--evaluation 3,1,2": [
+        ("table", False, 0, "ee6a382b590e0e482624ee3ddcff04b6f77a2fe8c72a3da61b64488ddfdc2fe9"),
+        ("table", True, 0, "e02a4ee6ca1b85c6659b2f58c7abd8218af0b551759a773757800537eb2f40be"),
+        ("csv", False, 0, "ede7a6bd5788601310b10786ae9822907a023560f5f7a87401a9ebd09207f48d"),
+        ("csv", True, 0, "e5feca0a31d9830a333047c6b1aa3dd75291b5f19b4d4250265c3f1eff14c1ca"),
+        ("json", False, 0, "d1a228f5c8b87ea9bd51867412b287622a7471186c3b41243bd5c2fb4ee8bf21"),
+        ("json", True, 0, "6ea6e94b48e75086036f1f2d314d464c0e6788e48c30a3dc6e83aaac35bb1f30"),
+    ],
+}
+SPECTRUM_CASES = [(args, *case) for args, cases in SPECTRUM_DIGESTS.items() for case in cases]
+
+
+@pytest.mark.parametrize(
+    "args, fmt, probability, exit_code, sha256",
+    SPECTRUM_CASES,
+    ids=[f"{a}-{f}" + ("-probability" if p else "") for a, f, p, *_ in SPECTRUM_CASES],
+)
+def test_spectrum_output_matches_its_recorded_digest(
+    capsys, args, fmt, probability, exit_code, sha256
+):
+    argv = ["eigenvalues", *args.split(), "--format", fmt] + ["--probability"] * probability
+    code, out = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 # Exit code and stdout SHA-256 of eigenbasis commands, recorded before the
 # evaluation eigenbasis moved to int columns: every evaluation and shape of
 # size at most 5, and evaluations that are not partitions, trailing zeros
@@ -472,7 +582,12 @@ def test_usage_errors_exit_code_two(capsys, monkeypatch):
     assert "R2R_MAX_N must be an integer" in capsys.readouterr().err
     # evaluations with more words than linalg._MAX_DIM are refused before any
     # library call; a broken guard raises here instead of starting the work
-    for name in ("eigenbasis", "eigenbasis_columns", "kernel_basis", "transition_matrix"):
+    for name in (
+        "specht_eigenbasis_columns",
+        "eigenbasis_columns",
+        "_kernel_columns",
+        "transition_matrix",
+    ):
         monkeypatch.setattr(cli, name, _never_called)
     for argv in [
         ["eigenbasis", "--partition", "9,9"],

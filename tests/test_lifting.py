@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from shuffle_spectra import lifting, linalg, specht, words
 from shuffle_spectra.combinatorics import (
+    _dominating_partitions,
     desarrangement_count,
     dominates,
     horizontal_strip_inners,
@@ -20,7 +21,6 @@ from shuffle_spectra.combinatorics import (
 from shuffle_spectra.lifting import (
     EigenbasisEntry,
     _check_lift_target,
-    _dominating_partitions,
     _lift_columns,
     eigenbasis,
     eigenbasis_for_evaluation,
