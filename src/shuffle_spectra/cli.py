@@ -22,12 +22,14 @@ variable R2R_MAX_N (default 6) caps the size of brute-force verification
 runs.  Before any work, eigenbasis, kernel, transition-matrix and laplacian
 refuse (exit 2) more than linalg._MAX_DIM words or injective words, and
 eigenvalues and frobenius refuse a size n over _MAX_STRIP_N.
+
+Start-up is most of a typical command's time, so csv, frobenius and
+injective are imported only by the code paths that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -36,8 +38,6 @@ from itertools import accumulate
 from operator import attrgetter
 
 from .combinatorics import partitions_of, standard_tableaux
-from .frobenius import frobenius_of_eigenspace
-from .injective import laplacian, laplacian_spectrum
 from .lifting import _kernel_columns, eigenbasis_columns, specht_eigenbasis_columns
 from .linalg import _MAX_DIM
 from .spectrum import SpectrumReport, eig_word_trace, spectrum_for_evaluation
@@ -65,7 +65,8 @@ def _parse_evaluation(text: str, parser: argparse.ArgumentParser, option: str):
             parser.error(f"{option}: bad token {token!r} in {text!r}")
         counts.append(int(token))
     if sum(counts) == 0:
-        parser.error(f"{option}: evaluation {text!r} describes no letters")
+        # option is --evaluation or --partition, which names what text describes
+        parser.error(f"{option}: {option.lstrip('-')} {text!r} describes no letters")
     return tuple(counts)
 
 
@@ -207,6 +208,8 @@ def _emit_spectrum(report: SpectrumReport, fmt: str, probability: bool, out) -> 
     values = _spectrum_values(report, probability)
     rows = [[_partition_text(o), _partition_text(i), *map(str, rest)] for o, i, *rest in values]
     if fmt == "csv":
+        import csv
+
         csv.writer(out, lineterminator="\n").writerows([_SPECTRUM_FIELDS, *rows])
         return
     kostka = "f^lambda" if report.partition == (1,) * report.size else "K"
@@ -371,6 +374,8 @@ def cmd_frobenius(args, parser) -> int:
     if args.n < 0 or args.eigenvalue < 0:
         parser.error("frobenius: --n and --eigenvalue must be non-negative")
     _refuse_large_n("frobenius", args.n, parser)
+    from .frobenius import frobenius_of_eigenspace
+
     expansion = frobenius_of_eigenspace(args.n, args.eigenvalue)
     if args.format == "json":
         payload = {
@@ -396,6 +401,8 @@ def cmd_laplacian(args, parser) -> int:
     if _over_max_dim((k, 1) for k in range(args.n - args.r + 1, args.n + 1)):
         mode = "--spectrum" if args.spectrum else "the matrix"
         parser.error(f"laplacian: {mode} needs at most {_MAX_DIM} injective words")
+    from .injective import laplacian, laplacian_spectrum
+
     if args.spectrum:
         spectrum = laplacian_spectrum(args.n, args.r)
         payload = {

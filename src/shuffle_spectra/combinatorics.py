@@ -4,7 +4,8 @@ Partitions are tuples of weakly decreasing positive ints (the empty tuple is
 the empty partition).  Tableaux are tuples of row tuples.  All enumeration
 orders are deterministic: partitions are listed in descending lexicographic
 order, standard tableaux by their row reading word, so downstream output is
-reproducible run to run.
+reproducible run to run.  Record, the frozen base of the package's result
+types, lives here because every other module imports this one.
 """
 
 from __future__ import annotations
@@ -15,6 +16,60 @@ from itertools import combinations
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
 Word = tuple[int, ...]
+
+
+class _RecordType(type):
+    """Gives each Record class one slot per annotated field, in order.
+
+    The annotations are read from the class body's namespace, where
+    `from __future__ import annotations` keeps them on every Python version.
+    """
+
+    def __new__(mcs, name, bases, namespace):
+        namespace["__slots__"] = tuple(namespace.get("__annotations__", ()))
+        return super().__new__(mcs, name, bases, namespace)
+
+
+class Record(metaclass=_RecordType):
+    """Frozen record of the fields annotated on its class, in their order.
+
+    A record is built from its fields positionally, equals a record of the
+    same class with equal fields, hashes as the tuple of its fields, shows as
+    Name(field=value, ...) and rejects assignment: a frozen dataclass that
+    imports nothing.
+    """
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}"
+            )
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def is_partition(parts) -> bool:

@@ -50,13 +50,13 @@ tableau, so a broken eigen-equation or a lost rank there shows in the images.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from operator import add, itemgetter, mul, sub
 
 from .combinatorics import (
     Partition,
+    Record,
     _dominating_partitions,
     check_partition,
     check_skew,
@@ -275,8 +275,7 @@ def _kernel_columns(shape: Partition) -> tuple[list[int], ...]:
     return columns
 
 
-@dataclass(frozen=True)
-class EigenbasisEntry:
+class EigenbasisEntry(Record):
     """Eigenvectors contributed by one horizontal strip.
 
     vectors are normalized lifts of the kernel basis of the inner shape, in

@@ -27,13 +27,13 @@ WordVectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
 from typing import Callable
 
 from .combinatorics import (
     Partition,
+    Record,
     Tableau,
     check_partition,
     multiset_arrangements,
@@ -96,8 +96,7 @@ def polytabloid(t: Tableau) -> WordVector:
     return WordVector(terms)
 
 
-@dataclass(frozen=True)
-class SpechtBasis:
+class SpechtBasis(Record):
     shape: Partition
     tableaux: tuple[Tableau, ...]
     vectors: tuple[WordVector, ...]

@@ -18,11 +18,11 @@ descriptions produce the same multiset and the tests enforce that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import (
     Partition,
+    Record,
     _dominating_partitions,
     check_partition,
     check_skew,
@@ -47,8 +47,7 @@ def eig_strip(outer: Partition, inner: Partition) -> int:
     )
 
 
-@dataclass(frozen=True)
-class StripEigenvalue:
+class StripEigenvalue(Record):
     """One horizontal strip row of a spectrum table."""
 
     outer: Partition
@@ -74,8 +73,7 @@ class StripEigenvalue:
         return diag(self.outer, self.inner)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     """Complete spectrum of the shuffle on the words of one evaluation.
 
     entries lists every horizontal strip outer/inner with outer dominating
@@ -130,8 +128,7 @@ def eig_word(word: Word) -> int:
     return eig_word_trace(word).eig
 
 
-@dataclass(frozen=True)
-class WordEigTrace:
+class WordEigTrace(Record):
     """Intermediate data of the per-word eigenvalue computation."""
 
     word: Word

@@ -23,13 +23,12 @@ multiplicities are the Krylov core of linalg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, permutations, product, repeat
 from operator import add, itemgetter, mul
 
-from .combinatorics import multiset_arrangements
+from .combinatorics import Record, multiset_arrangements
 from .linalg import ExactMatrix, Scalar, _annihilating_krylov, _multiplicities
 
 Word = tuple[int, ...]
@@ -443,8 +442,7 @@ SHUFFLES = {
 }
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(Record):
     """Transition matrix of a shuffle on the words of one evaluation.
 
     counts holds the integer one-step transition weights; the probability

@@ -5,15 +5,15 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shuffle_spectra import cli, lifting
+from shuffle_spectra import cli, frobenius, injective, lifting
 from shuffle_spectra.cli import main
 from shuffle_spectra.linalg import _MAX_DIM
+from shuffle_spectra.spectrum import SpectrumReport
 
 from golden_tables import R2R_COUNTS_22, R2T_COUNTS_22, WORDS_22
 
@@ -514,7 +514,8 @@ def test_verify_reports_a_wrong_prediction(capsys, monkeypatch):
         report = real(nu)
         if nu != (2, 2):
             return report
-        return replace(report, totals={16: 1, 10: 1, 6: 1, 4: 2, 0: 1})
+        totals = {16: 1, 10: 1, 6: 1, 4: 2, 0: 1}
+        return SpectrumReport(report.evaluation, report.partition, report.entries, totals)
 
     monkeypatch.setattr(cli, "spectrum_for_evaluation", predict)
     code, out = run_cli(capsys, "verify", "--n", "4")
@@ -556,6 +557,13 @@ def test_usage_errors_exit_code_two(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["kernel", "--partition", "³"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    for option, noun in (("--partition", "partition"), ("--evaluation", "evaluation")):
+        with pytest.raises(SystemExit) as exc:
+            main(["eigenbasis", option, "0,0"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{option}: {noun} '0,0' describes no letters" in err
     with pytest.raises(SystemExit) as exc:
         main(["eigenbasis", "--partition", "1,2"])
     assert exc.value.code == 2
@@ -604,7 +612,7 @@ def test_usage_errors_exit_code_two(capsys, monkeypatch):
     # so are Laplacians on more than linalg._MAX_DIM injective words, also
     # where n!/(n-r)! itself would take long to compute
     for name in ("laplacian", "laplacian_spectrum"):
-        monkeypatch.setattr(cli, name, _never_called)
+        monkeypatch.setattr(injective, name, _never_called)
     for argv in [
         ["laplacian", "--n", "7", "--r", "5"],
         ["laplacian", "--n", "1000000000", "--r", "1000000000", "--spectrum"],
@@ -615,8 +623,9 @@ def test_usage_errors_exit_code_two(capsys, monkeypatch):
         assert f"needs at most {_MAX_DIM} injective words" in capsys.readouterr().err
     # eigenvalues and frobenius refuse a size over cli._MAX_STRIP_N before
     # partitions_of runs, also where it would never return
-    for name in ("partitions_of", "spectrum_for_evaluation", "frobenius_of_eigenspace"):
+    for name in ("partitions_of", "spectrum_for_evaluation"):
         monkeypatch.setattr(cli, name, _never_called)
+    monkeypatch.setattr(frobenius, "frobenius_of_eigenspace", _never_called)
     for argv in [
         ["eigenvalues", "--n", str(cli._MAX_STRIP_N + 1)],
         ["eigenvalues", "--n", "1000000000"],

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -566,9 +565,20 @@ def test_check_eigenbasis_accepts_every_eigenbasis_up_to_size_five():
             _check_eigenbasis([e for _, e in pairs], words, len(words), "the word space")
 
 
+def _replaced(entry, **changes):
+    """A new entry with the fields of entry, the named ones changed."""
+    fields = {
+        "outer": entry.outer,
+        "inner": entry.inner,
+        "eigenvalue": entry.eigenvalue,
+        "vectors": entry.vectors,
+    }
+    return EigenbasisEntry(*(fields | changes).values())
+
+
 def _corrupt(entries, k, **changes):
     entries = list(entries)
-    entries[k] = replace(entries[k], **changes)
+    entries[k] = _replaced(entries[k], **changes)
     return entries
 
 
@@ -622,7 +632,7 @@ def test_check_eigenbasis_ranks_by_eigenvalue_not_by_strip():
 def test_check_eigenbasis_is_exact_beyond_64_bits():
     shape = (3, 1, 1)
     big = 2**64 + 3
-    entries = [replace(e, vectors=tuple(big * v for v in e.vectors)) for e in eigenbasis(shape)]
+    entries = [_replaced(e, vectors=tuple(big * v for v in e.vectors)) for e in eigenbasis(shape)]
     assert max(abs(c) for e in entries for v in e.vectors for _, c in v.items()) > 2**64
     check_specht_eigenbasis(shape, entries)
     last = entries[-1]

@@ -1,5 +1,6 @@
 import ast
 import os
+import pickle
 import subprocess
 import sys
 import types
@@ -93,6 +94,18 @@ def test_the_benchmark_tracer_still_finds_every_layer():
     assert missing == []
 
 
+def _fresh_python(script: str) -> str:
+    """Run script in a fresh interpreter that imports this package; return
+    its stdout."""
+    src = str(Path(shuffle_spectra.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def _run_cli(argv: list[str]) -> list[str]:
     """Run the CLI in a fresh interpreter; return its stdout lines, the last
     one saying whether numpy was imported."""
@@ -105,13 +118,7 @@ def _run_cli(argv: list[str]) -> list[str]:
             "sys.exit(code)",
         ]
     )
-    src = str(Path(shuffle_spectra.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()
+    return _fresh_python(script).splitlines()
 
 
 @pytest.mark.parametrize(
@@ -129,8 +136,9 @@ def test_no_command_imports_numpy(argv, first):
     assert lines[-1] == "False"
 
 
-def _numpy_imports(tree) -> list[int]:
-    """Line numbers of the statements in tree that import numpy or a submodule."""
+def _imports_of(tree, top: str) -> list[int]:
+    """Line numbers of the statements in tree that import the module top or
+    a submodule of it."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -139,16 +147,18 @@ def _numpy_imports(tree) -> list[int]:
             modules = [node.module or ""]
         else:
             continue
-        if any(m.split(".")[0] == "numpy" for m in modules):
+        if any(m.split(".")[0] == top for m in modules):
             lines.append(node.lineno)
     return lines
 
 
 def test_the_package_has_no_numpy_import():
-    found = [f"{name}:{line}" for name, tree in package_trees() for line in _numpy_imports(tree)]
+    found = [
+        f"{name}:{line}" for name, tree in package_trees() for line in _imports_of(tree, "numpy")
+    ]
     assert found == []
     source = "import os\nimport numpy as np\ndef f():\n    from numpy.linalg import eig\n"
-    assert _numpy_imports(ast.parse(source)) == [2, 4]
+    assert _imports_of(ast.parse(source), "numpy") == [2, 4]
 
 
 _RANK_INTERNALS = {"_rank_mod", "_RANK_PRIME", "_echelon", "_independent_rows"}
@@ -182,3 +192,119 @@ def test_only_linalg_reaches_its_rank_internals():
     assert found == []
     source = "from .linalg import _RANK_PRIME, _rank\nimport x\ny = linalg._echelon(m)\n"
     assert _rank_internal_uses(ast.parse(source)) == [1, 3]
+
+
+def _fresh_modules(script: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running script."""
+    return set(_fresh_python(script + "\nimport sys\nprint(*sys.modules)").split())
+
+
+def test_importing_the_cli_loads_only_what_every_command_needs():
+    # start-up is most of a typical command's time; modules that site hooks
+    # load in a bare interpreter do not count
+    loaded = _fresh_modules("import shuffle_spectra.cli") - _fresh_modules("pass")
+    assert "shuffle_spectra.cli" in loaded
+    unused = {"dataclasses", "inspect", "csv"}
+    unused |= {"shuffle_spectra.injective", "shuffle_spectra.frobenius"}
+    assert loaded & unused == set()
+    # nor does any module of the package, loaded or not
+    found = [
+        f"{name}:{line}"
+        for name, tree in package_trees()
+        for line in _imports_of(tree, "dataclasses")
+    ]
+    assert found == []
+
+
+def test_every_public_name_is_its_home_modules_object():
+    # the package resolves its names on first use; each must be the object
+    # its defining module holds, and dir() must list them all
+    for name in shuffle_spectra.__all__:
+        value = getattr(shuffle_spectra, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"shuffle_spectra.{name}"]
+        else:
+            assert value.__module__.startswith("shuffle_spectra.")
+            assert getattr(sys.modules[value.__module__], name) is value
+    assert set(shuffle_spectra.__all__) <= set(dir(shuffle_spectra))
+    assert {"words", "eigenbasis", "SpectrumReport"} <= set(shuffle_spectra.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
+        shuffle_spectra.nonsense
+
+
+def _records():
+    """One record of each frozen record class, with its field names in order."""
+    from shuffle_spectra import (
+        eig_word_trace,
+        eigenbasis,
+        specht_basis,
+        spectrum_for_evaluation,
+        transition_matrix,
+    )
+
+    report = spectrum_for_evaluation((1,))
+    return [
+        (transition_matrix("r2t", (1, 1)), ("shuffle", "evaluation", "order", "scale", "counts")),
+        (eigenbasis((2, 1))[0], ("outer", "inner", "eigenvalue", "vectors")),
+        (specht_basis((2, 1)), ("shape", "tableaux", "vectors")),
+        (report.entries[0], ("outer", "inner", "eig", "kostka", "desarrangements")),
+        (report, ("evaluation", "partition", "entries", "totals")),
+        (eig_word_trace((2, 1, 1)), ("word", "suffix", "shape", "suffix_shape", "head", "tail")),
+    ]
+
+
+def test_records_show_as_their_fields():
+    # the reprs the frozen dataclasses gave
+    assert [repr(record) for record, _ in _records()] == [
+        "TransitionMatrix(shuffle='r2t', evaluation=(1, 1), order=((1, 2), (2, 1)),"
+        " scale=Fraction(1, 2), counts=ExactMatrix(2x2))",
+        "EigenbasisEntry(outer=(2, 1), inner=(1, 1), eigenvalue=4,"
+        " vectors=(WordVector(1*112 + -1*211),))",
+        "SpechtBasis(shape=(2, 1), tableaux=(((1, 2), (3,)), ((1, 3), (2,))),"
+        " vectors=(WordVector(1*112 + -1*211), WordVector(1*121 + -1*211)))",
+        "StripEigenvalue(outer=(1,), inner=(), eig=1, kostka=1, desarrangements=1)",
+        "SpectrumReport(evaluation=(1,), partition=(1,),"
+        " entries=(StripEigenvalue(outer=(1,), inner=(), eig=1, kostka=1, desarrangements=1),"
+        " StripEigenvalue(outer=(1,), inner=(1,), eig=0, kostka=1, desarrangements=0)),"
+        " totals={1: 1})",
+        "WordEigTrace(word=(2, 1, 1), suffix=(2, 1, 1), shape=(2, 1), suffix_shape=(2, 1),"
+        " head=6, tail=6)",
+    ]
+
+
+def test_records_are_frozen_values_of_their_fields():
+    hashed = []
+    for record, fields in _records():
+        cls, values = type(record), tuple(getattr(record, f) for f in fields)
+        twin = cls(*values)
+        assert twin == record and twin is not record
+        assert not isinstance(record, tuple) and record != values
+        try:
+            expected = hash(values)
+        except TypeError:
+            # a dict or WordVector field leaves the record unhashable, as it
+            # left the dataclass
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        else:
+            assert hash(twin) == hash(record) == expected
+            hashed.append(cls.__name__)
+        assert pickle.loads(pickle.dumps(record)) == record
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, fields[-1])
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, fields[0]) == values[0]
+    assert hashed == ["TransitionMatrix", "StripEigenvalue", "WordEigTrace"]
+    # records of different classes with equal fields differ
+    classes = {type(record).__name__: type(record) for record, _ in _records()}
+    five = (1, 2, 3, 4, 5)
+    assert classes["TransitionMatrix"](*five) != classes["StripEigenvalue"](*five)
+    assert classes["EigenbasisEntry"](*five[:4]) != classes["SpectrumReport"](*five[:4])
+    assert classes["EigenbasisEntry"](*five[:4]) == classes["EigenbasisEntry"](*five[:4])
