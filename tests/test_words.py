@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import permutations, product
 
 import pytest
 
-from shuffle_spectra.injective import laplacian
+from shuffle_spectra.injective import boundary, coboundary, laplacian, signed_r2r
 from shuffle_spectra.lifting import eigenbasis, kernel_basis, normalize_vector
 from shuffle_spectra.linalg import ExactMatrix
 from shuffle_spectra.words import (
@@ -334,3 +335,77 @@ def test_operator_kernels_of_both_shuffles_agree():
             null_r2r = operator_matrix(r2r, words).nullspace()
             null_r2t = operator_matrix(r2t, words).nullspace()
             assert null_r2r == null_r2t, nu
+
+
+# -- the nine word operators, extended linearly -------------------------------
+
+_INJECTIVE_3 = tuple(permutations(range(1, 5), 3))
+_OPERATORS = {
+    # name: (operator on word vectors, the words its inputs are drawn from)
+    "apply_sh": (partial(apply_sh, 2), enumerate_words((2, 1, 1))),
+    "apply_del": (partial(apply_del, 1), enumerate_words((2, 1, 1))),
+    "apply_theta": (partial(apply_theta, 1, 2), enumerate_words((2, 1, 1))),
+    "r2t": (r2t, enumerate_words((2, 1, 1))),
+    "t2r": (t2r, enumerate_words((2, 1, 1))),
+    "r2r": (r2r, enumerate_words((2, 1, 1))),
+    "boundary": (partial(boundary, 4, 3), _INJECTIVE_3),
+    "coboundary": (partial(coboundary, 4, 2), tuple(permutations(range(1, 5), 2))),
+    "signed_r2r": (signed_r2r, _INJECTIVE_3),
+}
+
+
+def _random_vector(rng, words, count):
+    picked = rng.sample(words, count)
+    return WordVector({w: Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3])) for w in picked})
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATORS))
+def test_word_operators_are_linear_with_exact_cancellation(name):
+    op, words = _OPERATORS[name]
+    rng = random.Random(name)
+    for _ in range(10):
+        a = Fraction(rng.choice([-2, 1, 3]), rng.choice([1, 2, 7]))
+        b = Fraction(rng.choice([-1, 2]), 3)
+        u = _random_vector(rng, list(words), 6)
+        # w cancels a * u on two of its words, so a * u + b * w drops them
+        dropped = list(u.words())[:2]
+        rest = [x for x in words if x not in dropped]
+        w = _random_vector(rng, rest, 4) + WordVector({x: -a * u.coefficient(x) / b for x in dropped})
+        combined = a * u + b * w
+        assert not any(combined.coefficient(x) for x in dropped)
+        assert op(combined) == a * op(u) + b * op(w)
+        assert op(u - u) == WordVector() == op(WordVector())
+        # a word and its unit vector have one image
+        if name not in ("boundary", "coboundary", "signed_r2r"):
+            assert op(words[0]) == op(WordVector.unit(words[0]))
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATORS))
+def test_word_operators_store_integral_images_as_int(name):
+    op, words = _OPERATORS[name]
+    assert _coefficient_types(op(WordVector({w: i - 5 for i, w in enumerate(words)}))) == {int}
+    # halves that meet on one image word can sum to an integral coefficient
+    rng = random.Random(name)
+    image = op(WordVector({w: Fraction(rng.choice([1, 2, 3]), 2) for w in words}))
+    assert int in _coefficient_types(image)
+    for _, c in image.items():
+        assert c and (type(c) is int or c.denominator > 1)
+
+
+def test_word_operators_reject_their_bad_inputs():
+    unit = WordVector.unit
+    with pytest.raises(ValueError, match="mixed word lengths"):
+        r2r(WordVector({(1, 2): 1, (1,): 1}))
+    with pytest.raises(ValueError, match="repeated letters"):
+        signed_r2r(unit((1, 2, 1)))
+    for bad in [unit((1, 1)), unit((1, 2, 3))]:
+        with pytest.raises(ValueError, match="not an injective word"):
+            boundary(4, 2, bad)
+        with pytest.raises(ValueError, match="not an injective word"):
+            coboundary(4, 2, bad)
+    for r in (0, 5):
+        with pytest.raises(ValueError, match="boundary needs"):
+            boundary(4, r, WordVector())
+    for r in (-1, 4):
+        with pytest.raises(ValueError, match="coboundary needs"):
+            coboundary(4, r, WordVector())
