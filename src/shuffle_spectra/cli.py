@@ -427,7 +427,8 @@ def cmd_laplacian(args, parser) -> int:
 
 
 def _verify_size(n: int, failures: list[str]) -> None:
-    predicted = {nu: spectrum_for_evaluation(nu).totals for nu in partitions_of(n)}
+    reports = {nu: spectrum_for_evaluation(nu) for nu in partitions_of(n)}
+    predicted = {nu: report.totals for nu, report in reports.items()}
     for nu in certify_r2r_spectra(n, predicted):
         failures.append(f"charpoly mismatch on evaluation {nu}: predicted roots {predicted[nu]}")
     for shape in partitions_of(n):
@@ -436,7 +437,7 @@ def _verify_size(n: int, failures: list[str]) -> None:
         for _, _, eigenvalue, columns in specht_eigenbasis_columns(shape)[2]:
             got[eigenvalue] = got.get(eigenvalue, 0) + len(columns)
         want = {}
-        for e in spectrum_for_evaluation(shape).entries:
+        for e in reports[shape].entries:
             if e.outer == shape and e.multiplicity:
                 want[e.eig] = want.get(e.eig, 0) + e.desarrangements
         if got != want:

@@ -167,6 +167,12 @@ def horizontal_strip_inners(outer: Partition) -> tuple[Partition, ...]:
     return tuple(sorted(rec(0)))
 
 
+def _strip_inners(outer: Partition) -> list[Partition]:
+    """horizontal_strip_inners(outer) by size, then lexicographically: the
+    order of the spectrum tables and of the eigenbasis entries."""
+    return sorted(horizontal_strip_inners(outer), key=lambda m: (sum(m), m))
+
+
 def dominates(a: Partition, b: Partition) -> bool:
     """Dominance order: every prefix sum of a weakly exceeds that of b."""
     a, b = check_partition(a), check_partition(b)

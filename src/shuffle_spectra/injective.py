@@ -12,14 +12,16 @@ element in degree zero, deleting the only letter of a word picks up the sign
 of position one, and the out-of-range maps are zero, so the extreme
 Laplacians use their single surviving term.
 
-Boundary, coboundary and the Laplacian step v -> coboundary(boundary(v)) +
-boundary(coboundary(v)) act on word vectors.  laplacian and boundary_matrix
-densify their words.operator_columns; laplacian_spectrum proves each
-spectrum integral from the sparse columns of the step, with no matrix and
-no characteristic polynomial (see _certify_integral_spectrum).  The
-Laplacian commutes with relabelling letters, which acts transitively on the
-words, so the Krylov sequence of one word decides annihilation and every
-multiplicity through the Krylov core of linalg, in plain ints.
+Boundary, coboundary and signed_r2r are maps on single words, extended to
+word vectors by the one rule of words, _extend; the Laplacian step
+v -> coboundary(boundary(v)) + boundary(coboundary(v)) composes the first
+two.  laplacian and boundary_matrix densify their words.operator_columns;
+laplacian_spectrum proves each spectrum integral from the sparse columns of
+the step, with no matrix and no characteristic polynomial (see
+_certify_integral_spectrum).  The Laplacian commutes with relabelling
+letters, which acts transitively on the words, so the Krylov sequence of one
+word decides annihilation and every multiplicity through the Krylov core of
+linalg, in plain ints.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from itertools import permutations
 from typing import Sequence
 
 from .combinatorics import sign_of_word  # noqa: F401  (re-exported)
-from .linalg import ExactMatrix, _annihilating_krylov, _multiplicities
-from .words import Word, WordVector, operator_columns, operator_matrix
+from .linalg import ExactMatrix, _annihilating_krylov, _multiplicities, _scatter
+from .words import Word, WordVector, _extend, operator_columns, operator_matrix
 
 
 @cache
@@ -52,12 +54,12 @@ def boundary(n: int, r: int, v: WordVector) -> WordVector:
     if not 1 <= r <= n:
         raise ValueError(f"boundary needs 1 <= r <= n, got r={r}, n={n}")
     _check_injective(v, r)
-    terms = []
-    for word, coeff in v.items():
+
+    def images(word):
         for j in range(r):
-            sign = -1 if (j + 1) % 2 else 1
-            terms.append((word[:j] + word[j + 1 :], sign * coeff))
-    return WordVector(terms)
+            yield word[:j] + word[j + 1 :], -1 if (j + 1) % 2 else 1
+
+    return _extend(images, v)
 
 
 @cache
@@ -77,15 +79,14 @@ def coboundary(n: int, r: int, v: WordVector) -> WordVector:
     if not 0 <= r < n:
         raise ValueError(f"coboundary needs 0 <= r < n, got r={r}, n={n}")
     _check_injective(v, r)
-    terms = []
-    for word, coeff in v.items():
+
+    def images(word):
         for letter in range(1, n + 1):
-            if letter in word:
-                continue
-            for j in range(r + 1):
-                sign = -1 if (j + 1) % 2 else 1
-                terms.append((word[:j] + (letter,) + word[j:], sign * coeff))
-    return WordVector(terms)
+            if letter not in word:
+                for j in range(r + 1):
+                    yield word[:j] + (letter,) + word[j:], -1 if (j + 1) % 2 else 1
+
+    return _extend(images, v)
 
 
 def _laplacian_step(n: int, r: int, v: WordVector) -> WordVector:
@@ -103,27 +104,25 @@ def laplacian(n: int, r: int) -> ExactMatrix:
     return operator_matrix(partial(_laplacian_step, n, r), injective_words(n, r))
 
 
+def _signed_r2r_images(word: Word):
+    r = len(word)
+    if len(set(word)) != r:
+        raise ValueError(f"{word} has repeated letters")
+    yield word, r
+    for u in range(r):
+        letter, rest = word[u : u + 1], word[:u] + word[u + 1 :]
+        for k in range(r):
+            if k != u:
+                yield rest[:k] + letter + rest[k:], -1 if (k - u) % 2 else 1
+
+
 def signed_r2r(v: WordVector) -> WordVector:
     """Signed random-to-random operator on injective words.
 
     A letter moved from position u to position v picks up the sign of the
     rotation between them; the unmoved term appears with weight r.
     """
-    terms = []
-    for word, coeff in v.items():
-        r = len(word)
-        if len(set(word)) != r:
-            raise ValueError(f"{word} has repeated letters")
-        terms.append((word, r * coeff))
-        for u in range(r):
-            letter = word[u]
-            rest = word[:u] + word[u + 1 :]
-            for k in range(r):
-                if k == u:
-                    continue
-                sign = -1 if (k - u) % 2 else 1
-                terms.append((rest[:k] + (letter,) + rest[k:], sign * coeff))
-    return WordVector(terms)
+    return _extend(_signed_r2r_images, v)
 
 
 def laplacian_spectrum(n: int, r: int) -> dict[int, int]:
@@ -156,7 +155,7 @@ def _certify_integral_spectrum(columns: list[dict], words: Sequence[Word]) -> di
        transposition (1 2) and the cycle (1 2 ... n).  These generate S_n,
        so M commutes with the action of all of S_n.
     2. Annihilation: p(M) e_w0 == 0, from the Krylov vectors M^k e_w0, each
-       a scatter of the columns (linalg._annihilating_krylov).  By 1,
+       a linalg._scatter of the columns (linalg._annihilating_krylov).  By 1,
        p(M) e_{s w0} = s p(M) e_w0 = 0 for every s, and the words s w0 are
        all the words, so p(M) = 0: M is diagonalizable and its eigenvalues
        are integers in [-R, R].
@@ -189,15 +188,9 @@ def _certify_integral_spectrum(columns: list[dict], words: Sequence[Word]) -> di
             if columns[image[j]] != {image[i]: x for i, x in col.items()}:
                 raise AssertionError(f"Laplacian for n={n}, r={r} does not commute with S_{n}")
 
-    def scatter(u: list[int]) -> list[int]:
-        out = [0] * size
-        for x, col in zip(u, columns):
-            for i, c in col.items():
-                out[i] += c * x
-        return out
-
+    step = partial(_scatter, [col.items() for col in columns], size=size)
     spectrum = range(-bound, bound + 1)
-    krylov = _annihilating_krylov(scatter, [1] + [0] * (size - 1), spectrum)
+    krylov = _annihilating_krylov(step, [1] + [0] * (size - 1), spectrum)
     if krylov is None:
         raise AssertionError(f"Laplacian spectrum for n={n}, r={r} is not integral")
     out = _multiplicities(spectrum, [size * u[0] for u in krylov[:-1]])

@@ -58,15 +58,15 @@ from .combinatorics import (
     Partition,
     Record,
     _dominating_partitions,
+    _strip_inners,
     check_partition,
     check_skew,
     desarrangement_count,
-    horizontal_strip_inners,
     part,
     semistandard_tableaux,
     standard_tableaux,
 )
-from .linalg import _clear_denominators, _nullspace, _rank
+from .linalg import _clear_denominators, _nullspace, _rank, _scatter
 from .spectrum import eig_strip, sort_evaluation
 from .specht import _polytabloid_terms, theta_column
 from .words import (
@@ -83,19 +83,14 @@ from .words import (
 
 def normalize_vector(v: WordVector) -> WordVector:
     """Scalar normal form: integer coefficients with content one, and the
-    coefficient of the lexicographically first word positive.  A vector
-    already in normal form comes back as it is."""
-    if not v:
-        return v
-    coeffs = [c for _, c in v.items()]
-    # _clear_denominators hands a list of ints back as it is
-    ints = _clear_denominators(coeffs)
-    divisor = math.gcd(*ints)
-    if v.coefficient(min(v.words())) < 0:
-        divisor = -divisor
-    if divisor == 1 and ints is coeffs:
-        return v
-    return WordVector._from_ints({w: c // divisor for w, c in zip(v.words(), ints)})
+    coefficient of the lexicographically first word positive, by
+    _normal_column.  A vector already in normal form comes back as it is."""
+    words = sorted(v.words())
+    coeffs = [v.coefficient(w) for w in words]
+    # _clear_denominators hands a list of ints back as it is, and
+    # _normal_column a column in normal form
+    column = _normal_column(_clear_denominators(coeffs), range(len(words)))
+    return v if column is coeffs else WordVector._from_ints(dict(zip(words, column)))
 
 
 def _digit_bytes(bound: int) -> int:
@@ -105,9 +100,11 @@ def _digit_bytes(bound: int) -> int:
 
 
 def _normal_column(column: list[int], lex) -> list[int]:
-    """normalize_vector of an int column over the words of one evaluation,
-    with lex = words._lex_order of that evaluation.  A zero column stays
-    zero, for the check to report."""
+    """The scalar normal form of an int column: content one, and its first
+    nonzero entry in the order lex positive, for lex the indices in
+    lexicographic word order (words._lex_order over the words of one
+    evaluation).  A column in normal form comes back as it is, and a zero
+    column stays zero, for the check to report."""
     divisor = math.gcd(*column)
     if not divisor:
         return column
@@ -232,19 +229,10 @@ def kernel_basis(shape: Partition) -> tuple[WordVector, ...]:
     return _vectors(enumerate_words(shape), _lex_order(shape), _kernel_columns(shape))
 
 
-def _scatter(terms, coeffs, size: int) -> list[int]:
-    """The rows over size words of sum over j of coeffs[j] w_j, with terms
-    = _polytabloid_terms of the shape; a coefficient may pack vectors."""
-    rows = [0] * size
-    for table, q in zip(terms, coeffs):
-        for i, s in table if q else ():
-            rows[i] += s * q
-    return rows
-
-
 def _kernel_rows(terms, null, n: int, size: int) -> tuple[list[int], int]:
     """(rows, nbytes): each nullspace vector c, cleared of denominators, as
-    sum over j of c[j] w_j packed one int per word, nbytes bytes per digit:
+    sum over j of c[j] w_j packed one int per word, nbytes bytes per digit,
+    scattered from terms = _polytabloid_terms of the shape:
     max(n, 1) * sum |c[j]| bounds each entry and each of its r2t image."""
     null = [_clear_denominators(c) for c in null]
     nbytes = _digit_bytes(max(n, 1) * max((sum(map(abs, c)) for c in null), default=0))
@@ -379,7 +367,7 @@ def _lifted_entries(shape: Partition) -> list[tuple]:
     enumerate_words(shape)."""
     lex = _lex_order(shape)
     strips = []
-    for inner in sorted(horizontal_strip_inners(shape), key=lambda m: (sum(m), m)):
+    for inner in _strip_inners(shape):
         kernel = _kernel_columns(inner)
         if kernel:
             # the normal form is the same for every nonzero multiple, so the

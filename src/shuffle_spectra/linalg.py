@@ -16,7 +16,9 @@ the pivots of _echelon.  That fraction-free Gauss-Jordan (Bareiss)
 elimination of int rows also gives solve and the one nullspace normal form,
 _nullspace: each pivot column is cleared above and below, every update
 divides exactly by the previous pivot, and all pivots end equal, so a row
-over its pivot is a row of the reduced echelon form.
+over its pivot is a row of the reduced echelon form.  Sparse columns of
+(row, weight) pairs meet a vector in one place, _scatter, which the kernels
+of lifting and the Laplacian certificate of injective share.
 
 _independent_rows picks rows independent mod p, for the rank mod p
 (_rank_mod, over the shorter side) and for a nullspace of fewer rows, with
@@ -159,6 +161,18 @@ def _annihilating_krylov(step, start: list[int], roots: Sequence[int]) -> list[l
     if any(sum(map(mul, poly, column)) for column in zip(*krylov)):
         return None
     return krylov
+
+
+def _scatter(columns, coeffs, size: int) -> list[int]:
+    """sum over j of coeffs[j] times column j, as a list of size entries, for
+    sparse columns of (row, weight) pairs; a zero coefficient costs nothing,
+    and a coefficient may pack several vectors into one int."""
+    out = [0] * size
+    for pairs, q in zip(columns, coeffs):
+        if q:
+            for i, w in pairs:
+                out[i] += w * q
+    return out
 
 
 def _multiplicities(roots: Sequence[int], traces: Sequence[int]) -> dict[int, int] | None:

@@ -66,10 +66,7 @@ def word_of_tableau(t: Tableau) -> Word:
 
 def polytabloid(t: Tableau) -> WordVector:
     """Signed sum of row words over all column rearrangements of the tableau."""
-    entries = [x for row in t for x in row]
-    n = len(entries)
-    if sorted(entries) != list(range(1, n + 1)):
-        raise ValueError("tableau entries must be exactly 1..n")
+    n = len(word_of_tableau(t))  # raises unless the entries are exactly 1..n
     n_cols = len(t[0]) if t else 0
     columns = [
         [t[i][j] for i in range(len(t)) if j < len(t[i])] for j in range(n_cols)

@@ -24,12 +24,12 @@ from .combinatorics import (
     Partition,
     Record,
     _dominating_partitions,
+    _strip_inners,
     check_partition,
     check_skew,
     desarrangement_count,
     diag,
     even_ascent_suffix,
-    horizontal_strip_inners,
     kostka,
     rsk,
     tableau_shape,
@@ -114,7 +114,7 @@ def spectrum_for_evaluation(evaluation) -> SpectrumReport:
     totals: dict[int, int] = {}
     for outer in _dominating_partitions(nu):
         k = kostka(outer, nu)
-        for inner in sorted(horizontal_strip_inners(outer), key=lambda m: (sum(m), m)):
+        for inner in _strip_inners(outer):
             d = desarrangement_count(inner)
             entry = StripEigenvalue(outer, inner, eig_strip(outer, inner), k, d)
             entries.append(entry)

@@ -7,6 +7,9 @@ live here.  A coefficient is stored as a plain int whenever it is integral
 and as a Fraction only where a denominator really arises, so the normalized
 eigenvectors and every operator image of them stay in int arithmetic.
 
+Every operator on word vectors, here and in injective, is a map on single
+words extended linearly by one rule, _extend: inserting, deleting or
+replacing a letter, the three shuffles, the boundary maps and signed_r2r.
 The three shuffles act unnormalized (integer coefficients); probability
 normalization by 1/n or 1/n^2 happens only when building transition
 matrices.  Random-to-random is also one table of position moves,
@@ -51,12 +54,6 @@ def evaluation_of(word: Word) -> tuple[int, ...]:
 
 def word_to_text(word: Word) -> str:
     """Digit string when all letters fit in one digit, else a bracketed list."""
-    return _word_text(tuple(word))
-
-
-@cache
-def _word_text(word: Word) -> str:
-    # JSON output renders each word once per vector that holds it.
     if all(x <= 9 for x in word):
         return "".join(str(x) for x in word)
     return "[" + ",".join(str(x) for x in word) + "]"
@@ -191,7 +188,7 @@ class WordVector:
         return "WordVector(" + " + ".join(bits) + ")"
 
     def to_json(self) -> dict[str, str]:
-        return {_word_text(w): str(c) for w, c in sorted(self._terms.items())}
+        return {word_to_text(w): str(c) for w, c in sorted(self._terms.items())}
 
     @classmethod
     def from_json(cls, data: dict[str, str]) -> "WordVector":
@@ -204,28 +201,41 @@ def _as_vector(v) -> WordVector:
     return WordVector.unit(v)
 
 
+def _extend(images, v) -> WordVector:
+    """The linear extension to v, a word vector or a word, of the word map
+    images: images(word) yields (image word, weight) pairs, a word any number
+    of times.  Every coeff * weight is summed into one dict, in int arithmetic
+    for int coefficients; WordVector drops the zeros and keeps ints as ints."""
+    out: dict[Word, Scalar] = {}
+    for word, coeff in _as_vector(v).items():
+        for u, weight in images(word):
+            out[u] = out.get(u, 0) + weight * coeff
+    return WordVector(out)
+
+
 # -- elementary operators -----------------------------------------------------
+
+
+def _inserted(letter: int, word: Word):
+    for j in range(len(word) + 1):
+        yield word[:j] + (letter,) + word[j:], 1
 
 
 def apply_sh(letter: int, v) -> WordVector:
     """Insert the given letter into every position, summed over positions."""
-    v = _as_vector(v)
-    terms: list[tuple[Word, Scalar]] = []
-    for word, coeff in v.items():
-        for j in range(len(word) + 1):
-            terms.append((word[:j] + (letter,) + word[j:], coeff))
-    return WordVector(terms)
+    return _extend(partial(_inserted, letter), v)
+
+
+def _replaced(letter: int, put: Word, word: Word):
+    """word with one occurrence of letter replaced by put, for each one."""
+    for k, x in enumerate(word):
+        if x == letter:
+            yield word[:k] + put + word[k + 1 :], 1
 
 
 def apply_del(letter: int, v) -> WordVector:
     """Delete one occurrence of the letter, summed over occurrences."""
-    v = _as_vector(v)
-    terms: list[tuple[Word, Scalar]] = []
-    for word, coeff in v.items():
-        for j, x in enumerate(word):
-            if x == letter:
-                terms.append((word[:j] + word[j + 1 :], coeff))
-    return WordVector(terms)
+    return _extend(partial(_replaced, letter, ()), v)
 
 
 def apply_theta(i: int, j: int, v) -> WordVector:
@@ -234,13 +244,7 @@ def apply_theta(i: int, j: int, v) -> WordVector:
     With i == j this is multiplication by the letter count, which is needed
     by several operator identities.
     """
-    v = _as_vector(v)
-    terms: list[tuple[Word, Scalar]] = []
-    for word, coeff in v.items():
-        for k, x in enumerate(word):
-            if x == i:
-                terms.append((word[:k] + (j,) + word[k + 1 :], coeff))
-    return WordVector(terms)
+    return _extend(partial(_replaced, i, (j,)), v)
 
 
 @cache
@@ -275,74 +279,65 @@ def apply_permutation(word: Word, sigma: Permutation) -> Word:
 # -- the three shuffles -------------------------------------------------------
 
 
+def _r2t_images(word: Word):
+    for j in range(len(word)):
+        yield word[:j] + word[j + 1 :] + (word[j],), 1
+
+
+def _t2r_images(word: Word):
+    if word:
+        yield from _inserted(word[-1], word[:-1])
+
+
+def _r2r_images(word: Word):
+    n = len(word)
+    for j in range(n):
+        letter, rest = word[j : j + 1], word[:j] + word[j + 1 :]
+        for k in range(n):
+            yield rest[:k] + letter + rest[k:], 1
+
+
 def r2t(v) -> WordVector:
     """Random-to-top, unnormalized: every letter moved to the end in turn."""
-    v = _as_vector(v)
-    terms: list[tuple[Word, Scalar]] = []
-    for word, coeff in v.items():
-        for j in range(len(word)):
-            terms.append((word[:j] + word[j + 1 :] + (word[j],), coeff))
-    return WordVector(terms)
+    return _extend(_r2t_images, v)
 
 
 def t2r(v) -> WordVector:
     """Top-to-random, unnormalized: the last letter reinserted everywhere."""
-    v = _as_vector(v)
-    terms: list[tuple[Word, Scalar]] = []
-    for word, coeff in v.items():
-        if word:
-            rest, letter = word[:-1], word[-1:]
-            for j in range(len(word)):
-                terms.append((rest[:j] + letter + rest[j:], coeff))
-    return WordVector(terms)
+    return _extend(_t2r_images, v)
 
 
 def r2r(v) -> WordVector:
     """Random-to-random, unnormalized: delete a letter, reinsert it anywhere.
 
     Equals the letter-wise sum of insertions composed with deletions, and
-    also the composition of the other two shuffles.  The images are summed
-    straight into one dict, which with int coefficients stays in int
-    arithmetic throughout.
+    also the composition of the other two shuffles.  The words of v must
+    have one length.
     """
     v = _as_vector(v)
     v.common_length()
-    out: dict[Word, Scalar] = {}
-    for word, coeff in v.items():
-        n = len(word)
-        for j in range(n):
-            letter = word[j : j + 1]
-            rest = word[:j] + word[j + 1 :]
-            for k in range(n):
-                u = rest[:k] + letter + rest[k:]
-                out[u] = out.get(u, 0) + coeff
-    return WordVector(out)
+    return _extend(_r2r_images, v)
 
 
 @cache
 def _r2r_moves(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The distinct moves of r2r on words of length n, with multiplicities.
+    """The distinct moves of r2r on words of length n, with multiplicities:
+    r2r of the word of the positions 0, ..., n - 1.
 
     Deleting the letter at position j and reinserting it at k sends a word u
     to u o sigma, where (u o sigma)[i] = u[sigma[i]] with 0-based positions.
     The n moves with j == k are the identity and the two moves between
     neighbouring positions coincide, which leaves 1 + (n - 1)**2 moves.
     """
-    positions = tuple(range(n))
-    counts: dict[tuple[int, ...], int] = {}
-    for j in range(n):
-        rest = positions[:j] + positions[j + 1 :]
-        for k in range(n):
-            sigma = rest[:k] + (j,) + rest[k:]
-            counts[sigma] = counts.get(sigma, 0) + 1
-    return tuple(counts.items())
+    return tuple(r2r(tuple(range(n))).items())
 
 
 @cache
 def _r2t_moves(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The inverses of the moves of r2t on words of length n: the last
-    letter moved to position j, sigma = (0, ..., j - 1, n - 1, j, ..., n - 2)."""
-    return tuple(((*range(j), n - 1, *range(j, n - 1)), 1) for j in range(n))
+    """The inverses of the moves of r2t on words of length n, those of t2r:
+    the last letter moved to position j, sigma = (0, ..., j - 1, n - 1, j,
+    ..., n - 2)."""
+    return tuple(t2r(tuple(range(n))).items())
 
 
 def _gather(indices):

@@ -355,8 +355,9 @@ _OPERATORS = {
 
 
 def _random_vector(rng, words, count):
+    numerators, denominators = [-3, -2, -1, 1, 2, 5], [1, 2, 3]
     picked = rng.sample(words, count)
-    return WordVector({w: Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3])) for w in picked})
+    return WordVector({w: Fraction(rng.choice(numerators), rng.choice(denominators)) for w in picked})
 
 
 @pytest.mark.parametrize("name", sorted(_OPERATORS))
@@ -370,7 +371,8 @@ def test_word_operators_are_linear_with_exact_cancellation(name):
         # w cancels a * u on two of its words, so a * u + b * w drops them
         dropped = list(u.words())[:2]
         rest = [x for x in words if x not in dropped]
-        w = _random_vector(rng, rest, 4) + WordVector({x: -a * u.coefficient(x) / b for x in dropped})
+        cancel = WordVector({x: -a * u.coefficient(x) / b for x in dropped})
+        w = _random_vector(rng, rest, 4) + cancel
         combined = a * u + b * w
         assert not any(combined.coefficient(x) for x in dropped)
         assert op(combined) == a * op(u) + b * op(w)
