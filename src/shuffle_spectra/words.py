@@ -334,9 +334,9 @@ def _r2r_moves(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 @cache
 def _r2t_moves(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The inverses of the moves of r2t on words of length n, those of t2r:
-    the last letter moved to position j, sigma = (0, ..., j - 1, n - 1, j,
-    ..., n - 2)."""
+    """The inverses of the moves of r2t on words of length n, the moves of
+    t2r: the last letter moved to position j, as t2r of the position word
+    gives them, sigma = (0, ..., j - 1, n - 1, j, ..., n - 2)."""
     return tuple(t2r(tuple(range(n))).items())
 
 

@@ -355,9 +355,9 @@ _OPERATORS = {
 
 
 def _random_vector(rng, words, count):
-    numerators, denominators = [-3, -2, -1, 1, 2, 5], [1, 2, 3]
+    tops, bottoms = [-3, -2, -1, 1, 2, 5], [1, 2, 3]
     picked = rng.sample(words, count)
-    return WordVector({w: Fraction(rng.choice(numerators), rng.choice(denominators)) for w in picked})
+    return WordVector({w: Fraction(rng.choice(tops), rng.choice(bottoms)) for w in picked})
 
 
 @pytest.mark.parametrize("name", sorted(_OPERATORS))
