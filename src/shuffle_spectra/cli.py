@@ -23,8 +23,9 @@ runs.  Before any work, eigenbasis, kernel, transition-matrix and laplacian
 refuse (exit 2) more than linalg._MAX_DIM words or injective words, and
 eigenvalues and frobenius refuse a size n over _MAX_STRIP_N.
 
-Start-up is most of a typical command's time, so csv, frobenius and
-injective are imported only by the code paths that use them.
+Start-up is most of a typical command's time, so csv, frobenius, injective,
+lifting and spectrum are imported only by the commands that use them: laplacian
+loads neither the eigenbasis modules (lifting, specht) nor spectrum.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ import sys
 from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from .combinatorics import partitions_of, standard_tableaux
-from .lifting import _kernel_columns, eigenbasis_columns, specht_eigenbasis_columns
 from .linalg import _MAX_DIM
-from .spectrum import SpectrumReport, eig_word_trace, spectrum_for_evaluation
 from .words import (
     _lex_order,
     certify_r2r_spectra,
@@ -49,6 +49,9 @@ from .words import (
     word_from_text,
     word_to_text,
 )
+
+if TYPE_CHECKING:
+    from .spectrum import SpectrumReport
 
 SCHEMA_PREFIX = "shuffle-spectra"
 
@@ -225,6 +228,8 @@ def cmd_eigenvalues(args, parser) -> int:
         parser.error("eigenvalues: provide --n or --evaluation")
     if args.n is not None and args.n < 0:
         parser.error(f"eigenvalues: --n must be non-negative, got {args.n}")
+    from .spectrum import spectrum_for_evaluation
+
     out = sys.stdout
     if args.evaluation is not None:
         evaluation = _parse_evaluation(args.evaluation, parser, "--evaluation")
@@ -256,6 +261,8 @@ def cmd_eig_word(args, parser) -> int:
         word = word_from_text(args.word) if args.word else ()
     except ValueError as exc:
         parser.error(f"eig-word: {exc}")
+    from .spectrum import eig_word_trace
+
     trace = eig_word_trace(word)
     if args.format == "json":
         payload = {
@@ -325,6 +332,8 @@ def _strip_json(members, outer, inner, eigenvalue, columns) -> dict:
 def cmd_eigenbasis(args, parser) -> int:
     if (args.partition is None) == (args.evaluation is None):
         parser.error("eigenbasis: provide exactly one of --partition / --evaluation")
+    from .lifting import eigenbasis_columns, specht_eigenbasis_columns
+
     if args.partition is not None:
         shape = _parse_partition(args.partition, parser, "--partition")
         _refuse_many_words("eigenbasis", shape, parser)
@@ -356,6 +365,8 @@ def cmd_eigenbasis(args, parser) -> int:
 def cmd_kernel(args, parser) -> int:
     shape = _parse_partition(args.partition, parser, "--partition")
     _refuse_many_words("kernel", shape, parser)
+    from .lifting import _kernel_columns
+
     columns = _kernel_columns(shape)
     payload = {
         "schema": f"{SCHEMA_PREFIX}/kernel/1",
@@ -427,6 +438,9 @@ def cmd_laplacian(args, parser) -> int:
 
 
 def _verify_size(n: int, failures: list[str]) -> None:
+    from .lifting import specht_eigenbasis_columns
+    from .spectrum import spectrum_for_evaluation
+
     reports = {nu: spectrum_for_evaluation(nu) for nu in partitions_of(n)}
     predicted = {nu: report.totals for nu, report in reports.items()}
     for nu in certify_r2r_spectra(n, predicted):

@@ -13,15 +13,17 @@ of position one, and the out-of-range maps are zero, so the extreme
 Laplacians use their single surviving term.
 
 Boundary, coboundary and signed_r2r are maps on single words, extended to
-word vectors by the one rule of words, _extend; the Laplacian step
-v -> coboundary(boundary(v)) + boundary(coboundary(v)) composes the first
-two.  laplacian and boundary_matrix densify their words.operator_columns;
+word vectors by the one rule of words, _extend.  The Laplacian step
+v -> coboundary(boundary(v)) + boundary(coboundary(v)) is one more such map,
+delete then insert plus insert then delete, composed from the deletion and
+insertion maps of boundary and coboundary, so each column takes one _extend.
+laplacian and boundary_matrix densify their words.operator_columns;
 laplacian_spectrum proves each spectrum integral from the sparse columns of
 the step, with no matrix and no characteristic polynomial (see
 _certify_integral_spectrum).  The Laplacian commutes with relabelling
 letters, which acts transitively on the words, so the Krylov sequence of one
 word decides annihilation and every multiplicity through the Krylov core of
-linalg, in plain ints.
+linalg, in plain ints, over the integers of the Gershgorin column discs.
 """
 
 from __future__ import annotations
@@ -43,23 +45,33 @@ def injective_words(n: int, r: int) -> tuple[Word, ...]:
     return tuple(sorted(permutations(range(1, n + 1), r)))
 
 
-def _check_injective(v: WordVector, r: int) -> None:
+def _check_injective(v: WordVector, n: int, r: int) -> None:
     for word in v.words():
-        if len(word) != r or len(set(word)) != r:
-            raise ValueError(f"{word} is not an injective word of length {r}")
+        if len(word) != r or len(set(word)) != r or not all(0 < a <= n for a in word):
+            raise ValueError(f"{word} is not an injective word of length {r} over 1..{n}")
+
+
+def _deletions(word: Word):
+    """Position j of word removed, with sign (-1)^j (counting from one)."""
+    for j in range(len(word)):
+        yield word[:j] + word[j + 1 :], -1 if (j + 1) % 2 else 1
+
+
+def _insertions(n: int, word: Word):
+    """Each letter of 1..n missing from word put at position j, with the sign
+    of deleting position j."""
+    for letter in range(1, n + 1):
+        if letter not in word:
+            for j in range(len(word) + 1):
+                yield word[:j] + (letter,) + word[j:], -1 if (j + 1) % 2 else 1
 
 
 def boundary(n: int, r: int, v: WordVector) -> WordVector:
     """Signed deletion: position j removed with sign (-1)^j, summed over j."""
     if not 1 <= r <= n:
         raise ValueError(f"boundary needs 1 <= r <= n, got r={r}, n={n}")
-    _check_injective(v, r)
-
-    def images(word):
-        for j in range(r):
-            yield word[:j] + word[j + 1 :], -1 if (j + 1) % 2 else 1
-
-    return _extend(images, v)
+    _check_injective(v, n, r)
+    return _extend(_deletions, v)
 
 
 @cache
@@ -78,30 +90,32 @@ def coboundary(n: int, r: int, v: WordVector) -> WordVector:
     """
     if not 0 <= r < n:
         raise ValueError(f"coboundary needs 0 <= r < n, got r={r}, n={n}")
-    _check_injective(v, r)
-
-    def images(word):
-        for letter in range(1, n + 1):
-            if letter not in word:
-                for j in range(r + 1):
-                    yield word[:j] + (letter,) + word[j:], -1 if (j + 1) % 2 else 1
-
-    return _extend(images, v)
+    _check_injective(v, n, r)
+    return _extend(partial(_insertions, n), v)
 
 
-def _laplacian_step(n: int, r: int, v: WordVector) -> WordVector:
-    """The Laplacian on injective words of length r, applied to one vector."""
-    out = WordVector()
-    if r >= 1:
-        out = out + coboundary(n, r - 1, boundary(n, r, v))
-    if r < n:
-        out = out + boundary(n, r + 1, coboundary(n, r, v))
-    return out
+def _laplacian_images(n: int, word: Word):
+    """The Laplacian's word map: delete then insert, plus insert then delete,
+    each out-of-range term left out."""
+    if word:
+        for u, a in _deletions(word):
+            for w, b in _insertions(n, u):
+                yield w, a * b
+    if len(word) < n:
+        for u, a in _insertions(n, word):
+            for w, b in _deletions(u):
+                yield w, a * b
+
+
+def _laplacian_step(n: int, v: WordVector) -> WordVector:
+    """The Laplacian of the complex of n, applied to a vector of injective
+    words of one length."""
+    return _extend(partial(_laplacian_images, n), v)
 
 
 def laplacian(n: int, r: int) -> ExactMatrix:
     """Laplacian on injective words of length r, a symmetric integer matrix."""
-    return operator_matrix(partial(_laplacian_step, n, r), injective_words(n, r))
+    return operator_matrix(partial(_laplacian_step, n), injective_words(n, r))
 
 
 def _signed_r2r_images(word: Word):
@@ -132,8 +146,22 @@ def laplacian_spectrum(n: int, r: int) -> dict[int, int]:
     falsify the integrality statement.
     """
     words = injective_words(n, r)
-    columns = operator_columns(partial(_laplacian_step, n, r), words)
+    columns = operator_columns(partial(_laplacian_step, n), words)
     return _certify_integral_spectrum(columns, words)
+
+
+def _disc_range(columns: list[dict]) -> range:
+    """The integers from min (d_j - r_j) to max (d_j + r_j) over the sparse
+    columns j, at least one, of a square matrix: d_j is the diagonal entry of
+    column j and r_j the sum of its other absolute entries.  As
+    |d_j| + r_j is the absolute sum of column j, they lie within -R..R, for
+    R the largest absolute column sum."""
+    discs = []
+    for j, col in enumerate(columns):
+        d = col.get(j, 0)
+        radius = sum(map(abs, col.values())) - abs(d)
+        discs += (d - radius, d + radius)
+    return range(min(discs), max(discs) + 1)
 
 
 def _certify_integral_spectrum(columns: list[dict], words: Sequence[Word]) -> dict[int, int]:
@@ -145,11 +173,11 @@ def _certify_integral_spectrum(columns: list[dict], words: Sequence[Word]) -> di
     nonzero entries, as words.operator_columns gives them.  words indexes
     the rows and columns and must be every injective word of length r over
     {1..n}, for n its largest letter; S_n acts on them by relabelling
-    letters, transitively.  Let N = len(words), R the largest absolute
-    column sum (a Gershgorin bound on every eigenvalue of the transpose, so
-    of M), w0 = words[0] and p = prod (x - lam) over -R <= lam <= R.  An
-    entry that is not an int raises ValueError.  Three exact checks follow,
-    in plain ints:
+    letters, transitively.  Let N = len(words), w0 = words[0], lo..hi the
+    integers of the Gershgorin column discs (_disc_range) and p = prod
+    (x - lam) over lo <= lam <= hi.  Every eigenvalue of M is one of its
+    transpose, so it lies in some column disc.  An entry that is not an int
+    raises ValueError.  Three exact checks follow, in plain ints:
 
     1. Equivariance: column s w is column w relabelled by s, for s the
        transposition (1 2) and the cycle (1 2 ... n).  These generate S_n,
@@ -158,11 +186,17 @@ def _certify_integral_spectrum(columns: list[dict], words: Sequence[Word]) -> di
        a linalg._scatter of the columns (linalg._annihilating_krylov).  By 1,
        p(M) e_{s w0} = s p(M) e_w0 = 0 for every s, and the words s w0 are
        all the words, so p(M) = 0: M is diagonalizable and its eigenvalues
-       are integers in [-R, R].
+       are integers in [lo, hi].
     3. Multiplicities: by 1, every diagonal entry of M^k equals
        (M^k e_w0)[w0], so tr(M^k) = N (M^k e_w0)[w0], and these traces for
-       the k below 2R + 1 fix every multiplicity (linalg._multiplicities).
-       A multiplicity that is not an integer raises.
+       the k below hi - lo + 1 fix every multiplicity
+       (linalg._multiplicities).  A multiplicity that is not an integer
+       raises.
+
+    The discs accept exactly what the wider range -R..R accepts, for R the
+    largest absolute column sum: if p_R(M) e_w0 == 0, then p_R(M) = 0 by 1,
+    so M is diagonalizable with its eigenvalues in the discs, and p(M) = 0;
+    conversely p divides p_R.
 
     Rows in place of columns give the same verdict: M and its transpose share
     the spectrum, and each commutes with the relabellings when the other
@@ -178,7 +212,6 @@ def _certify_integral_spectrum(columns: list[dict], words: Sequence[Word]) -> di
     bad = next((x for col in columns for x in col.values() if type(x) is not int), None)
     if bad is not None:
         raise ValueError(f"non-integral entry {bad}")
-    bound = max((sum(map(abs, col.values())) for col in columns), default=0)
 
     index = {w: i for i, w in enumerate(words)}
     relabellings = [(0, *range(2, n + 1), 1)] + ([(0, 2, 1, *range(3, n + 1))] if n > 1 else [])
@@ -189,7 +222,7 @@ def _certify_integral_spectrum(columns: list[dict], words: Sequence[Word]) -> di
                 raise AssertionError(f"Laplacian for n={n}, r={r} does not commute with S_{n}")
 
     step = partial(_scatter, [col.items() for col in columns], size=size)
-    spectrum = range(-bound, bound + 1)
+    spectrum = _disc_range(columns)
     krylov = _annihilating_krylov(step, [1] + [0] * (size - 1), spectrum)
     if krylov is None:
         raise AssertionError(f"Laplacian spectrum for n={n}, r={r} is not integral")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shuffle_spectra import cli, frobenius, injective, lifting
+from shuffle_spectra import cli, frobenius, injective, lifting, spectrum
 from shuffle_spectra.cli import main
 from shuffle_spectra.linalg import _MAX_DIM
 from shuffle_spectra.spectrum import SpectrumReport
@@ -508,7 +508,7 @@ def test_verify_command_at_the_default_cap(capsys):
 
 def test_verify_reports_a_wrong_prediction(capsys, monkeypatch):
     # one unit of multiplicity moved in the prediction for (2, 2)
-    real = cli.spectrum_for_evaluation
+    real = spectrum.spectrum_for_evaluation
 
     def predict(nu):
         report = real(nu)
@@ -517,7 +517,7 @@ def test_verify_reports_a_wrong_prediction(capsys, monkeypatch):
         totals = {16: 1, 10: 1, 6: 1, 4: 2, 0: 1}
         return SpectrumReport(report.evaluation, report.partition, report.entries, totals)
 
-    monkeypatch.setattr(cli, "spectrum_for_evaluation", predict)
+    monkeypatch.setattr(spectrum, "spectrum_for_evaluation", predict)
     code, out = run_cli(capsys, "verify", "--n", "4")
     assert code == 1
     assert out.splitlines() == [
@@ -590,13 +590,13 @@ def test_usage_errors_exit_code_two(capsys, monkeypatch):
     assert "R2R_MAX_N must be an integer" in capsys.readouterr().err
     # evaluations with more words than linalg._MAX_DIM are refused before any
     # library call; a broken guard raises here instead of starting the work
-    for name in (
-        "specht_eigenbasis_columns",
-        "eigenbasis_columns",
-        "_kernel_columns",
-        "transition_matrix",
+    for module, name in (
+        (lifting, "specht_eigenbasis_columns"),
+        (lifting, "eigenbasis_columns"),
+        (lifting, "_kernel_columns"),
+        (cli, "transition_matrix"),
     ):
-        monkeypatch.setattr(cli, name, _never_called)
+        monkeypatch.setattr(module, name, _never_called)
     for argv in [
         ["eigenbasis", "--partition", "9,9"],
         ["eigenbasis", "--evaluation", "1,1,1,1,1,1,1"],
@@ -623,8 +623,8 @@ def test_usage_errors_exit_code_two(capsys, monkeypatch):
         assert f"needs at most {_MAX_DIM} injective words" in capsys.readouterr().err
     # eigenvalues and frobenius refuse a size over cli._MAX_STRIP_N before
     # partitions_of runs, also where it would never return
-    for name in ("partitions_of", "spectrum_for_evaluation"):
-        monkeypatch.setattr(cli, name, _never_called)
+    monkeypatch.setattr(cli, "partitions_of", _never_called)
+    monkeypatch.setattr(spectrum, "spectrum_for_evaluation", _never_called)
     monkeypatch.setattr(frobenius, "frobenius_of_eigenspace", _never_called)
     for argv in [
         ["eigenvalues", "--n", str(cli._MAX_STRIP_N + 1)],

@@ -6,6 +6,7 @@ import pytest
 from shuffle_spectra import injective
 from shuffle_spectra.injective import (
     _certify_integral_spectrum,
+    _disc_range,
     boundary,
     boundary_matrix,
     coboundary,
@@ -192,6 +193,44 @@ def test_laplacian_spectrum_builds_no_matrix(monkeypatch):
     assert laplacian_spectrum(6, 6) == {lam: m for lam, m in totals.items() if m}
 
 
+def test_the_disc_range_lies_within_the_largest_column_sum(monkeypatch):
+    # the roots of the certificate run over the Gershgorin column discs, a
+    # subrange of -R..R for R the largest absolute column sum
+    for n in range(6):
+        for r in range(n + 1):
+            columns = sparse_columns(laplacian(n, r))
+            bound = max(sum(map(abs, col.values())) for col in columns)
+            discs = _disc_range(columns)
+            assert -bound <= discs[0] <= discs[-1] <= bound, (n, r)
+    # at (5, 4) the top eigenvalue is the top end of the discs, 25 = R, and
+    # the Krylov degree is 33 where -R..R would take 51
+    degrees = []
+    real = injective._annihilating_krylov
+
+    def spy(step, start, roots):
+        degrees.append(len(roots))
+        return real(step, start, roots)
+
+    monkeypatch.setattr(injective, "_annihilating_krylov", spy)
+    assert max(laplacian_spectrum(5, 4)) == 25
+    assert _disc_range(sparse_columns(laplacian(5, 4))) == range(-7, 26)
+    assert degrees == [33]
+
+
+def test_the_certificate_accepts_a_spectrum_below_zero():
+    # laplacian(4, 3) - 20 I and -laplacian(4, 3) have only negative
+    # eigenvalues, which a root range of 0..R would not reach; the discs
+    # follow the diagonal, so both are proved and their spectra returned
+    words = injective_words(4, 3)
+    spectrum = laplacian_spectrum(4, 3)
+    columns = sparse_columns(laplacian(4, 3))
+    shifted = [{**col, j: col.get(j, 0) - 20} for j, col in enumerate(columns)]
+    negated = [{i: -x for i, x in col.items()} for col in columns]
+    assert max(spectrum) < 20 and min(spectrum) > 0
+    want = {lam - 20: m for lam, m in spectrum.items()}
+    assert list(_certify_integral_spectrum(shifted, words).items()) == list(want.items())
+    want = {-lam: m for lam, m in reversed(spectrum.items())}
+    assert list(_certify_integral_spectrum(negated, words).items()) == list(want.items())
 def test_certificate_returns_the_spectrum_in_ascending_order():
     for n, r in [(1, 0), (1, 1), (3, 0), (3, 2), (4, 3), (4, 4)]:
         matrix = laplacian(n, r)

@@ -206,6 +206,7 @@ def test_importing_the_cli_loads_only_what_every_command_needs():
     assert "shuffle_spectra.cli" in loaded
     unused = {"dataclasses", "inspect", "csv"}
     unused |= {"shuffle_spectra.injective", "shuffle_spectra.frobenius"}
+    unused |= {"shuffle_spectra.lifting", "shuffle_spectra.specht", "shuffle_spectra.spectrum"}
     assert loaded & unused == set()
     # nor does any module of the package, loaded or not
     found = [
@@ -215,6 +216,14 @@ def test_importing_the_cli_loads_only_what_every_command_needs():
     ]
     assert found == []
 
+
+def test_the_laplacian_command_loads_no_eigenbasis_module():
+    # the Laplacian and its certificate need words and linalg only
+    argv = ["laplacian", "--n", "3", "--r", "2", "--spectrum"]
+    loaded = _fresh_modules(f"from shuffle_spectra.cli import main\nassert main({argv!r}) == 0")
+    assert "shuffle_spectra.injective" in loaded
+    eigenbasis = {"shuffle_spectra.lifting", "shuffle_spectra.specht", "shuffle_spectra.spectrum"}
+    assert loaded & eigenbasis == set()
 
 def test_every_public_name_is_its_home_modules_object():
     # the package resolves its names on first use; each must be the object

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import partial
 from itertools import permutations, product
@@ -405,6 +406,11 @@ def test_word_operators_reject_their_bad_inputs():
             boundary(4, 2, bad)
         with pytest.raises(ValueError, match="not an injective word"):
             coboundary(4, 2, bad)
+    # letters outside 1..n, named in the message
+    for op, word in product((boundary, coboundary), [(1, 5), (0, 2)]):
+        message = f"{word} is not an injective word of length 2 over 1..4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            op(4, 2, unit(word))
     for r in (0, 5):
         with pytest.raises(ValueError, match="boundary needs"):
             boundary(4, r, WordVector())
