@@ -42,9 +42,8 @@ from typing import TYPE_CHECKING
 from .combinatorics import partitions_of, standard_tableaux
 from .linalg import _MAX_DIM
 from .words import (
-    _lex_order,
+    _lex_words,
     certify_r2r_spectra,
-    enumerate_words,
     transition_matrix,
     word_from_text,
     word_to_text,
@@ -313,12 +312,11 @@ def cmd_transition_matrix(args, parser) -> int:
 # -- eigenbasis and kernel ------------------------------------------------
 
 
-def _column_members(words, lex):
-    """The renderer of a checked int column over words, never zero, as the
-    JSON object of its vector: one '"word": "coefficient"' member per nonzero
-    entry, in lexicographic word order (lex = words._lex_order)."""
-    keys = [json.dumps(word_to_text(words[i])) + ': "' for i in lex]
-    return lambda col: _Members([f'{k}{c}"' for k, c in zip(keys, map(col.__getitem__, lex)) if c])
+def _column_members(words):
+    """The renderer of a checked int column over words, never zero: the JSON
+    object of its vector, a '"word": "coefficient"' member per nonzero entry."""
+    keys = [json.dumps(word_to_text(w)) + ': "' for w in words]
+    return lambda col: _Members([f'{k}{c}"' for k, c in zip(keys, col) if c])
 
 
 def _strip_json(members, outer, inner, eigenvalue, columns) -> dict:
@@ -337,8 +335,8 @@ def cmd_eigenbasis(args, parser) -> int:
     if args.partition is not None:
         shape = _parse_partition(args.partition, parser, "--partition")
         _refuse_many_words("eigenbasis", shape, parser)
-        words, lex, strips = specht_eigenbasis_columns(shape)
-        members = _column_members(words, lex)
+        words, strips = specht_eigenbasis_columns(shape)
+        members = _column_members(words)
         payload = {
             "schema": f"{SCHEMA_PREFIX}/eigenbasis/1",
             "partition": list(shape),
@@ -348,8 +346,8 @@ def cmd_eigenbasis(args, parser) -> int:
     else:
         evaluation = _parse_evaluation(args.evaluation, parser, "--evaluation")
         _refuse_many_words("eigenbasis", evaluation, parser)
-        words, lex, pushed = eigenbasis_columns(evaluation)
-        members = _column_members(words, lex)
+        words, pushed = eigenbasis_columns(evaluation)
+        members = _column_members(words)
         payload = {
             "schema": f"{SCHEMA_PREFIX}/eigenbasis-evaluation/1",
             "evaluation": list(evaluation),
@@ -372,7 +370,7 @@ def cmd_kernel(args, parser) -> int:
         "schema": f"{SCHEMA_PREFIX}/kernel/1",
         "partition": list(shape),
         "dimension": len(columns),
-        "vectors": list(map(_column_members(enumerate_words(shape), _lex_order(shape)), columns)),
+        "vectors": list(map(_column_members(_lex_words(shape)), columns)),
     }
     _write_json(payload, sys.stdout)
     return 0
@@ -448,7 +446,7 @@ def _verify_size(n: int, failures: list[str]) -> None:
     for shape in partitions_of(n):
         # the columns are checked for every kernel dimension, eigen-equation and span
         got = {}
-        for _, _, eigenvalue, columns in specht_eigenbasis_columns(shape)[2]:
+        for _, _, eigenvalue, columns in specht_eigenbasis_columns(shape)[1]:
             got[eigenvalue] = got.get(eigenvalue, 0) + len(columns)
         want = {}
         for e in reports[shape].entries:

@@ -73,11 +73,11 @@ from .words import (
     WordVector,
     _apply_moves,
     _column,
-    _lex_order,
+    _lex_words,
     _move_gathers,
     _r2t_moves,
     _word_index,
-    enumerate_words,
+    check_evaluation,
     evaluation_of,
 )
 
@@ -89,7 +89,7 @@ def normalize_vector(v: WordVector) -> WordVector:
     coeffs = [v.coefficient(w) for w in words]
     # _clear_denominators hands a list of ints back as it is, and
     # _normal_column a column in normal form
-    column = _normal_column(_clear_denominators(coeffs), range(len(words)))
+    column = _normal_column(_clear_denominators(coeffs))
     return v if column is coeffs else WordVector._from_ints(dict(zip(words, column)))
 
 
@@ -99,16 +99,14 @@ def _digit_bytes(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
-def _normal_column(column: list[int], lex) -> list[int]:
+def _normal_column(column: list[int]) -> list[int]:
     """The scalar normal form of an int column: content one, and its first
-    nonzero entry in the order lex positive, for lex the indices in
-    lexicographic word order (words._lex_order over the words of one
-    evaluation).  A column in normal form comes back as it is, and a zero
-    column stays zero, for the check to report."""
+    nonzero entry, at the first word, positive.  A column in normal form comes
+    back as it is, and a zero column stays zero, for the check to report."""
     divisor = math.gcd(*column)
     if not divisor:
         return column
-    if column[next(i for i in lex if column[i])] < 0:
+    if next(filter(None, column)) < 0:
         divisor = -divisor
     return column if divisor == 1 else [c // divisor for c in column]
 
@@ -159,7 +157,7 @@ def lift_chain(outer: Partition, inner: Partition, v: WordVector) -> WordVector:
     # lift d * v in ints, d the lcm of the denominators
     d = math.lcm(*(c.denominator for c in column))
     (lifted,), scale = _lift_columns(outer, inner, [[int(c * d) for c in column]])
-    return WordVector(zip(enumerate_words(outer), lifted)) / (scale * d)
+    return WordVector(zip(_lex_words(outer), lifted)) / (scale * d)
 
 
 @cache
@@ -170,9 +168,9 @@ def _lift_gathers(shape: Partition, a: int, b: int) -> tuple[itemgetter, ...]:
     set to a (theta), and at every other word, and once more at its end,
     the index of a trailing 0.  The gathers of a column followed by one 0
     sum to its image in the same form; put replaces b at position j."""
-    put, word = (a,) if a else (), enumerate_words(shape)[0]
+    put, word = (a,) if a else (), _lex_words(shape)[0]
     index = _word_index(evaluation_of(word + put))
-    targets, end = enumerate_words(evaluation_of(word + (b,))), len(index)
+    targets, end = _lex_words(evaluation_of(word + (b,))), len(index)
     return tuple(
         itemgetter(*[index[w[:j] + put + w[j + 1 :]] if w[j] == b else end for w in targets], end)
         for j in range(len(targets[0]))
@@ -226,7 +224,7 @@ def kernel_basis(shape: Partition) -> tuple[WordVector, ...]:
     desarrangement count, and `eigenbasis` checks it again against r2r.
     """
     shape = check_partition(shape)
-    return _vectors(enumerate_words(shape), _lex_order(shape), _kernel_columns(shape))
+    return _vectors(_lex_words(shape), _kernel_columns(shape))
 
 
 def _kernel_rows(terms, null, n: int, size: int) -> tuple[list[int], int]:
@@ -242,9 +240,9 @@ def _kernel_rows(terms, null, n: int, size: int) -> tuple[list[int], int]:
 
 @cache
 def _kernel_columns(shape: Partition) -> tuple[list[int], ...]:
-    """kernel_basis(shape) as normalized int columns over enumerate_words, by
-    the row pick and exact check of the module docstring; |B| <= n."""
-    words, terms, n = enumerate_words(shape), _polytabloid_terms(shape), sum(shape)
+    """kernel_basis(shape) as normalized int columns, by the row pick and
+    exact check of the module docstring; |B| <= n."""
+    words, terms, n = _lex_words(shape), _polytabloid_terms(shape), sum(shape)
     gathers, nbytes = _move_gathers(words, _r2t_moves(n)), _digit_bytes(n)
     basis = _scatter(terms, [1 << (8 * nbytes * j) for j in range(len(terms))], len(words))
     distinct = [x for x in dict.fromkeys(map(abs, _apply_moves(gathers, basis))) if x]
@@ -256,8 +254,7 @@ def _kernel_columns(shape: Partition) -> tuple[list[int], ...]:
             break
     else:
         raise AssertionError(f"r2t does not annihilate the kernel of {shape}")
-    lex = _lex_order(shape)
-    columns = tuple(_normal_column(list(c), lex) for c in zip(*_digits(packed, nbytes, len(null))))
+    columns = tuple(_normal_column(list(c)) for c in zip(*_digits(packed, nbytes, len(null))))
     if len(columns) != (expected := desarrangement_count(shape)):
         raise AssertionError(f"kernel of {shape} has dimension {len(columns)}, expected {expected}")
     return columns
@@ -363,24 +360,21 @@ def _check_columns(strips, words, dimension: int, space: str) -> None:
 def _lifted_entries(shape: Partition) -> list[tuple]:
     """The strips of eigenbasis(shape), unchecked: one (outer, inner,
     eigenvalue, columns) strip per inner shape with a nonzero kernel, the
-    columns the normal forms of the lifts of its kernel basis, over
-    enumerate_words(shape)."""
-    lex = _lex_order(shape)
+    columns the normal forms of the lifts of its kernel basis."""
     strips = []
     for inner in _strip_inners(shape):
         kernel = _kernel_columns(inner)
         if kernel:
             # the normal form is the same for every nonzero multiple, so the
             # integral lift needs no division
-            lifted = [_normal_column(col, lex) for col in _lift_columns(shape, inner, kernel)[0]]
+            lifted = [_normal_column(col) for col in _lift_columns(shape, inner, kernel)[0]]
             strips.append((shape, inner, eig_strip(shape, inner), lifted))
     return strips
 
 
-def _vectors(words, lex, columns) -> tuple[WordVector, ...]:
-    """The vectors of int columns over words, their terms in lexicographic
-    word order (lex = _lex_order), which WordVector.to_json sorts fastest."""
-    return tuple(WordVector._from_ints({words[i]: col[i] for i in lex}) for col in columns)
+def _vectors(words, columns) -> tuple[WordVector, ...]:
+    """The vectors of int columns over words, their terms in word order."""
+    return tuple(WordVector._from_ints(dict(zip(words, col))) for col in columns)
 
 
 @cache
@@ -392,38 +386,37 @@ def eigenbasis(shape: Partition) -> tuple[EigenbasisEntry, ...]:
     inner shapes' desarrangement counts.  Raises if any of that fails, since
     a failure would falsify the construction rather than the input.
     """
-    words, lex, strips = specht_eigenbasis_columns(shape)
-    return tuple(EigenbasisEntry(o, i, lam, _vectors(words, lex, c)) for o, i, lam, c in strips)
+    words, strips = specht_eigenbasis_columns(shape)
+    return tuple(EigenbasisEntry(o, i, lam, _vectors(words, c)) for o, i, lam, c in strips)
 
 
 def specht_eigenbasis_columns(shape: Partition):
-    """The eigenbasis of eigenbasis(shape) as checked int columns: words =
-    enumerate_words(shape), lex = _lex_order of it, and the strips of
-    _lifted_entries."""
+    """The eigenbasis of eigenbasis(shape) as checked int columns: the words
+    of the shape and the strips of _lifted_entries."""
     shape = check_partition(shape)
-    words, lex, strips = enumerate_words(shape), _lex_order(shape), _lifted_entries(shape)
+    words, strips = _lex_words(shape), _lifted_entries(shape)
     _check_columns(strips, words, len(standard_tableaux(shape)), f"the Specht module of {shape}")
-    return words, lex, strips
+    return words, strips
 
 
 def eigenbasis_columns(evaluation):
     """The eigenbasis of eigenbasis_for_evaluation as checked int columns.
 
-    Returns words = enumerate_words(evaluation), lex = _lex_order of it,
-    and one (tableau, strip) pair per tableau and Specht strip, the strip
-    (outer, inner, eigenvalue, columns) with the normal forms of its pushes.
+    Returns the words of the evaluation and one (tableau, strip) pair per
+    tableau and Specht strip, the strip (outer, inner, eigenvalue, columns)
+    with the normal forms of its pushes.
     """
-    evaluation = tuple(evaluation)
-    words, lex, pushed = enumerate_words(evaluation), _lex_order(evaluation), []
+    evaluation = check_evaluation(evaluation)
+    words, pushed = _lex_words(evaluation), []
     for outer in _dominating_partitions(sort_evaluation(evaluation)):
         strips = _lifted_entries(outer)
         for tab in semistandard_tableaux(outer, evaluation):
             for *head, cols in strips:
-                pushes = [_normal_column(theta_column(tab, c), lex) for c in cols]
+                pushes = [_normal_column(theta_column(tab, c)) for c in cols]
                 pushed.append((tab, (*head, pushes)))
     space = f"the word space of {evaluation}"
     _check_columns([strip for _, strip in pushed], words, len(words), space)
-    return words, lex, pushed
+    return words, pushed
 
 
 def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
@@ -433,8 +426,8 @@ def eigenbasis_for_evaluation(evaluation) -> tuple[tuple, ...]:
     tableau with this content; yields (tableau, entry) pairs whose vectors
     jointly form an eigenbasis of the whole word space.
     """
-    words, lex, pushed = eigenbasis_columns(evaluation)
+    words, pushed = eigenbasis_columns(evaluation)
     return tuple(
-        (tab, EigenbasisEntry(o, i, lam, _vectors(words, lex, c))) for tab, (o, i, lam, c) in pushed
+        (tab, EigenbasisEntry(o, i, lam, _vectors(words, c))) for tab, (o, i, lam, c) in pushed
     )
 

@@ -48,8 +48,8 @@ from .words import (
     WordVector,
     _column,
     _gather,
+    _lex_words,
     _word_index,
-    enumerate_words,
     evaluation_of,
 )
 
@@ -112,7 +112,7 @@ def specht_basis(shape: Partition) -> SpechtBasis:
 
 @cache
 def _polytabloid_terms(shape: Partition) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The (index in enumerate_words(shape), sign) terms of w_t for every
+    """The (index in _lex_words(shape), sign) terms of w_t for every
     standard tableau t of the shape, in tableau order.  polytabloid of the
     row-reading tableau is taken once: with the same column rearrangements,
     a word of w_t takes letter i from the position of the row-reading entry
@@ -168,7 +168,7 @@ def project_onto_specht(shape: Partition, v: WordVector) -> WordVector:
 
 @cache
 def _position_gathers(shape: Partition) -> tuple[Callable[[Word], Word], ...]:
-    """For every word of enumerate_words(shape), in order, the gather that
+    """For every word of _lex_words(shape), in order, the gather that
     lays a fill over it.
 
     A fill lists its letters row by row, so the letters that overwrite the
@@ -178,7 +178,7 @@ def _position_gathers(shape: Partition) -> tuple[Callable[[Word], Word], ...]:
     """
     n = sum(shape)
     gathers = []
-    for word in enumerate_words(shape):
+    for word in _lex_words(shape):
         order = sorted(range(n), key=word.__getitem__)
         rank = sorted(range(n), key=order.__getitem__)
         gathers.append(_gather(rank))
@@ -188,7 +188,7 @@ def _position_gathers(shape: Partition) -> tuple[Callable[[Word], Word], ...]:
 @cache
 def _image_table(t: Tableau) -> tuple[tuple[Word, ...], tuple[tuple[int, ...], ...]]:
     """The words of the content of t, and for the i-th word of
-    enumerate_words(shape(t)) the indices among them of its images under
+    _lex_words(shape(t)) the indices among them of its images under
     theta_t, one per fill.
 
     A fill is one choice of a distinct arrangement per row of t, the rows
@@ -201,14 +201,13 @@ def _image_table(t: Tableau) -> tuple[tuple[Word, ...], tuple[tuple[int, ...], .
         tuple([index[gather(fill)] for fill in fills])
         for gather in _position_gathers(tableau_shape(t))
     )
-    return enumerate_words(content), table
+    return _lex_words(content), table
 
 
 def theta_column(t: Tableau, column: list[Scalar]) -> list[Scalar]:
-    """theta_t of the vector whose coefficients over enumerate_words(shape(t))
-    are column, as a list of coefficients over enumerate_words of t's
-    content, with or without its trailing zeros (the same words in the same
-    order); t must be a tuple of tuples."""
+    """theta_t of the int column of a vector over the words of shape(t), as
+    a column over the words of t's content, with or without its trailing
+    zeros; t must be a tuple of tuples."""
     targets, table = _image_table(t)
     out = [0] * len(targets)
     for coeff, images in zip(column, table):

@@ -162,6 +162,8 @@ def second_largest(evaluation) -> tuple[int, int]:
     """
     nu = sort_evaluation(evaluation)
     n = sum(nu)
+    if not nu:
+        raise ValueError(f"evaluation {evaluation} has no letters")
     if nu == (n,):
         raise ValueError("one-row evaluations have a single eigenvalue")
     value, multiplicity = (n - 2) * (n + 1), len(nu) - 1

@@ -22,6 +22,10 @@ predicted spectrum.  Its own part is the move check of r2r against
 the table, word by word, and the traces read off the permutation words
 through the position permutations that fix each word; annihilation and
 multiplicities are the Krylov core of linalg.
+
+Every int column of the package lists its coefficients over the words of
+one evaluation in lexicographic order, the order they print in: the tuple
+_lex_words.  Deck order, enumerate_words, only orders transition matrices.
 """
 
 from __future__ import annotations
@@ -43,6 +47,13 @@ def check_word(word) -> Word:
     if any(not isinstance(x, int) or x < 1 for x in word):
         raise ValueError(f"letters must be positive integers: {word}")
     return word
+
+
+def check_evaluation(evaluation) -> tuple[int, ...]:
+    evaluation = tuple(evaluation)
+    if any(not isinstance(x, int) or x < 0 for x in evaluation):
+        raise ValueError(f"bad evaluation: {evaluation}")
+    return evaluation
 
 
 def evaluation_of(word: Word) -> tuple[int, ...]:
@@ -223,6 +234,7 @@ def _inserted(letter: int, word: Word):
 
 def apply_sh(letter: int, v) -> WordVector:
     """Insert the given letter into every position, summed over positions."""
+    check_word((letter,))
     return _extend(partial(_inserted, letter), v)
 
 
@@ -235,6 +247,7 @@ def _replaced(letter: int, put: Word, word: Word):
 
 def apply_del(letter: int, v) -> WordVector:
     """Delete one occurrence of the letter, summed over occurrences."""
+    check_word((letter,))
     return _extend(partial(_replaced, letter, ()), v)
 
 
@@ -244,6 +257,7 @@ def apply_theta(i: int, j: int, v) -> WordVector:
     With i == j this is multiplication by the letter count, which is needed
     by several operator identities.
     """
+    check_word((i, j))
     return _extend(partial(_replaced, i, (j,)), v)
 
 
@@ -391,28 +405,30 @@ def enumerate_words(evaluation) -> tuple[Word, ...]:
     bottom card to top card.  Each word space is built once per process and
     the same tuple returned after.
     """
-    evaluation = tuple(evaluation)
-    if any(not isinstance(x, int) or x < 0 for x in evaluation):
-        raise ValueError(f"bad evaluation: {evaluation}")
-    return _enumerate_words(evaluation)
+    return _enumerate_words(check_evaluation(evaluation))
 
 
 @cache
 def _enumerate_words(evaluation: tuple[int, ...]) -> tuple[Word, ...]:
+    return tuple(sorted(_lex_words(evaluation), key=lambda w: w[::-1], reverse=True))
+
+
+@cache
+def _lex_words(evaluation: tuple[int, ...]) -> tuple[Word, ...]:
+    """The words of a checked evaluation in lexicographic order."""
     # one eigenbasis --evaluation command asks for the same word spaces dozens of times
     letters = [i + 1 for i, mult in enumerate(evaluation) for _ in range(mult)]
-    words = multiset_arrangements(letters)
-    return tuple(sorted(words, key=lambda w: tuple(reversed(w)), reverse=True))
+    return tuple(multiset_arrangements(letters))
 
 
 @cache
 def _word_index(evaluation: tuple[int, ...]) -> dict[Word, int]:
-    """The index of every word in enumerate_words(evaluation)."""
-    return {w: i for i, w in enumerate(enumerate_words(evaluation))}
+    """The index of every word in _lex_words(evaluation)."""
+    return {w: i for i, w in enumerate(_lex_words(evaluation))}
 
 
 def _column(v: WordVector, evaluation: tuple[int, ...]) -> list[Scalar]:
-    """The coefficients of v over enumerate_words(evaluation), in order."""
+    """The coefficients of v over _lex_words(evaluation), in order."""
     index = _word_index(evaluation)
     column = [0] * len(index)
     for w, c in v.items():
@@ -420,14 +436,6 @@ def _column(v: WordVector, evaluation: tuple[int, ...]) -> list[Scalar]:
             raise ValueError(f"word {w} has evaluation {evaluation_of(w)}, expected {evaluation}")
         column[index[w]] = c
     return column
-
-
-@cache
-def _lex_order(evaluation: tuple[int, ...]) -> tuple[int, ...]:
-    """Indices of the words of enumerate_words(evaluation) in lexicographic
-    word order, the order of sorted word vectors."""
-    words = enumerate_words(evaluation)
-    return tuple(sorted(range(len(words)), key=words.__getitem__))
 
 
 SHUFFLES = {
@@ -497,10 +505,10 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
     eigenvalues with a nonzero multiplicity predicted for M, d = |S|, and
     p = prod over S of (x - lam).
 
-    1. Moves: for every nu, (1,)*n included, and every word w of
-       enumerate_words(nu), r2r(w) == sum m e_{w o sigma}.  Row w of the
-       counts M_nu is r2r(w) over enumerate_words(nu), so M_nu is x acting
-       on the words of nu, and M is x acting on the regular representation.
+    1. Moves: for every nu, (1,)*n included, and every word w of nu,
+       r2r(w) == sum m e_{w o sigma}.  Row w of the counts M_nu is r2r(w)
+       over enumerate_words(nu), so M_nu is x acting on the words of nu,
+       and M is x acting on the regular representation.
     2. Annihilation: e p(M) = 0, from the Krylov vectors e M^k, each one
        _apply_moves of the one before (linalg._annihilating_krylov).  By 1,
        e p(M) is p(x) written in permutation words, so p(x) = 0 and
@@ -517,22 +525,21 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
     top = (1,) * n
     if top not in predicted or any(sum(nu) != n for nu in predicted):
         raise ValueError(f"predictions must cover {top} and have size {n}")
-    perms = enumerate_words(top)
-    index = {w: i for i, w in enumerate(perms)}
+    perms = _lex_words(top)
     spectrum = [lam for lam, m in predicted[top].items() if m]
 
-    # row w of M is r2r(w), so powers[k] = e M^k holds the coefficients of r2r^k(e)
+    # row w of M is r2r(w), so powers[k] = e M^k holds the coefficients of
+    # r2r^k(e); e, the identity word, is the first permutation word
     gathers = _move_gathers(perms)
-    identity = [0] * len(perms)
-    identity[index[tuple(range(1, n + 1))]] = 1
+    identity = [1] + [0] * (len(perms) - 1)
     powers = _annihilating_krylov(partial(_apply_moves, gathers), identity, spectrum)
     if powers is None:
         return [top]
 
     failures = []
     for nu, totals in predicted.items():
-        order = enumerate_words(nu)
-        weight = _fixing_permutations(order, index)
+        order = _lex_words(check_evaluation(nu))
+        weight = _fixing_permutations(order, _word_index(top))
         traces = [sum(power[s] * c for s, c in weight.items()) for power in powers[:-1]]
         if not (
             _follows_moves(order, gathers if nu == top else _move_gathers(order))

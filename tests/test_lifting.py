@@ -13,6 +13,7 @@ from shuffle_spectra.combinatorics import (
     desarrangement_count,
     dominates,
     horizontal_strip_inners,
+    is_desarrangement,
     is_horizontal_strip,
     partitions_of,
     standard_tableaux,
@@ -34,7 +35,7 @@ from shuffle_spectra.spectrum import eig_strip, spectrum_for_evaluation
 from shuffle_spectra.words import (
     WordVector,
     _column,
-    _lex_order,
+    _lex_words,
     apply_sh,
     apply_theta,
     enumerate_words,
@@ -138,6 +139,38 @@ def test_kernel_over_the_word_cap_builds_no_dense_matrix(monkeypatch, shape):
     monkeypatch.setattr(lifting, "_kernel_columns", lifting._kernel_columns.__wrapped__)
     text = json.dumps([v.to_json() for v in kernel_basis.__wrapped__(shape)])
     assert hashlib.sha256(text.encode()).hexdigest() == OVER_CAP_KERNELS[shape]
+
+
+def test_eigenbasis_of_size_eight_builds_no_dense_matrix(monkeypatch):
+    # (1,)*8 spans all 40320 permutation words, far over the word cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenbasis built an ExactMatrix")
+
+    monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+    monkeypatch.setattr(ExactMatrix, "_set_rows", refuse)
+    monkeypatch.setattr(lifting, "_kernel_columns", lifting._kernel_columns.__wrapped__)
+    entries = eigenbasis.__wrapped__((1,) * 8)
+    assert sum(len(e.vectors) for e in entries) == len(standard_tableaux((1,) * 8))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_the_non_desarrangement_columns_of_the_kernel_matrix_have_full_rank(n):
+    # B holds the r2t images of the Specht basis over the words, one column
+    # per standard tableau, from the term table and r2t gathers that
+    # _kernel_columns packs; its columns at the tableaux that are not
+    # desarrangement tableaux are independent, so dim ker B <= d, the
+    # desarrangement count
+    for shape in partitions_of(n):
+        space = _lex_words(shape)
+        gathers = words._move_gathers(space, words._r2t_moves(n))
+        terms = specht._polytabloid_terms(shape)
+        columns = [
+            words._apply_moves(gathers, linalg._scatter([pairs], [1], len(space)))
+            for t, pairs in zip(standard_tableaux(shape), terms)
+            if not is_desarrangement(t)
+        ]
+        assert len(columns) == len(terms) - desarrangement_count(shape)
+        assert linalg._rank(columns) == len(columns), shape
 
 
 def test_kernel_falls_back_to_all_rows_when_the_row_pick_misses(monkeypatch):
@@ -260,7 +293,7 @@ def test_lift_columns_are_integral_multiples_of_lift_chain():
     # every kernel basis lifted at once, packed, against each vector on its own
     for n in range(0, 7):
         for outer in partitions_of(n):
-            words = enumerate_words(outer)
+            words = _lex_words(outer)
             for inner in horizontal_strip_inners(outer):
                 kernel = kernel_basis(inner)
                 if not kernel:
@@ -286,7 +319,7 @@ def test_column_lift_of_every_kernel_vector_matches_the_chain_sum_and_row_recurs
             continue
         target = _check_lift_target(shape, row)
         columns, g = _lift_columns(target, shape, [_column(u, shape) for u in kernel])
-        words = enumerate_words(target)
+        words = _lex_words(target)
         for u, column in zip(kernel, columns):
             exact = row_lift(shape, row, u)
             assert WordVector(zip(words, column)) == g * exact, (shape, row)
@@ -305,7 +338,7 @@ def test_column_lift_is_exact_for_coefficients_beyond_64_bits():
         lifted, g = _lift_columns(outer, inner, [[s * c for c in column] for s in scales])
         exact = lift_chain(outer, inner, u)
         assert exact, (outer, inner)
-        words = enumerate_words(outer)
+        words = _lex_words(outer)
         for s, col in zip(scales, lifted):
             assert WordVector(zip(words, col)) == (s * g) * exact, (outer, inner, s)
 
@@ -497,7 +530,7 @@ def test_eigenbasis_for_evaluation_checks_the_specht_vectors_through_their_image
         calls.append((outer, inner))
         if len(calls) == 3:
             # the unit of the greatest word of the first lift, added to it
-            words = enumerate_words(outer)
+            words = _lex_words(outer)
             first = lifted[0]
             first[max((words[i], i) for i, c in enumerate(first) if c)[1]] += 1
         return lifted, scale
@@ -522,9 +555,9 @@ def test_eigenbasis_for_evaluation_checks_the_specht_vectors_through_their_image
 @example((2, 1, 1), [0] * 11 + [-3], 2)
 def test_normal_column_is_normalize_vector_on_int_columns(nu, entries, scale):
     # a column of either sign with a common factor, or the zero column
-    words = enumerate_words(nu)
+    words = _lex_words(nu)
     column = [scale * c for c in entries[: len(words)]]
-    normal = lifting._normal_column(list(column), _lex_order(nu))
+    normal = lifting._normal_column(list(column))
     assert all(type(c) is int for c in normal)
     assert WordVector(zip(words, normal)) == normalize_vector(WordVector(zip(words, column)))
     if not any(column):

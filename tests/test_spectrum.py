@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -136,8 +137,12 @@ def test_second_largest():
     assert second_largest((1,) * 5) == (18, 4)
     assert second_largest((2, 2)) == (10, 1)
     assert second_largest((1, 1)) == (0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^one-row evaluations have a single eigenvalue$"):
         second_largest((4,))
+    # no letters: refused up front, naming the evaluation
+    for empty in [(), (0, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"evaluation {empty} has no letters")):
+            second_largest(empty)
 
 
 def test_second_largest_matches_spectrum_for_all_small_evaluations():

@@ -411,6 +411,21 @@ def test_word_operators_reject_their_bad_inputs():
         message = f"{word} is not an injective word of length 2 over 1..4"
         with pytest.raises(ValueError, match=re.escape(message)):
             op(4, 2, unit(word))
+    # letter arguments, checked once per call, so on the zero vector too
+    for call, letters in [
+        (partial(apply_sh, 0, unit((1, 2))), (0,)),
+        (partial(apply_sh, 1.5, unit((1,))), (1.5,)),
+        (partial(apply_sh, 0, WordVector()), (0,)),
+        (partial(apply_del, -1, unit((1, 2))), (-1,)),
+        (partial(apply_del, 0, WordVector()), (0,)),
+        (partial(apply_theta, 1, 0, unit((1, 2))), (1, 0)),
+        (partial(apply_theta, 0, 1, unit((1, 2))), (0, 1)),
+        (partial(apply_theta, 2, 2.0, WordVector()), (2, 2.0)),
+    ]:
+        message = f"letters must be positive integers: {letters}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+    assert apply_theta(1, 1, unit((1, 2, 1))) == 2 * unit((1, 2, 1))
     for r in (0, 5):
         with pytest.raises(ValueError, match="boundary needs"):
             boundary(4, r, WordVector())
