@@ -74,9 +74,8 @@ class Record(metaclass=_RecordType):
 
 def is_partition(parts) -> bool:
     parts = tuple(parts)
-    return all(isinstance(p, int) and p > 0 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
+    positive = all(isinstance(p, int) and not isinstance(p, bool) and p > 0 for p in parts)
+    return positive and all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
 def check_partition(parts) -> Partition:

@@ -66,7 +66,7 @@ from .combinatorics import (
     semistandard_tableaux,
     standard_tableaux,
 )
-from .linalg import _clear_denominators, _nullspace, _rank, _scatter
+from .linalg import _clear_denominators, _nullspace, _picked_rows, _rank, _scatter
 from .spectrum import eig_strip, sort_evaluation
 from .specht import _polytabloid_terms, theta_column
 from .words import (
@@ -76,6 +76,7 @@ from .words import (
     _lex_words,
     _move_gathers,
     _r2t_moves,
+    _t2r_moves,
     _word_index,
     check_evaluation,
     evaluation_of,
@@ -247,8 +248,8 @@ def _kernel_columns(shape: Partition) -> tuple[list[int], ...]:
     basis = _scatter(terms, [1 << (8 * nbytes * j) for j in range(len(terms))], len(words))
     distinct = [x for x in dict.fromkeys(map(abs, _apply_moves(gathers, basis))) if x]
     rows = _digits(distinct, nbytes, len(terms))
-    for pick in (True, False):
-        null = _nullspace(rows, len(terms), pick)
+    for some in (_picked_rows(rows), rows):
+        null = _nullspace(some, len(terms))
         packed, nbytes = _kernel_rows(terms, null, n, len(words))
         if not any(_apply_moves(gathers, packed)):
             break
@@ -308,14 +309,15 @@ def _check_columns(strips, words, dimension: int, space: str) -> None:
     coefficients of one vector over them.  V holds the columns and Lambda
     their eigenvalues.  With n the word length and
     B = max |V| * max(n**2, max |Lambda|, 1), every entry of r2r V, of V and
-    of V Lambda is at most B in absolute value, since r2r sums n**2 entries
-    of a column.  Each row w of V is packed into
-    P[w] = sum over j of V[w][j] * 2**(b*j), and of V Lambda into S[w],
-    where 2**b > 2B and b is a whole number of bytes.  _biased_rows packs
-    the digits plus 2**(b-1) in linear time, and S[w] is the sum, over the
-    eigenvalues lam, of lam times the digits of lam's columns, masked out
-    of that biased row, less their bias.  `_apply_moves` maps P to the
-    packed rows of r2r V, so D = r2r P - S packs the digits d_j of
+    of V Lambda is at most B in absolute value: r2r is t2r after r2t, each
+    entry a sum of n entries of r2t V, themselves sums of n entries of V.
+    Each row w of V is packed into P[w] = sum over j of V[w][j] * 2**(b*j),
+    and of V Lambda into S[w], where 2**b > 2B and b is a whole number of
+    bytes.  _biased_rows packs the digits plus 2**(b-1) in linear time, and
+    S[w] is the sum, over the eigenvalues lam, of lam times the digits of
+    lam's columns, masked out of that biased row, less their bias.
+    `_apply_moves` of the tables of r2t and then of t2r maps P to the packed
+    rows of r2r V, so D = r2r P - S packs the digits d_j of
     r2r V - V Lambda, each with |d_j| <= 2B < 2**b.  A packed int with such
     digits is zero only when every digit is, and its lowest set bit lies in
     the digit of its first nonzero one: D == 0 is every eigen-equation, and
@@ -342,7 +344,7 @@ def _check_columns(strips, words, dimension: int, space: str) -> None:
     parts = [(lam, m, bias & m) for lam, m in zip(blocks, masks)]
     packed = [q - bias for q in biased] or [0] * len(words)
     scaled = [sum(lam * ((q & m) - o) for lam, m, o in parts) for q in biased] or packed
-    image = _apply_moves(_move_gathers(words), packed)
+    image = _apply_moves(_move_gathers(words, _r2t_moves(n), _t2r_moves(n)), packed)
     failing = min(
         (((d & -d).bit_length() - 1) // b for d in map(sub, image, scaled) if d),
         default=len(columns),

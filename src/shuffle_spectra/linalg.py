@@ -21,11 +21,12 @@ over its pivot is a row of the reduced echelon form.  Sparse columns of
 of lifting and the Laplacian certificate of injective share.
 
 _independent_rows picks rows independent mod p, for the rank mod p
-(_rank_mod, over the shorter side) and for a nullspace of fewer rows, with
-each line packed into one int, one entry mod p per 64-bit lane, so clearing
-a column costs one big-int operation per line.  A lane stays below
-p + r * (p - 1)**2 after r pivots, below 2**64 for r up to 4096 at
-_RANK_PRIME (_lane_capacity); every 4096 pivots each lane is reduced again.
+(_rank_mod, over the shorter side) and for a nullspace of fewer rows
+(_picked_rows), with each line packed into one int, one entry mod p per
+64-bit lane, so clearing a column costs one big-int operation per line.
+A lane stays below p + r * (p - 1)**2 after r pivots, below 2**64 for r up
+to 4096 at _RANK_PRIME (_lane_capacity); every 4096 pivots each lane is
+reduced again.
 
 No command computes a characteristic polynomial.  Both spectra the package
 prints share one Krylov core, in plain ints.  For an operator M given as a
@@ -432,15 +433,17 @@ def _rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_echelon(rows)[1])
 
 
-def _nullspace(rows: Sequence[Sequence[int]], cols: int, pick: bool = False) -> tuple[Vector, ...]:
+def _picked_rows(rows: Sequence[Sequence[int]]) -> list[Sequence[int]]:
+    """The _independent_rows of int rows modulo _RANK_PRIME: their kernel
+    contains that of all rows, and a caller that needs the latter checks
+    that it is not larger."""
+    return [rows[i] for i in _independent_rows(rows, _RANK_PRIME)]
+
+
+def _nullspace(rows: Sequence[Sequence[int]], cols: int) -> tuple[Vector, ...]:
     """Basis of the right kernel of int rows of length cols, in reduced
     normal form: one vector per free column, 1 there and 0 in every other
-    free column, read off _echelon.  It depends only on the kernel.  With
-    pick, only the _independent_rows mod _RANK_PRIME go to _echelon: their
-    kernel contains that of all rows, and a caller checks that it is not
-    larger, else takes the kernel again without pick."""
-    if pick:
-        rows = [rows[i] for i in _independent_rows(rows, _RANK_PRIME)]
+    free column, read off _echelon.  It depends only on the kernel."""
     m, pivots = _echelon(rows)
     pivot_set = set(pivots)
     basis = []

@@ -12,16 +12,18 @@ words extended linearly by one rule, _extend: inserting, deleting or
 replacing a letter, the three shuffles, the boundary maps and signed_r2r.
 The three shuffles act unnormalized (integer coefficients); probability
 normalization by 1/n or 1/n^2 happens only when building transition
-matrices.  Random-to-random is also one table of position moves,
-_r2r_moves, and _apply_moves, the only code that applies it to vectors,
-gathers a plain list of coefficients over one word space once per move; the
-eigenbasis check of lifting applies it once to a whole matrix of vectors
-packed into one int per word.  Without building any matrix,
+matrices.  Random-to-top and top-to-random are also tables of n
+single-card position moves, _r2t_moves and _t2r_moves, and _apply_moves,
+the only code that applies a table to vectors, gathers a plain list of
+coefficients over one word space once per move.  Random-to-random is
+top-to-random after random-to-top, so on columns it is the two tables in
+turn; the eigenbasis check of lifting applies them once to a whole matrix
+of vectors packed into one int per word.  Without building any matrix,
 certify_r2r_spectra proves, in exact integers, that the r2r counts have a
-predicted spectrum.  Its own part is the move check of r2r against
-the table, word by word, and the traces read off the permutation words
-through the position permutations that fix each word; annihilation and
-multiplicities are the Krylov core of linalg.
+predicted spectrum.  Its own part is the move check of r2r against the two
+tables composed, word by word, and the traces read off the permutation
+words through the position permutations that fix each word; annihilation
+and multiplicities are the Krylov core of linalg.
 
 Every int column of the package lists its coefficients over the words of
 one evaluation in lexicographic order, the order they print in: the tuple
@@ -32,8 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, permutations, product, repeat
-from operator import add, itemgetter, mul
+from itertools import chain, permutations, product
+from operator import itemgetter
 
 from .combinatorics import Record, multiset_arrangements
 from .linalg import ExactMatrix, Scalar, _annihilating_krylov, _multiplicities
@@ -44,14 +46,14 @@ Permutation = tuple[int, ...]
 
 def check_word(word) -> Word:
     word = tuple(word)
-    if any(not isinstance(x, int) or x < 1 for x in word):
+    if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in word):
         raise ValueError(f"letters must be positive integers: {word}")
     return word
 
 
 def check_evaluation(evaluation) -> tuple[int, ...]:
     evaluation = tuple(evaluation)
-    if any(not isinstance(x, int) or x < 0 for x in evaluation):
+    if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in evaluation):
         raise ValueError(f"bad evaluation: {evaluation}")
     return evaluation
 
@@ -304,11 +306,8 @@ def _t2r_images(word: Word):
 
 
 def _r2r_images(word: Word):
-    n = len(word)
-    for j in range(n):
-        letter, rest = word[j : j + 1], word[:j] + word[j + 1 :]
-        for k in range(n):
-            yield rest[:k] + letter + rest[k:], 1
+    for u, _ in _r2t_images(word):
+        yield from _t2r_images(u)
 
 
 def r2t(v) -> WordVector:
@@ -334,24 +333,20 @@ def r2r(v) -> WordVector:
 
 
 @cache
-def _r2r_moves(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The distinct moves of r2r on words of length n, with multiplicities:
-    r2r of the word of the positions 0, ..., n - 1.
-
-    Deleting the letter at position j and reinserting it at k sends a word u
-    to u o sigma, where (u o sigma)[i] = u[sigma[i]] with 0-based positions.
-    The n moves with j == k are the identity and the two moves between
-    neighbouring positions coincide, which leaves 1 + (n - 1)**2 moves.
-    """
-    return tuple(r2r(tuple(range(n))).items())
+def _r2t_moves(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n moves of t2r on words of length n, the inverses of those of r2t,
+    so that _apply_moves applies r2t: the last letter moved to position j, as
+    t2r of the position word gives them, sigma = (0, ..., j - 1, n - 1, j,
+    ..., n - 2).  A word w goes to w o sigma, (w o sigma)[i] = w[sigma[i]]."""
+    return tuple(t2r(tuple(range(n))).words())
 
 
 @cache
-def _r2t_moves(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The inverses of the moves of r2t on words of length n, the moves of
-    t2r: the last letter moved to position j, as t2r of the position word
-    gives them, sigma = (0, ..., j - 1, n - 1, j, ..., n - 2)."""
-    return tuple(t2r(tuple(range(n))).items())
+def _t2r_moves(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n moves of r2t on words of length n, the inverses of those of t2r,
+    so that _apply_moves applies t2r: the letter at position j moved to the
+    end, as r2t of the position word gives them."""
+    return tuple(r2t(tuple(range(n))).words())
 
 
 def _gather(indices):
@@ -360,39 +355,33 @@ def _gather(indices):
     return itemgetter(*indices) if len(indices) > 1 else tuple
 
 
-def _move_gathers(words, moves=None) -> list[tuple[list[int], int]]:
-    """For each move (sigma, m) of the table (default _r2r_moves), the index
-    in words of w o sigma for every w.
+def _move_gathers(words, *tables) -> list[list[list[int]]]:
+    """For each table of moves, and each move sigma in it, the index in words
+    of w o sigma for every w.
 
     words must be all the words of one evaluation, in any order; this is the
     one place where a move table is applied to a list of words.
     """
     index = {w: i for i, w in enumerate(words)}
-    gathers = []
-    for sigma, m in _r2r_moves(len(words[0])) if moves is None else moves:
-        image = _gather(sigma)
-        gathers.append(([index[image(w)] for w in words], m))
-    return gathers
+    return [[[index[image(w)] for w in words] for image in map(_gather, t)] for t in tables]
 
 
 def _apply_moves(gathers, column: list) -> list:
-    """r2r of one column over words, given gathers = _move_gathers(words),
-    or r2t given the inverse moves _r2t_moves.
+    """One column over words under each table of gathers =
+    _move_gathers(words, *tables) in turn: r2t for the table _r2t_moves(n),
+    t2r for _t2r_moves(n), and r2r for both, in that order.
 
-    Entry i of column is the coefficient of words[i].  The r2r moves are
-    closed under inverses (delete at j and insert at k undoes delete at k
-    and insert at j), so the coefficient of w in r2r(v) is the sum over the
-    moves of m * v[w o sigma]: one C-level gather of the column per move,
-    summed per word, with the moves of equal multiplicity added up first.
-    Entries stay Python ints or Fractions, so nothing can overflow.
+    Entry i of column is the coefficient of words[i].  A table lists the
+    inverses of the moves of its shuffle, so the coefficient of w in the
+    image of v is the sum over the table of v[w o sigma]: one C-level gather
+    of the column per move, summed per word.  An empty table, at n = 0, maps
+    every column to zeros.  Entries stay Python ints or Fractions, so
+    nothing can overflow.
     """
-    images: dict[int, list[tuple]] = {}
-    for rows, m in gathers:
-        images.setdefault(m, []).append(_gather(rows)(column))
-    out = [0] * len(column)
-    for m, terms in images.items():
-        out = list(map(add, out, map(mul, repeat(m), map(sum, zip(*terms)))))
-    return out
+    for table in gathers:
+        images = [_gather(rows)(column) for rows in table]
+        column = list(map(sum, zip(*images))) if images else [0] * len(column)
+    return column
 
 
 # -- word enumeration and transition matrices ---------------------------------
@@ -496,21 +485,27 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
     prod (x - lam)^m over its map.  Returns the evaluations whose claim is
     not proved, in the order given; an empty list proves every claim.  A
     failed check on the permutation deck proves nothing and returns only
-    (1,)*n.  Only r2r, the move table and the (lam, m) pairs are used, in
-    exact arithmetic, and no matrix is built.
+    (1,)*n.  Only r2r, the two move tables and the (lam, m) pairs are used,
+    in exact arithmetic, and no matrix is built.
 
-    Random-to-random is x = sum m sigma in the group algebra of position
-    permutations, over the moves (sigma, m) of _r2r_moves(n).  Let M be the
-    counts on the n! permutation words, e the identity word, S the
-    eigenvalues with a nonzero multiplicity predicted for M, d = |S|, and
-    p = prod over S of (x - lam).
+    Random-to-random is x = (sum of the t2r moves)(sum of the r2t moves) in
+    the group algebra of position permutations, t2r after r2t: the moves
+    sigma of r2t are the table _t2r_moves(n), those tau of t2r the table
+    _r2t_moves(n), each the inverses of the other.  Let M be the counts on
+    the n! permutation words, e the identity word, S the eigenvalues with a
+    nonzero multiplicity predicted for M, d = |S|, and p = prod over S of
+    (x - lam).
 
     1. Moves: for every nu, (1,)*n included, and every word w of nu,
-       r2r(w) == sum m e_{w o sigma}.  Row w of the counts M_nu is r2r(w)
-       over enumerate_words(nu), so M_nu is x acting on the words of nu,
-       and M is x acting on the regular representation.
+       r2r(w) == sum over the n * n pairs of e_{(w o sigma) o tau}.  Row w
+       of the counts M_nu is r2r(w) over enumerate_words(nu), so M_nu is x
+       acting on the words of nu, and M is x acting on the regular
+       representation.
     2. Annihilation: e p(M) = 0, from the Krylov vectors e M^k, each one
-       _apply_moves of the one before (linalg._annihilating_krylov).  By 1,
+       _apply_moves of the one before (linalg._annihilating_krylov).  As
+       each table lists the inverses of the other's moves, _apply_moves of
+       _r2t_moves, then of _t2r_moves, sends each w to the sum over the
+       pairs of e_{(w o sigma) o tau}, so by 1 it is r2r, v -> v M.  By 1,
        e p(M) is p(x) written in permutation words, so p(x) = 0 and
        p(M_nu) = 0 for every nu: each M_nu is diagonalizable with its
        spectrum inside S.
@@ -527,10 +522,11 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
         raise ValueError(f"predictions must cover {top} and have size {n}")
     perms = _lex_words(top)
     spectrum = [lam for lam, m in predicted[top].items() if m]
+    tables = _r2t_moves(n), _t2r_moves(n)
 
     # row w of M is r2r(w), so powers[k] = e M^k holds the coefficients of
     # r2r^k(e); e, the identity word, is the first permutation word
-    gathers = _move_gathers(perms)
+    gathers = _move_gathers(perms, *tables)
     identity = [1] + [0] * (len(perms) - 1)
     powers = _annihilating_krylov(partial(_apply_moves, gathers), identity, spectrum)
     if powers is None:
@@ -542,7 +538,7 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
         weight = _fixing_permutations(order, _word_index(top))
         traces = [sum(power[s] * c for s, c in weight.items()) for power in powers[:-1]]
         if not (
-            _follows_moves(order, gathers if nu == top else _move_gathers(order))
+            _follows_moves(order, gathers if nu == top else _move_gathers(order, *tables))
             and _multiplicities(spectrum, traces) == {lam: m for lam, m in totals.items() if m}
         ):
             failures.append(nu)
@@ -550,17 +546,22 @@ def certify_r2r_spectra(n: int, predicted) -> list[tuple[int, ...]]:
 
 
 def _follows_moves(order, gathers) -> bool:
-    """r2r(w) == sum m e_{w o sigma} for every word w of order, given
-    gathers = _move_gathers(order).
+    """r2r(w) == sum of e_{(w o sigma) o tau} for every word w of order, over
+    the moves sigma of r2t and tau of t2r, given gathers =
+    _move_gathers(order, _r2t_moves(n), _t2r_moves(n)): the second holds
+    the index of w o sigma, and the first that of u o tau.
 
-    The move image of w is summed into a plain dict of positive counts and
-    compared with the terms of r2r(w), which hold no zeros either.
+    The n * n images of w are counted into a plain dict of positive counts
+    and compared with the terms of r2r(w), which hold no zeros either.
     """
+    to_random, to_top = gathers
     for i, w in enumerate(order):
         image: dict[Word, int] = {}
-        for targets, m in gathers:
-            u = order[targets[i]]
-            image[u] = image.get(u, 0) + m
+        for first in to_top:
+            j = first[i]
+            for second in to_random:
+                u = order[second[j]]
+                image[u] = image.get(u, 0) + 1
         if r2r(w).items() != image.items():
             return False
     return True

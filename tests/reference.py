@@ -20,6 +20,8 @@ from shuffle_spectra.words import (
     WordVector,
     _apply_moves,
     _move_gathers,
+    _r2t_moves,
+    _t2r_moves,
     apply_sh,
     apply_theta,
     evaluation_of,
@@ -65,11 +67,13 @@ def r2r_columns(words, columns) -> list[list]:
 
     Each column is a list whose entry i is the coefficient of words[i], and
     words must be all the words of one evaluation, in any order.  Column j
-    of the result holds the coefficients of r2r of column j, by one
-    _apply_moves per column; no words-by-words matrix is built.
+    of the result holds the coefficients of r2r of column j, t2r after r2t:
+    one _apply_moves of each single-card table per column, the r2t table
+    first; no words-by-words matrix is built.
     """
-    gathers = _move_gathers(tuple(words))
-    return [_apply_moves(gathers, col) for col in columns]
+    n = len(words[0])
+    r2t_pass, t2r_pass = _move_gathers(tuple(words), _r2t_moves(n), _t2r_moves(n))
+    return [_apply_moves([t2r_pass], _apply_moves([r2t_pass], col)) for col in columns]
 
 
 def matrix_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

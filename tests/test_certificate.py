@@ -230,11 +230,15 @@ def test_each_transition_matrix_row_is_the_move_image_of_its_word(n):
     for nu in partitions_of(n):
         tm = words.transition_matrix("r2r", nu)
         assert tm.order == words.enumerate_words(nu)
-        gathers = words._move_gathers(tm.order)
+        # the table of t2r lists the r2t moves and that of r2t the t2r moves,
+        # so the image of a word is reached through the second, then the first
+        tables = words._r2t_moves(n), words._t2r_moves(n)
+        to_random, to_top = words._move_gathers(tm.order, *tables)
         for w, row in enumerate(tm.counts.data):
             image = [0] * len(tm.order)
-            for targets, m in gathers:
-                image[targets[w]] += m
+            for first in to_top:
+                for second in to_random:
+                    image[second[first[w]]] += 1
             assert tuple(image) == row, (nu, tm.order[w])
 
 

@@ -368,6 +368,10 @@ EIGENBASIS_DIGESTS = [
         0,
         "726ed3cd640f0c0c7ab1b334b2a410e6e3cde5d9144d318ee6116956df193587",
     ),
+    # recorded before r2r on columns became t2r after r2t, two single-card
+    # tables in turn: a hook evaluation and one of size 8
+    ("--evaluation", "30,1", 0, "c491ca2b0d58e9f97cdba0538fdb0de708a001e9aebffc02a31c4727bdb2fa6a"),
+    ("--evaluation", "4,2,2", 0, "356aa3118436670c458f550db96deca40bb3c126d3fdd7511ac21243e10ba470"),
 ]
 
 

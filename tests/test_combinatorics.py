@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from shuffle_spectra import combinatorics
 from shuffle_spectra.combinatorics import (
+    check_partition,
     desarrangement_count,
     diag,
     dominates,
@@ -15,6 +16,7 @@ from shuffle_spectra.combinatorics import (
     horizontal_strip_inners,
     is_desarrangement,
     is_horizontal_strip,
+    is_partition,
     kostka,
     multiset_arrangements,
     partitions_of,
@@ -260,3 +262,16 @@ def test_multiset_arrangements_of_a_long_row_walk_no_permutations(monkeypatch):
     monkeypatch.setattr(combinatorics, "permutations", refuse, raising=False)
     expected = [(1,) * k + (2,) + (1,) * (12 - k) for k in range(12, -1, -1)]
     assert multiset_arrangements((1,) * 12 + (2,)) == expected
+
+
+def test_bool_parts_are_not_a_partition():
+    # bool is a subclass of int, but True is no part
+    for parts in [(True,), (2, True), (False,)]:
+        assert not is_partition(parts)
+        with pytest.raises(ValueError, match="not a partition"):
+            check_partition(parts)
+
+    class Part(int):
+        pass
+
+    assert check_partition((Part(2), 1)) == (2, 1)

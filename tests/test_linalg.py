@@ -18,6 +18,7 @@ from shuffle_spectra.linalg import (
     _independent_rows,
     _multiplicities,
     _nullspace,
+    _picked_rows,
     _rank,
     _rank_mod,
 )
@@ -349,7 +350,8 @@ def test_independent_rows_are_a_basis_mod_p_checked_against_echelon(pairs):
     assert len(picked) <= exact
     # the kernel of the picked rows contains the kernel of all rows, and is
     # that kernel exactly when no rank is lost mod p
-    full, shortcut = _nullspace(rows, cols), _nullspace(rows, cols, pick=True)
+    assert _picked_rows(rows) == chosen
+    full, shortcut = _nullspace(rows, cols), _nullspace(chosen, cols)
     assert len(shortcut) == cols - len(picked)
     assert all(not sum(map(mul, row, v)) for row in chosen for v in shortcut)
     if len(picked) == exact:

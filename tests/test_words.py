@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import permutations, product
@@ -15,9 +16,14 @@ from shuffle_spectra.words import (
     apply_permutation,
     apply_sh,
     apply_theta,
+    check_evaluation,
+    check_word,
     enumerate_words,
     operator_matrix,
-    _r2r_moves,
+    _apply_moves,
+    _move_gathers,
+    _r2t_moves,
+    _t2r_moves,
     r2r,
     r2t,
     shuffle_product,
@@ -243,13 +249,32 @@ def compositions(n: int):
             yield (first,) + rest
 
 
-def test_r2r_move_table_counts():
-    assert _r2r_moves(0) == ()
-    for n in range(1, 7):
-        moves = _r2r_moves(n)
-        assert len(moves) == 1 + (n - 1) ** 2
-        assert sum(m for _, m in moves) == n * n
-        assert dict(moves)[tuple(range(n))] == n
+def test_the_single_card_tables_compose_to_the_r2r_moves():
+    for n in range(9):
+        # each table lists n distinct moves, the inverses of the other's: the
+        # table of r2t holds the moves of t2r, to a random position, and back
+        position = tuple(range(n))
+        to_random, to_top = _r2t_moves(n), _t2r_moves(n)
+        assert len(set(to_random)) == len(to_random) == n == len(set(to_top)) == len(to_top)
+        assert {tuple(sorted(position, key=s.__getitem__)) for s in to_random} == set(to_top)
+        # (w o sigma) o tau, sigma a move of r2t and tau of t2r, over all
+        # pairs is r2r of the position word
+        composed = Counter(tuple(s[t[i]] for i in position) for s in to_top for t in to_random)
+        assert composed == dict(r2r(position).items())
+        if n:
+            assert len(composed) == 1 + (n - 1) ** 2
+            assert sum(composed.values()) == n * n
+            assert composed[position] == n
+
+
+def test_apply_moves_over_an_empty_table_gives_a_zero_column():
+    # words of length 0: each table is empty, and r2r(()) is zero
+    gathers = _move_gathers([()], _r2t_moves(0), _t2r_moves(0))
+    assert gathers == [[], []]
+    for tables in (gathers[:1], gathers):
+        for column in ([3], [Fraction(1, 2)]):
+            assert _apply_moves(tables, column) == [0]
+    assert r2r(()) == WordVector()
 
 
 def test_r2r_columns_matches_r2r_column_by_column():
@@ -393,6 +418,25 @@ def test_word_operators_store_integral_images_as_int(name):
     assert int in _coefficient_types(image)
     for _, c in image.items():
         assert c and (type(c) is int or c.denominator > 1)
+
+
+def test_bool_letters_and_counts_are_refused():
+    # bool is a subclass of int, but True is no letter and no count: a word
+    # holding it would print its letter as True
+    with pytest.raises(ValueError, match=re.escape("letters must be positive integers: (True, 2)")):
+        check_word((True, 2))
+    with pytest.raises(ValueError, match=re.escape("bad evaluation: (True, 1)")):
+        check_evaluation((True, 1))
+    with pytest.raises(ValueError, match=re.escape("bad evaluation: (2, False)")):
+        enumerate_words((2, False))
+    with pytest.raises(ValueError, match=re.escape("letters must be positive integers: (True,)")):
+        apply_sh(True, WordVector.unit((2,)))
+
+    class Letter(int):
+        pass
+
+    assert check_word((Letter(1), 2)) == (1, 2)
+    assert check_evaluation((Letter(1), 0)) == (1, 0)
 
 
 def test_word_operators_reject_their_bad_inputs():
