@@ -5,7 +5,8 @@ the empty partition).  Tableaux are tuples of row tuples.  All enumeration
 orders are deterministic: partitions are listed in descending lexicographic
 order, standard tableaux by their row reading word, so downstream output is
 reproducible run to run.  Record, the frozen base of the package's result
-types, lives here because every other module imports this one.
+types, and check_word and check_evaluation, the one rule for letters and
+for letter counts, live here because every other module imports this one.
 """
 
 from __future__ import annotations
@@ -70,6 +71,20 @@ class Record(metaclass=_RecordType):
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def check_word(word) -> Word:
+    word = tuple(word)
+    if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in word):
+        raise ValueError(f"letters must be positive integers: {word}")
+    return word
+
+
+def check_evaluation(evaluation) -> tuple[int, ...]:
+    evaluation = tuple(evaluation)
+    if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in evaluation):
+        raise ValueError(f"bad evaluation: {evaluation}")
+    return evaluation
 
 
 def is_partition(parts) -> bool:
@@ -289,16 +304,18 @@ def multiset_arrangements(values) -> list[tuple[int, ...]]:
         out.append(tuple(word))
 
 
-@cache
-def semistandard_tableaux(shape: Partition, content: tuple[int, ...]) -> tuple[Tableau, ...]:
+def semistandard_tableaux(shape: Partition, content) -> tuple[Tableau, ...]:
     """Semistandard tableaux of the shape whose entry multiplicities are content.
 
     content[i] is the multiplicity of the letter i + 1; trailing zeros are
     allowed.  Deterministic order: lexicographic on row reading words.
+    Checked before the cache, which (True, 2) or (1.0, 2) would hit as (1, 2).
     """
-    shape = check_partition(shape)
-    if any(c < 0 for c in content):
-        raise ValueError("negative multiplicity")
+    return _semistandard_tableaux(check_partition(shape), check_evaluation(content))
+
+
+@cache
+def _semistandard_tableaux(shape: Partition, content: tuple[int, ...]) -> tuple[Tableau, ...]:
     if sum(shape) != sum(content):
         raise ValueError("shape size and content size differ")
     n_letters = len(content)
@@ -330,7 +347,7 @@ def semistandard_tableaux(shape: Partition, content: tuple[int, ...]) -> tuple[T
 
 def kostka(shape: Partition, content) -> int:
     """Number of semistandard tableaux of the shape with the given content."""
-    return len(semistandard_tableaux(check_partition(shape), tuple(content)))
+    return len(semistandard_tableaux(shape, content))
 
 
 # -- RSK correspondence ------------------------------------------------------

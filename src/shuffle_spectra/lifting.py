@@ -24,8 +24,10 @@ and random-to-top costs n images per word where random-to-random costs n^2.
 The basis, packed one int per word, goes through n position gathers, and
 the distinct rows of B up to sign are the distinct absolute values of those
 ints.  The nullspace of rows among them picked independent modulo a prime
-contains ker B; random-to-top of every one of its vectors, packed, must be
-exactly zero, else it is taken again over all the distinct rows.
+contains ker B.  Its vectors, cleared of denominators, stay plain int
+columns over the words up to the output; random-to-top of them, packed
+(_biased_rows) for this check alone, must be exactly zero, else the
+nullspace is taken again over all the distinct rows.
 
 Composing lifts along the rows of a horizontal strip, smallest row first,
 and feeding in those kernel bases of the smaller shapes produces a complete
@@ -228,21 +230,11 @@ def kernel_basis(shape: Partition) -> tuple[WordVector, ...]:
     return _vectors(_lex_words(shape), _kernel_columns(shape))
 
 
-def _kernel_rows(terms, null, n: int, size: int) -> tuple[list[int], int]:
-    """(rows, nbytes): each nullspace vector c, cleared of denominators, as
-    sum over j of c[j] w_j packed one int per word, nbytes bytes per digit,
-    scattered from terms = _polytabloid_terms of the shape:
-    max(n, 1) * sum |c[j]| bounds each entry and each of its r2t image."""
-    null = [_clear_denominators(c) for c in null]
-    nbytes = _digit_bytes(max(n, 1) * max((sum(map(abs, c)) for c in null), default=0))
-    coeffs = [sum(c[j] << (8 * nbytes * i) for i, c in enumerate(null)) for j in range(len(terms))]
-    return _scatter(terms, coeffs, size), nbytes
-
-
 @cache
 def _kernel_columns(shape: Partition) -> tuple[list[int], ...]:
     """kernel_basis(shape) as normalized int columns, by the row pick and
-    exact check of the module docstring; |B| <= n."""
+    exact check of the module docstring; |B| <= n, and max(n, 1) times the
+    largest |entry| of the kernel columns bounds each entry of their r2t."""
     words, terms, n = _lex_words(shape), _polytabloid_terms(shape), sum(shape)
     gathers, nbytes = _move_gathers(words, _r2t_moves(n)), _digit_bytes(n)
     basis = _scatter(terms, [1 << (8 * nbytes * j) for j in range(len(terms))], len(words))
@@ -250,12 +242,16 @@ def _kernel_columns(shape: Partition) -> tuple[list[int], ...]:
     rows = _digits(distinct, nbytes, len(terms))
     for some in (_picked_rows(rows), rows):
         null = _nullspace(some, len(terms))
-        packed, nbytes = _kernel_rows(terms, null, n, len(words))
-        if not any(_apply_moves(gathers, packed)):
+        columns = [_scatter(terms, _clear_denominators(c), len(words)) for c in null]
+        if not columns:
+            break
+        top = max(max(map(abs, col)) for col in columns)
+        packed, bias = _biased_rows(columns, _digit_bytes(max(n, 1) * top))
+        if not any(_apply_moves(gathers, [q - bias for q in packed])):
             break
     else:
         raise AssertionError(f"r2t does not annihilate the kernel of {shape}")
-    columns = tuple(_normal_column(list(c)) for c in zip(*_digits(packed, nbytes, len(null))))
+    columns = tuple(map(_normal_column, columns))
     if len(columns) != (expected := desarrangement_count(shape)):
         raise AssertionError(f"kernel of {shape} has dimension {len(columns)}, expected {expected}")
     return columns

@@ -32,30 +32,17 @@ _lex_words.  Deck order, enumerate_words, only orders transition matrices.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, permutations, product
 from operator import itemgetter
 
-from .combinatorics import Record, multiset_arrangements
+from .combinatorics import Record, check_evaluation, check_word, multiset_arrangements
 from .linalg import ExactMatrix, Scalar, _annihilating_krylov, _multiplicities
 
 Word = tuple[int, ...]
 Permutation = tuple[int, ...]
-
-
-def check_word(word) -> Word:
-    word = tuple(word)
-    if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in word):
-        raise ValueError(f"letters must be positive integers: {word}")
-    return word
-
-
-def check_evaluation(evaluation) -> tuple[int, ...]:
-    evaluation = tuple(evaluation)
-    if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in evaluation):
-        raise ValueError(f"bad evaluation: {evaluation}")
-    return evaluation
 
 
 def evaluation_of(word: Word) -> tuple[int, ...]:
@@ -306,8 +293,8 @@ def _t2r_images(word: Word):
 
 
 def _r2r_images(word: Word):
-    for u, _ in _r2t_images(word):
-        yield from _t2r_images(u)
+    for j in range(len(word)):
+        yield from _inserted(word[j], word[:j] + word[j + 1 :])
 
 
 def r2t(v) -> WordVector:
@@ -551,17 +538,12 @@ def _follows_moves(order, gathers) -> bool:
     _move_gathers(order, _r2t_moves(n), _t2r_moves(n)): the second holds
     the index of w o sigma, and the first that of u o tau.
 
-    The n * n images of w are counted into a plain dict of positive counts
+    The n * n images of w are counted by a Counter, all counts positive,
     and compared with the terms of r2r(w), which hold no zeros either.
     """
     to_random, to_top = gathers
     for i, w in enumerate(order):
-        image: dict[Word, int] = {}
-        for first in to_top:
-            j = first[i]
-            for second in to_random:
-                u = order[second[j]]
-                image[u] = image.get(u, 0) + 1
+        image = Counter(order[second[first[i]]] for first in to_top for second in to_random)
         if r2r(w).items() != image.items():
             return False
     return True

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -670,6 +671,95 @@ def test_the_word_count_refusal_compares_the_multinomial_with_the_cap(evaluation
     # exactly _MAX_DIM passes, one more does not
     assert not cli._over_max_dim([(_MAX_DIM, 1)])
     assert cli._over_max_dim([(_MAX_DIM + 1, 1)])
+
+
+# argv pieces for the CLI fuzz: well-formed values kept small (at most 6
+# letters, sizes up to 4) so every example runs in milliseconds, and one time
+# in four a junk token in their place
+_JUNK = st.sampled_from(["", "-1", "1.5", "a", "[1,,2]", ",", "1,,2", "0", "--", "-h", "--n", "xml"])
+
+
+def _counts(least):
+    return st.lists(st.integers(least, 3), min_size=1, max_size=4).filter(lambda c: sum(c) <= 6)
+
+
+_COUNTS, _PARTS = _counts(0), _counts(1).map(lambda c: sorted(c, reverse=True))
+
+
+@st.composite
+def _either(draw, valid):
+    return draw(valid if draw(st.integers(0, 3)) else _JUNK)
+
+
+_SIZES = _either(st.integers(-1, 4).map(str))
+_LETTERS = _either(_COUNTS.map(lambda c: ",".join(map(str, c))))
+_SHAPES = _either(_PARTS.map(lambda c: ",".join(map(str, c)))) | _LETTERS
+
+
+def _option(name, values=None):
+    return st.just([name]) if values is None else values.map(lambda v: [name, v])
+
+
+def _format(*choices):
+    return _option("--format", _either(st.sampled_from(choices)))
+
+
+_COMMANDS = {
+    "eigenvalues": [
+        _option("--n", _SIZES) | _option("--evaluation", _LETTERS),
+        _format("table", "json", "csv"),
+        _option("--probability"),
+    ],
+    "eig-word": [_either(st.text("0123456", max_size=6)).map(lambda w: [w]), _format("table", "json")],
+    "transition-matrix": [
+        _option("--shuffle", _either(st.sampled_from(["r2r", "r2t", "t2r"]))),
+        _option("--evaluation", _LETTERS),
+        _format("table", "json"),
+    ],
+    "eigenbasis": [_option("--partition", _SHAPES) | _option("--evaluation", _LETTERS), _option("--verify")],
+    "kernel": [_option("--partition", _SHAPES)],
+    "frobenius": [
+        _option("--n", _SIZES),
+        _option("--eigenvalue", _either(st.integers(-1, 20).map(str))),
+        _format("text", "json"),
+    ],
+    "laplacian": [_option("--n", _SIZES), _option("--r", _SIZES), _option("--spectrum")],
+    "verify": [_option("--n", _SIZES)],
+}
+
+
+@st.composite
+def _argvs(draw):
+    # each option of the command three times in four, in any order
+    command = draw(st.sampled_from([*_COMMANDS, "nope"]))
+    pieces = [draw(piece) for piece in _COMMANDS.get(command, []) if draw(st.integers(0, 3))]
+    argv = [command, *(t for piece in draw(st.permutations(pieces)) for t in piece)]
+    if not draw(st.integers(0, 3)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@settings(deadline=None, max_examples=150)
+@given(_argvs())
+@example([])
+@example(["eigenbasis", "--evaluation", "[1,,2]"])
+@example(["eigenbasis", "--partition", "1,2"])
+@example(["kernel", "--partition", ""])
+@example(["verify", "--n", "1.5"])
+@example(["laplacian", "--n", "-1", "--r", "a"])
+@example(["frobenius", "--n", "4", "--eigenvalue", "1.5"])
+@example(["eig-word", "a"])
+@example(["transition-matrix", "--shuffle", "r2r", "--evaluation", "0,0"])
+def test_generated_argv_exits_0_1_or_2_without_a_traceback(argv):
+    # a return value or argparse's SystemExit; any other exception escapes
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

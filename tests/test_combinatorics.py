@@ -1,4 +1,5 @@
 import itertools
+import re
 from math import factorial
 
 import pytest
@@ -275,3 +276,20 @@ def test_bool_parts_are_not_a_partition():
         pass
 
     assert check_partition((Part(2), 1)) == (2, 1)
+
+
+def test_tableau_contents_must_be_counts():
+    # the content of a tableau is an evaluation: non-negative int counts, by
+    # the one rule that words and the CLI use; (True, 2) and (1.0, 2.0) equal
+    # (1, 2), so they are refused even once its tableaux are cached
+    assert semistandard_tableaux((2, 1), (1, 2)) == (((1, 2), (2,)),)
+    assert kostka((2, 1), [1, 2, 0]) == 1
+    for content in [(1.5, 0.5, 1), (True, 2), (1.0, 2.0), (2, False, 1), (-1, 4), ("1", 2)]:
+        with pytest.raises(ValueError, match=re.escape(f"bad evaluation: {content}")):
+            semistandard_tableaux((2, 1), content)
+        with pytest.raises(ValueError, match=re.escape(f"bad evaluation: {content}")):
+            kostka((2, 1), content)
+    with pytest.raises(ValueError, match=re.escape("bad evaluation: (1.5, 0.5)")):
+        kostka((2,), (1.5, 0.5))
+    with pytest.raises(ValueError, match="not a partition"):
+        kostka((True, 2), (1, 2))
