@@ -4,15 +4,19 @@ Partitions are tuples of weakly decreasing positive ints (the empty tuple is
 the empty partition).  Tableaux are tuples of row tuples.  All enumeration
 orders are deterministic: partitions are listed in descending lexicographic
 order, standard tableaux by their row reading word, so downstream output is
-reproducible run to run.  Record, the frozen base of the package's result
-types, and check_word and check_evaluation, the one rule for letters and
-for letter counts, live here because every other module imports this one.
+reproducible run to run.  A semistandard tableau is a chain of horizontal
+strips, one per letter (the Pieri rule), so semistandard tableaux, Kostka
+numbers, spectra and Frobenius expansions all rest on the one strip
+enumeration, horizontal_strip_inners.  Record, the frozen base of the
+package's result types, and check_word, check_evaluation and check_sizes,
+the one rule for letters, for letter counts and for sizes, live here
+because every other module imports this one.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import combinations
+from functools import cache, lru_cache
+from itertools import combinations, product
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -87,6 +91,16 @@ def check_evaluation(evaluation) -> tuple[int, ...]:
     return evaluation
 
 
+def check_sizes(**sizes) -> None:
+    """Refuse each named size that is not an int, naming it: a bool or an
+    int-valued float is none.  An entry point that caches on its sizes
+    caches them typed, so True and 1.0 miss the entry of 1 and reach this
+    check; its own range checks come after it."""
+    for name, size in sizes.items():
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise ValueError(f"size {name} must be an int, got {size!r}")
+
+
 def is_partition(parts) -> bool:
     parts = tuple(parts)
     positive = all(isinstance(p, int) and not isinstance(p, bool) and p > 0 for p in parts)
@@ -100,9 +114,10 @@ def check_partition(parts) -> Partition:
     return parts
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in descending lexicographic order."""
+    check_sizes(n=n)
     if n < 0:
         raise ValueError("negative size")
     if n == 0:
@@ -161,24 +176,14 @@ def is_horizontal_strip(outer: Partition, inner: Partition) -> bool:
 def horizontal_strip_inners(outer: Partition) -> tuple[Partition, ...]:
     """All inner shapes mu with outer/mu a horizontal strip, lex sorted.
 
-    The one-cell-per-column condition pins each part of mu between the part
-    below it in outer and that part's own outer value.
+    The one-cell-per-column condition pins each part mu_i between outer_{i+1}
+    and outer_i, and any choice from these ranges is a partition, since
+    mu_{i+1} <= outer_{i+1} <= mu_i: the inners are the box of those ranges,
+    listed in lex order, trailing zeros dropped.
     """
     outer = check_partition(outer)
-
-    def rec(i: int):
-        if i == len(outer):
-            yield ()
-            return
-        lo = part(outer, i + 2)
-        for v in range(lo, outer[i] + 1):
-            if v == 0:
-                yield ()
-            else:
-                for tail in rec(i + 1):
-                    yield (v,) + tail
-
-    return tuple(sorted(rec(0)))
+    ranges = (range(part(outer, i + 2), p + 1) for i, p in enumerate(outer))
+    return tuple(tuple(filter(None, mu)) for mu in product(*ranges))
 
 
 def _strip_inners(outer: Partition) -> list[Partition]:
@@ -307,9 +312,13 @@ def multiset_arrangements(values) -> list[tuple[int, ...]]:
 def semistandard_tableaux(shape: Partition, content) -> tuple[Tableau, ...]:
     """Semistandard tableaux of the shape whose entry multiplicities are content.
 
-    content[i] is the multiplicity of the letter i + 1; trailing zeros are
-    allowed.  Deterministic order: lexicographic on row reading words.
-    Checked before the cache, which (True, 2) or (1.0, 2) would hit as (1, 2).
+    content[i] is the multiplicity of the letter i + 1; zero counts are
+    allowed anywhere.  The cells of the largest letter k that occurs form a
+    horizontal strip shape/mu (the Pieri rule), so the tableaux are those of
+    each such mu with content[:k - 1], k added in the strip: one memoised
+    call per letter that occurs, however many cells it fills.
+    Deterministic order: lexicographic on row reading words.  Checked before
+    the cache, which (True, 2) or (1.0, 2) would hit as (1, 2).
     """
     return _semistandard_tableaux(check_partition(shape), check_evaluation(content))
 
@@ -318,31 +327,18 @@ def semistandard_tableaux(shape: Partition, content) -> tuple[Tableau, ...]:
 def _semistandard_tableaux(shape: Partition, content: tuple[int, ...]) -> tuple[Tableau, ...]:
     if sum(shape) != sum(content):
         raise ValueError("shape size and content size differ")
-    n_letters = len(content)
-    remaining = list(content)
-    rows: list[list[int]] = [[] for _ in shape]
-    results: list[Tableau] = []
-    cells = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
-
-    def place(idx: int):
-        if idx == len(cells):
-            results.append(tuple(tuple(row) for row in rows))
-            return
-        i, j = cells[idx]
-        lo = rows[i][j - 1] if j > 0 else 1
-        for v in range(lo, n_letters + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if i > 0 and rows[i - 1][j] >= v:
-                continue
-            rows[i].append(v)
-            remaining[v - 1] -= 1
-            place(idx + 1)
-            remaining[v - 1] += 1
-            rows[i].pop()
-
-    place(0)
-    return tuple(results)
+    while content and not content[-1]:
+        content = content[:-1]
+    if not content:
+        return ((),)
+    k, rest = len(content), content[:-1]
+    found = [
+        tuple(row + (k,) * (length - len(row)) for row, length in zip(t + ((),), shape))
+        for inner in horizontal_strip_inners(shape)
+        if sum(inner) == sum(rest)
+        for t in _semistandard_tableaux(inner, rest)
+    ]
+    return tuple(sorted(found, key=lambda t: tuple(x for row in t for x in row)))
 
 
 def kostka(shape: Partition, content) -> int:

@@ -2,7 +2,9 @@
 
 On decks with all cards distinct, each eigenspace of the random-to-random
 shuffle is stable under relabeling the cards, so it decomposes into
-irreducibles; the decomposition is read off the horizontal strips directly.
+irreducibles; the decomposition is read off the horizontal strips directly,
+and both expansions here are one walk over the strips of size n
+(_strip_expansion), the eigenvalue or the inner size picking the strips.
 Schur functions are purely formal here: an expansion is a partition-indexed
 coefficient map, and the only arithmetic ever done with one is summing
 dimensions.
@@ -10,10 +12,11 @@ dimensions.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 
 from .combinatorics import (
     Partition,
+    check_sizes,
     desarrangement_count,
     horizontal_strip_inners,
     partitions_of,
@@ -74,24 +77,20 @@ class SchurExpansion:
         }
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def frobenius_of_eigenspace(n: int, eig: int) -> SchurExpansion:
     """Schur expansion of the eigenspace of the n^2-scaled eigenvalue.
 
     Sums desarrangement_count(inner) * s_outer over the horizontal strips of
     size n whose statistic equals eig; empty when no strip matches.
     """
+    check_sizes(n=n, eig=eig)
     if eig < 0:
         raise ValueError("eigenvalues are non-negative")
-    terms: list[tuple[Partition, int]] = []
-    for outer in partitions_of(n):
-        for inner in horizontal_strip_inners(outer):
-            if eig_strip(outer, inner) == eig:
-                terms.append((outer, desarrangement_count(inner)))
-    return SchurExpansion(terms)
+    return _strip_expansion(n, lambda outer, inner: eig_strip(outer, inner) == eig)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def r2t_frobenius(n: int, j: int) -> SchurExpansion:
     """Schur expansion attached to the strips with inner size j.
 
@@ -99,11 +98,18 @@ def r2t_frobenius(n: int, j: int) -> SchurExpansion:
     n - j; in particular j = n gives the shared kernel of both shuffles and
     j = 0 the stationary line.
     """
+    check_sizes(n=n, j=j)
     if not 0 <= j <= n:
         raise ValueError("inner size out of range")
-    terms: list[tuple[Partition, int]] = []
-    for outer in partitions_of(n):
-        for inner in horizontal_strip_inners(outer):
-            if sum(inner) == j:
-                terms.append((outer, desarrangement_count(inner)))
-    return SchurExpansion(terms)
+    return _strip_expansion(n, lambda outer, inner: sum(inner) == j)
+
+
+def _strip_expansion(n: int, keep) -> SchurExpansion:
+    """Sum of desarrangement_count(inner) * s_outer over the horizontal strips
+    outer/inner with outer of size n for which keep(outer, inner) holds."""
+    return SchurExpansion(
+        (outer, desarrangement_count(inner))
+        for outer in partitions_of(n)
+        for inner in horizontal_strip_inners(outer)
+        if keep(outer, inner)
+    )

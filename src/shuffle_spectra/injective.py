@@ -24,22 +24,26 @@ _certify_integral_spectrum).  The Laplacian commutes with relabelling
 letters, which acts transitively on the words, so the Krylov sequence of one
 word decides annihilation and every multiplicity through the Krylov core of
 linalg, in plain ints, over the integers of the Gershgorin column discs.
+Every entry point checks n and r with check_sizes; laplacian,
+laplacian_spectrum and boundary_matrix through injective_words, their first
+call.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import lru_cache, partial
 from itertools import permutations
 from typing import Sequence
 
-from .combinatorics import sign_of_word  # noqa: F401  (re-exported)
+from .combinatorics import check_sizes, sign_of_word  # noqa: F401  (sign_of_word re-exported)
 from .linalg import ExactMatrix, _annihilating_krylov, _multiplicities, _scatter
 from .words import Word, WordVector, _extend, operator_columns, operator_matrix
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def injective_words(n: int, r: int) -> tuple[Word, ...]:
     """Duplicate-free words of length r over {1..n}, lexicographically."""
+    check_sizes(n=n, r=r)
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     return tuple(sorted(permutations(range(1, n + 1), r)))
@@ -68,13 +72,14 @@ def _insertions(n: int, word: Word):
 
 def boundary(n: int, r: int, v: WordVector) -> WordVector:
     """Signed deletion: position j removed with sign (-1)^j, summed over j."""
+    check_sizes(n=n, r=r)
     if not 1 <= r <= n:
         raise ValueError(f"boundary needs 1 <= r <= n, got r={r}, n={n}")
     _check_injective(v, n, r)
     return _extend(_deletions, v)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def boundary_matrix(n: int, r: int) -> ExactMatrix:
     """Matrix of the boundary map in column convention (targets x sources)."""
     return operator_matrix(
@@ -88,6 +93,7 @@ def coboundary(n: int, r: int, v: WordVector) -> WordVector:
     Inserting a missing letter at position j is undone only by deleting
     position j, so it carries that deletion's sign.
     """
+    check_sizes(n=n, r=r)
     if not 0 <= r < n:
         raise ValueError(f"coboundary needs 0 <= r < n, got r={r}, n={n}")
     _check_injective(v, n, r)

@@ -8,7 +8,7 @@ arithmetic that only these checks need.
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -54,6 +54,25 @@ def tableau_content(t) -> tuple[int, ...]:
     entries = [x for row in t for x in row]
     top = max(entries) if entries else 0
     return tuple(entries.count(v) for v in range(1, top + 1))
+
+
+def semistandard_by_arrangement(shape, content) -> list:
+    """Semistandard tableaux of the shape with the given content, by brute
+    force: every arrangement of the content's letters over the cells, row
+    after row, kept when its rows weakly increase and its columns strictly
+    increase, sorted by reading word."""
+    letters = [k for k, count in enumerate(content, start=1) for _ in range(count)]
+    starts = [sum(shape[:i]) for i in range(len(shape) + 1)]
+    found = []
+    for word in set(permutations(letters)):
+        t = tuple(word[a:b] for a, b in zip(starts, starts[1:]))
+        rows_ok = all(row[j] <= row[j + 1] for row in t for j in range(len(row) - 1))
+        columns_ok = all(
+            t[i][j] < t[i + 1][j] for i in range(len(t) - 1) for j in range(len(t[i + 1]))
+        )
+        if rows_ok and columns_ok:
+            found.append(t)
+    return sorted(found, key=lambda t: tuple(x for row in t for x in row))
 
 
 def word_rank(vectors: list[WordVector]) -> int:

@@ -30,7 +30,7 @@ from shuffle_spectra.combinatorics import (
 from shuffle_spectra.words import word_from_text
 
 from golden_tables import FIGURE_LENGTH3
-from reference import is_standard, tableau_content
+from reference import is_standard, semistandard_by_arrangement, tableau_content
 
 words_st = st.lists(st.integers(min_value=1, max_value=4), max_size=8).map(tuple)
 
@@ -117,6 +117,35 @@ def test_kostka_positive_iff_dominates():
 def test_semistandard_content():
     for t in semistandard_tableaux((3, 2), (2, 2, 1)):
         assert tableau_content(t) == (2, 2, 1)
+
+
+def _contents(nu):
+    # nu, its reverse, and nu padded with a zero count at the front, in the
+    # middle and at the end
+    return {nu, nu[::-1], (0,) + nu, nu[:1] + (0,) + nu[1:], nu + (0,)}
+
+
+def test_semistandard_tableaux_match_brute_force():
+    for n in range(7):
+        for shape in partitions_of(n):
+            for nu in partitions_of(n):
+                for content in _contents(nu):
+                    got = list(semistandard_tableaux(shape, content))
+                    assert got == semistandard_by_arrangement(shape, content), (shape, content)
+
+
+def test_standard_tableaux_are_the_semistandard_tableaux_of_distinct_letters():
+    for n in range(9):
+        for shape in partitions_of(n):
+            assert standard_tableaux(shape) == semistandard_tableaux(shape, (1,) * n)
+
+
+def test_long_rows_and_many_empty_letters_take_no_frame_per_cell():
+    # one strip per letter: a row of 1101 cells holding two letters is two
+    # strips deep, and zero counts are dropped without a frame each
+    assert semistandard_tableaux((1101,), (1100, 1)) == (((1,) * 1100 + (2,),),)
+    assert semistandard_tableaux((1,), (0,) * 3000 + (1,)) == (((3001,),),)
+    assert kostka((18,), (1,) * 18) == 1
 
 
 def test_desarrangement_small_cases():

@@ -1,6 +1,7 @@
 import ast
 import os
 import pickle
+import re
 import subprocess
 import sys
 import types
@@ -317,3 +318,34 @@ def test_records_are_frozen_values_of_their_fields():
     assert classes["TransitionMatrix"](*five) != classes["StripEigenvalue"](*five)
     assert classes["EigenbasisEntry"](*five[:4]) != classes["SpectrumReport"](*five[:4])
     assert classes["EigenbasisEntry"](*five[:4]) == classes["EigenbasisEntry"](*five[:4])
+
+
+def test_sizes_are_ints_and_not_bools():
+    # a cache keyed on 1 would answer True and 1.0 as 1, so each entry point
+    # refuses them even once the answer for 1 is cached
+    from shuffle_spectra import combinatorics, frobenius, injective
+
+    entry_points = [
+        (combinatorics.partitions_of, (1,), "n"),
+        (frobenius.frobenius_of_eigenspace, (3, 9), "n eig"),
+        (frobenius.r2t_frobenius, (3, 1), "n j"),
+        (injective.injective_words, (3, 1), "n r"),
+        (injective.boundary_matrix, (3, 1), "n r"),
+        (injective.laplacian, (3, 1), "n r"),
+        (injective.laplacian_spectrum, (3, 1), "n r"),
+    ]
+    for fn, sizes, names in entry_points:
+        fn(*sizes)
+        for k, name in enumerate(names.split()):
+            for bad in (True, float(sizes[k]), 1.5, "3", None):
+                args = [*sizes[:k], bad, *sizes[k + 1 :]]
+                message = re.escape(f"size {name} must be an int, got {bad!r}")
+                with pytest.raises(ValueError, match=message):
+                    fn(*args)
+    unit = shuffle_spectra.WordVector.unit
+    for bad in (3.0, True):
+        with pytest.raises(ValueError, match="size n must be an int"):
+            injective.boundary(bad, 1, unit((1,)))
+        with pytest.raises(ValueError, match="size n must be an int"):
+            injective.coboundary(bad, 0, unit(()))
+    assert injective.laplacian_spectrum(1, 1) == {1: 1}
